@@ -227,8 +227,8 @@ fn read_one_response(stream: &mut TcpStream, spill: &mut Vec<u8>) {
 /// response-cache key (samples band × x-metric × y-metric ×
 /// experiment ≈ 10k keys per generation), so each one exercises the
 /// compute class rather than the cached fast path, at a stable
-/// per-request cost — the store-level series cache bounds the heavy
-/// work to the samples band.
+/// per-request cost: each one sweeps its experiment's series at a
+/// sample count from a fixed band.
 fn overload_target(experiments: &[String], g: usize) -> String {
     let samples = 16 + g % 211;
     let x = COLD_METRICS[(g / 211) % COLD_METRICS.len()];
@@ -490,9 +490,8 @@ fn main() {
         for mode in modes {
             match mix {
                 // Re-setting the identical gold standard is a
-                // result-preserving mutation: it clears the store's
-                // internal diagram/matrix caches, and the generation
-                // bump clears both HTTP tiers — every cold run
+                // result-preserving mutation whose generation bump
+                // clears the response cache — every cold run
                 // recomputes from scratch instead of replaying the
                 // previous mode's entries.
                 Mix::Cold | Mix::Mixed => state.with_store_mut(|s| {

@@ -17,9 +17,10 @@
 //!    at smoke scale and records the ratio as `snapshot_load.speedup`
 //!    for the CI gate (`FROST_BENCH_BASELINE`, −25% floor).
 //! 2. **Cache hit vs recompute** — the serving path. A cache hit on a
-//!    memoized diagram body versus recomputing the series and
-//!    re-rendering it (what every request would pay without the
-//!    generation-stamped cache).
+//!    rendered diagram body versus recomputing the series and
+//!    re-rendering it on the loaded store (what every request would
+//!    pay without the generation-stamped cache; the store memoizes
+//!    nothing).
 //!
 //! Results land in `BENCH_snapshot.json` (`FROST_BENCH_OUT`
 //! overrides).
@@ -165,14 +166,9 @@ fn main() {
         }
         body
     };
-    // Miss path: full recompute + render on a cold store each round
-    // (the store memoizes diagram series internally, so a fresh store
-    // per iteration models the uncached request).
+    // Miss path: full recompute + render on the loaded store.
     let miss_iters = if scale >= 0.5 { 5 } else { 20 };
-    let (miss_s, body) = time_best(miss_iters, || {
-        let cold = snapshot::load(&snap_path).expect("load");
-        render(&cold)
-    });
+    let (miss_s, body) = time_best(miss_iters, || render(&store));
     let generation = cache.begin();
     cache.insert("diagram", Arc::from(body.as_str()), generation);
     let (hit_s, hit) = time_best(miss_iters, || cache.get("diagram").expect("cached"));

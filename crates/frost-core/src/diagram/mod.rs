@@ -189,6 +189,11 @@ impl DiagramEngine {
 /// end.
 pub const PARALLEL_SWEEP_MIN_MATCHES: usize = 4_096;
 
+/// The most sample points a diagram request may ask for. A series
+/// holds one point per sample, so the server rejects larger counts
+/// before allocating; the cap sits far above any useful resolution.
+pub const MAX_DIAGRAM_SAMPLES: usize = 100_000;
+
 /// Prefix boundaries for `s` sample points over `m` matches:
 /// `k_i = ⌊i·m/(s−1)⌋` for `i = 0..s`.
 pub(crate) fn sample_boundaries(m: usize, s: usize) -> Vec<usize> {
@@ -367,9 +372,14 @@ mod tests {
         assert_eq!(sample_boundaries(4, 3), vec![0, 2, 4]);
         assert_eq!(sample_boundaries(5, 3), vec![0, 2, 5]);
         assert_eq!(sample_boundaries(0, 2), vec![0, 0]);
-        let b = sample_boundaries(144_349, 100);
-        assert_eq!(b.len(), 100);
-        assert_eq!(*b.last().unwrap(), 144_349);
+        // The largest request the server accepts, against the largest
+        // match count record ids allow: `i * m` must not overflow.
+        for (m, s) in [(144_349, 100), (u32::MAX as usize, MAX_DIAGRAM_SAMPLES)] {
+            let b = sample_boundaries(m, s);
+            assert_eq!(b.len(), s);
+            assert_eq!((b[0], *b.last().unwrap()), (0, m));
+            assert!(b.windows(2).all(|w| w[0] <= w[1]));
+        }
     }
 
     #[test]

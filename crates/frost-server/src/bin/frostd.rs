@@ -38,8 +38,9 @@
 //! (excess connections are answered `503` + `Retry-After` without
 //! parsing), `--request-deadline-ms` sheds any request that cannot
 //! start evaluating before its deadline (queue wait counts), and
-//! `--cache-budget-mb` caps the total bytes both response-cache tiers
-//! may hold (default 256 MB; stale-first LRU eviction). `/healthz`
+//! `--cache-budget-mb` caps the bytes the response cache — frostd's
+//! only result cache — may hold (default 256 MB; stale-first LRU
+//! eviction). `/healthz`
 //! reports liveness, `/readyz` readiness, and `/stats` the shed and
 //! queue counters.
 //!

@@ -32,10 +32,11 @@
 //! # Write path and durability
 //!
 //! Writes serialize on one writer lock and follow the WAL protocol
-//! (see [`frost_storage::durable`]): validate and build the
-//! import-time artifacts under a **read** lock (imports stay cheap for
-//! concurrent readers), append + fsync the op to the WAL, then take
-//! the **write** lock only for the cheap in-memory insert. A `frostd`
+//! (see [`frost_storage::durable`]) through one sequence that primary
+//! writes and replicated records share: prepare — validate and build
+//! the import-time artifacts — under a **read** lock (imports stay
+//! cheap for concurrent readers), append + fsync the op to the WAL,
+//! then take the **write** lock only for the cheap commit. A `frostd`
 //! started from a `FROSTB` file runs durably (WAL at `<store>.wal`,
 //! `--fsync` policy); one started from a CSV directory accepts the
 //! same writes volatile, in memory only. After a write, only the
@@ -69,20 +70,18 @@
 //!
 //! # Caching
 //!
-//! Two tiers, both generation-stamped by the same rule — any mutation
-//! through [`ServerState::with_store_mut`] bumps the generation and
-//! logically evicts every entry of both tiers at once:
-//!
-//! 1. rendered JSON **bodies** ([`ShardedCache<Arc<str>>`]) — a hit
-//!    skips the store computation *and* the JSON rendering;
-//! 2. fully serialized HTTP **response bytes**
-//!    ([`ShardedCache<CachedResponse>`]) — a hit is written with one
-//!    buffered `write_all` of a shared `Arc<[u8]>`: no JSON
-//!    re-rendering and no response-building allocation on the hot
-//!    path (the remaining per-request work is parsing the head and
-//!    routing the target). Cached responses carry a content-derived
-//!    strong `ETag`; a request presenting it via `If-None-Match` gets
-//!    a bodyless `304 Not Modified` instead of the payload.
+//! One result cache holds fully serialized HTTP **response bytes**
+//! ([`ShardedCache<CachedResponse>`]), bounded by `--cache-budget-mb`.
+//! A hit is written with one buffered `write_all` of a shared
+//! `Arc<[u8]>`: no store computation, no JSON rendering and no
+//! response-building allocation on the hot path (the remaining
+//! per-request work is parsing the head and routing the target). The
+//! store itself memoizes nothing. Entries are generation-stamped: any
+//! mutation through [`ServerState::with_store_mut`] bumps the
+//! generation and logically evicts every entry at once. Cached
+//! responses carry a content-derived strong `ETag`; a request
+//! presenting it via `If-None-Match` gets a bodyless
+//! `304 Not Modified` instead of the payload.
 //!
 //! [`ServerState::json_renders`] counts actual JSON serializations, so
 //! tests can pin that the hot path performs zero of them. Listings
@@ -97,15 +96,16 @@ use crate::event_loop;
 use crate::json::{self, response_to_json};
 use crate::replication::{self, ReplicationHub, Role, StreamPreamble};
 use crate::telemetry::{self, Endpoint, Stage, Telemetry, Trace};
-use frost_core::clustering::Clustering;
+use frost_core::diagram::MAX_DIAGRAM_SAMPLES;
 use frost_storage::api::{self, Request};
 use frost_storage::cache::{CacheWeight, ShardedCache};
 use frost_storage::durable::{DurableError, DurableStore};
-use frost_storage::store::{StoreError, StoredExperiment};
+use frost_storage::store::StoreError;
 use frost_storage::wal::{SnapshotId, WalOp, WAL_HEADER_LEN};
 use frost_storage::BenchmarkStore;
 use parking_lot::RwLock;
 use serde_json::Value;
+use std::borrow::Borrow;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -113,7 +113,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Shards in each result-cache tier; 16 spreads a small thread pool's
+/// Shards in the result cache; 16 spreads a small thread pool's
 /// keys with negligible memory overhead.
 const CACHE_SHARDS: usize = 16;
 
@@ -209,9 +209,9 @@ pub struct ServeOptions {
     /// (sheds / admission events over the last [`SHED_WINDOW_SECS`]
     /// seconds) exceeds this threshold.
     pub shed_ready_threshold: f64,
-    /// Total tracked-byte budget across both response-cache tiers
-    /// (split evenly), enforced with stale-first LRU eviction. `None`
-    /// keeps the per-shard entry caps as the only bound.
+    /// Tracked-byte budget of the response cache, enforced with
+    /// stale-first LRU eviction. `None` keeps the per-shard entry caps
+    /// as the only bound.
     pub cache_budget: Option<usize>,
     /// Test-only: expose `GET /debug/panic`, which panics inside the
     /// request handler — the regression hook for worker panic
@@ -639,7 +639,7 @@ pub struct CachedResponse {
     /// variant re-frames the head and must preserve it.
     content_type: &'static str,
     /// Strong validator (quoted FNV-1a of the body), present only on
-    /// cached-tier `200`s — the revalidation (`If-None-Match` → `304`)
+    /// cached `200`s — the revalidation (`If-None-Match` → `304`)
     /// surface.
     etag: Option<Arc<str>>,
     /// Extra pre-rendered header lines (`Name: value\r\n`), carried so
@@ -682,12 +682,11 @@ impl CacheWeight for CachedResponse {
     }
 }
 
-/// The shared server state: the store behind a [`RwLock`], the two
-/// result-cache tiers in front of it, and the (optional) durable
-/// writer behind one writer lock.
+/// The shared server state: the store behind a [`RwLock`], the result
+/// cache in front of it, and the (optional) durable writer behind one
+/// writer lock.
 pub struct ServerState {
     store: RwLock<BenchmarkStore>,
-    cache: ShardedCache,
     responses: ShardedCache<CachedResponse>,
     /// The write path serializes here. `Some` = durable (WAL-backed);
     /// `None` = volatile in-memory writes (CSV-dir store). Lock order:
@@ -732,7 +731,6 @@ impl ServerState {
         });
         Self {
             store: RwLock::new(store),
-            cache: ShardedCache::new(CACHE_SHARDS),
             responses: ShardedCache::new(CACHE_SHARDS),
             writer: parking_lot::Mutex::new(durable),
             draining: AtomicBool::new(false),
@@ -789,94 +787,84 @@ impl ServerState {
 
     /// Runs a mutating closure against the store (exclusive lock) and
     /// bumps the cache generation afterwards — the invalidation rule:
-    /// *every* derived artifact, in both tiers (rendered bodies and
-    /// serialized response bytes), is stamped with the store
-    /// generation it was computed under, and a mutation makes all
-    /// older stamps stale at once.
+    /// every cached response is stamped with the store generation it
+    /// was computed under, and a mutation makes all older stamps stale
+    /// at once.
     pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut BenchmarkStore) -> R) -> R {
         let out = f(&mut self.store.write());
-        self.cache.invalidate();
         self.responses.invalidate();
         out
     }
 
-    /// Bumps the named scopes in both cache tiers — the fine-grained
-    /// counterpart of the global bump in
-    /// [`with_store_mut`](Self::with_store_mut).
-    fn invalidate_write_scopes(&self, scopes: &[&str]) {
-        self.cache.invalidate_scopes(scopes.iter().copied());
-        self.responses.invalidate_scopes(scopes.iter().copied());
+    /// The one write sequence. Primary imports, primary deletes and
+    /// replicated records all take it, and boot recovery replays the
+    /// same two store steps ([`WalOp::apply`]), so primary, replica
+    /// and recovered store agree by construction:
+    ///
+    /// 1. prepare under the store read lock — `build` yields the op,
+    ///    [`WalOp::prepare`] validates it and builds the import-time
+    ///    artifacts (a write that fails here touches neither memory
+    ///    nor disk);
+    /// 2. append the op to the WAL (durable stores);
+    /// 3. commit under the write lock — the cheap insert or removal;
+    /// 4. bump the `exp:<name>` and `sys:experiments` cache scopes;
+    /// 5. publish the new position to the replication hub.
+    fn apply_write<W: Borrow<WalOp>>(
+        &self,
+        build: impl FnOnce(&BenchmarkStore) -> Result<W, StoreError>,
+    ) -> Result<(), WriteError> {
+        let mut writer = self.writer.lock();
+        let (op, prepared) = {
+            let store = self.store.read();
+            let op = build(&store).map_err(WriteError::Store)?;
+            let prepared = op.borrow().prepare(&store).map_err(WriteError::Store)?;
+            (op, prepared)
+        };
+        if let Some(d) = writer.as_mut() {
+            d.append(op.borrow()).map_err(WriteError::Durable)?;
+        }
+        let scope = format!("exp:{}", prepared.experiment_name());
+        prepared
+            .commit(&mut self.store.write())
+            .map_err(WriteError::Store)?;
+        self.responses
+            .invalidate_scopes([scope.as_str(), "sys:experiments"]);
+        if let Some(d) = writer.as_ref() {
+            self.hub
+                .publish(d.snapshot_id(), d.wal_len(), d.wal_records());
+        }
+        Ok(())
     }
 
-    /// The durable import flow: validate + build the import-time
-    /// artifacts under a *read* lock, make the op durable, then take
-    /// the write lock only for the cheap insert. Failing validation or
-    /// a failing WAL append leaves both memory and disk untouched.
+    /// `POST /experiments`: parses the CSV against the store, then
+    /// takes the [write sequence](Self::apply_write).
     fn import_experiment(
         &self,
         dataset: &str,
         name: &str,
         csv: &str,
     ) -> Result<api::Response, (u16, String)> {
-        let mut writer = self.writer.lock();
-        let stored = {
-            let store = self.store.read();
-            let experiment =
-                api::parse_experiment_csv(&store, dataset, name, csv).map_err(store_error)?;
-            let n = store.dataset(dataset).map_err(store_error)?.len();
-            let clustering = Clustering::from_experiment(n, &experiment);
-            let pair_set = experiment.roaring_pair_set();
-            StoredExperiment {
-                dataset: dataset.to_string(),
-                experiment,
-                clustering,
-                pair_set,
-                kpis: None,
-            }
-        };
-        let pairs = stored.experiment.len();
-        if let Some(d) = writer.as_mut() {
-            let op = WalOp::add_experiment(dataset, &stored.experiment, None);
-            d.append(&op).map_err(durable_error)?;
-        }
-        self.store
-            .write()
-            .insert_stored(stored)
-            .map_err(store_error)?;
-        self.invalidate_write_scopes(&[&format!("exp:{name}"), "sys:experiments"]);
-        if let Some(d) = writer.as_ref() {
-            self.hub
-                .publish(d.snapshot_id(), d.wal_len(), d.wal_records());
-        }
+        let mut pairs = 0;
+        self.apply_write(|store| {
+            let experiment = api::parse_experiment_csv(store, dataset, name, csv)?;
+            pairs = experiment.len();
+            Ok(WalOp::add_experiment(dataset, &experiment, None))
+        })
+        .map_err(WriteError::http)?;
         Ok(api::Response::Imported {
             experiment: name.to_string(),
             pairs,
         })
     }
 
-    /// The durable delete flow (same sequencing as import).
+    /// `DELETE /experiments/<N>` through the [write sequence](Self::apply_write).
     fn delete_experiment(&self, name: &str) -> Result<api::Response, (u16, String)> {
-        let mut writer = self.writer.lock();
-        self.store
-            .read()
-            .experiment(name)
-            .map(|_| ())
-            .map_err(store_error)?;
-        if let Some(d) = writer.as_mut() {
-            let op = WalOp::DeleteExperiment {
+        self.apply_write(|_| {
+            Ok(WalOp::DeleteExperiment {
                 name: name.to_string(),
-            };
-            d.append(&op).map_err(durable_error)?;
-        }
-        self.store
-            .write()
-            .remove_experiment(name)
-            .map_err(store_error)?;
-        self.invalidate_write_scopes(&[&format!("exp:{name}"), "sys:experiments"]);
-        if let Some(d) = writer.as_ref() {
-            self.hub
-                .publish(d.snapshot_id(), d.wal_len(), d.wal_records());
-        }
+            })
+        })
+        .map_err(WriteError::http)?;
         Ok(api::Response::Deleted {
             experiment: name.to_string(),
         })
@@ -916,33 +904,20 @@ impl ServerState {
         }
     }
 
-    /// Applies one replicated WAL record through the exact path
-    /// single-node recovery takes: append to the local WAL (re-encoded
-    /// bytes are identical — the op codec is deterministic), apply to
-    /// the in-memory store, invalidate the touched cache scopes, and
-    /// publish the new position.
+    /// Applies one replicated WAL record through the primary's
+    /// [write sequence](Self::apply_write): a record that fails to prepare
+    /// leaves the local WAL and store untouched, and one that prepares
+    /// is appended (the op codec is deterministic, so the local frame
+    /// is byte-identical to the primary's) and committed.
     pub fn apply_replicated(&self, op: &WalOp) -> std::io::Result<()> {
-        let mut writer = self.writer.lock();
-        let Some(d) = writer.as_mut() else {
+        if !self.is_durable() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "replica has no durable store",
             ));
-        };
-        d.append(op)
-            .map_err(|e| std::io::Error::other(format!("replicated append failed: {e}")))?;
-        let name = match op {
-            WalOp::AddExperiment { name, .. } | WalOp::DeleteExperiment { name } => name.clone(),
-        };
-        {
-            let mut store = self.store.write();
-            op.apply(&mut store)
-                .map_err(|e| std::io::Error::other(format!("replicated apply failed: {e}")))?;
         }
-        self.invalidate_write_scopes(&[&format!("exp:{name}"), "sys:experiments"]);
-        self.hub
-            .publish(d.snapshot_id(), d.wal_len(), d.wal_records());
-        Ok(())
+        self.apply_write(|_| Ok(op))
+            .map_err(|e| std::io::Error::other(format!("replicated write failed: {e}")))
     }
 
     /// Swaps in a snapshot fetched from the primary (re-bootstrap after
@@ -981,7 +956,6 @@ impl ServerState {
             durable.wal_records(),
         );
         *writer = Some(durable);
-        self.cache.invalidate();
         self.responses.invalidate();
         Ok(())
     }
@@ -1013,12 +987,7 @@ impl ServerState {
         ])))
     }
 
-    /// The first-tier result cache (rendered JSON bodies).
-    pub fn cache(&self) -> &ShardedCache {
-        &self.cache
-    }
-
-    /// The second-tier cache (serialized HTTP response bytes).
+    /// The result cache (serialized HTTP response bytes).
     pub fn response_cache(&self) -> &ShardedCache<CachedResponse> {
         &self.responses
     }
@@ -1070,13 +1039,10 @@ impl ServerState {
         }
     }
 
-    /// Splits a total byte budget evenly across both cache tiers
-    /// (rendered bodies + serialized responses); eviction is
+    /// Caps the response cache at `total_bytes`; eviction is
     /// stale-first, then least-recently-used.
     pub fn set_cache_budget(&self, total_bytes: usize) {
-        let half = (total_bytes / 2).max(1);
-        self.cache.set_budget(half);
-        self.responses.set_budget(half);
+        self.responses.set_budget(total_bytes.max(1));
     }
 
     fn rendered(&self, response: &api::Response) -> String {
@@ -1810,7 +1776,7 @@ fn execute(
     }
 }
 
-/// `ETag` revalidation on the cached-bytes tier: when a `200` carries
+/// `ETag` revalidation on the response cache: when a `200` carries
 /// an entity tag and the request's `If-None-Match` matches it, the
 /// body is replaced by a `304 Not Modified` — the client's cached copy
 /// is current, so only headers go over the wire.
@@ -1960,7 +1926,7 @@ fn encode_text(status: u16, body: Vec<u8>, content_type: &'static str) -> Cached
 
 /// Serializes a cacheable response with a strong entity tag derived
 /// from the body, enabling `If-None-Match` revalidation on the
-/// response-byte cache tier.
+/// response cache.
 fn encode_cached(status: u16, body: Vec<u8>) -> CachedResponse {
     let etag: Arc<str> = format!("\"{:016x}\"", fnv1a64(&body)).into();
     encode_with_etag(status, body, Some(etag))
@@ -2117,19 +2083,19 @@ impl Params {
 /// Routes one parsed request to its serialized response — or to a
 /// shed decision.
 ///
-/// Cacheable GET endpoints walk the tiers top-down: serialized
-/// response bytes (tier 2, zero-allocation hit), then rendered body
-/// (tier 1, re-frame only), then compute + render + fill both tiers —
-/// every entry stamped with the invalidation scopes it read. Write
-/// methods dispatch to the durable write flow and bump only the
-/// scopes they touched.
+/// Cacheable GET endpoints probe the response cache (a hit is the
+/// shared serialized bytes, no allocation); a miss computes, renders
+/// and fills the cache, the entry stamped with the invalidation
+/// scopes it read. Write methods take the durable
+/// [write sequence](ServerState::apply_write) and bump only the scopes they
+/// touched.
 ///
-/// Overload discipline: cache probes run *before* the class gate, so
-/// a hot GET on a saturated compute class degrades to its cached body
-/// instead of shedding; only the expensive part (store compute +
-/// render, or a write) needs a permit, and a permit-holder re-checks
-/// its deadline before starting — queue wait and gate wait never leak
-/// into evaluation time.
+/// Overload discipline: the cache probe runs *before* the class gate,
+/// so a hot GET on a saturated compute class degrades to its cached
+/// response instead of shedding; only the expensive part (store
+/// compute + render, or a write) needs a permit, and a permit-holder
+/// re-checks its deadline before starting — queue wait and gate wait
+/// never leak into evaluation time.
 fn route(request: &ParsedRequest, state: &ServerState, ctx: &RequestContext) -> RouteOutcome {
     let (path, params) = parse_target(&request.target);
     let params = Params(params);
@@ -2220,6 +2186,7 @@ fn route(request: &ParsedRequest, state: &ServerState, ctx: &RequestContext) -> 
             cache_key,
             scopes,
         }) => {
+            let mut miss = None;
             if let Some(key) = cache_key {
                 let probed = state.responses.get(&key);
                 if let Some(trace) = ctx.trace {
@@ -2228,69 +2195,35 @@ fn route(request: &ParsedRequest, state: &ServerState, ctx: &RequestContext) -> 
                 if let Some(hit) = probed {
                     return RouteOutcome::Response(hit);
                 }
-                let scope_refs: Vec<&str> = scopes.iter().map(String::as_str).collect();
-                let observed_bytes = state.responses.begin_scoped(scope_refs.iter().copied());
-                let observed_body = state.cache.begin_scoped(scope_refs.iter().copied());
-                let body: Option<Arc<str>> = state.cache.get(&key);
-                let body = match body {
-                    Some(body) => body,
-                    None => {
-                        // Only the miss path is expensive — gate it.
-                        let _permit = match ctx.gate_for(class) {
-                            Ok(permit) => permit,
-                            Err(reason) => return RouteOutcome::Shed(reason),
-                        };
-                        if ctx.expired() {
-                            return RouteOutcome::Shed(ShedReason::Deadline);
-                        }
-                        let evaluated = state.with_store(|s| api::handle(s, request));
-                        if let Some(trace) = ctx.trace {
-                            trace.stamp(Stage::Evaluated);
-                        }
-                        match evaluated {
-                            Ok(response) => {
-                                let rendered: Arc<str> =
-                                    Arc::from(state.rendered(&response).as_str());
-                                state.cache.insert_scoped(
-                                    key.clone(),
-                                    Arc::clone(&rendered),
-                                    observed_body,
-                                );
-                                rendered
-                            }
-                            Err(e) => {
-                                let (status, body) = store_error(e);
-                                return RouteOutcome::Response(encode_response(
-                                    status,
-                                    body.into(),
-                                ));
-                            }
-                        }
-                    }
-                };
-                let payload = encode_cached(200, body.as_bytes().to_vec());
-                state
+                let observed = state
                     .responses
-                    .insert_scoped(key, payload.clone(), observed_bytes);
-                payload
-            } else {
-                let _permit = match ctx.gate_for(class) {
-                    Ok(permit) => permit,
-                    Err(reason) => return RouteOutcome::Shed(reason),
-                };
-                if ctx.expired() {
-                    return RouteOutcome::Shed(ShedReason::Deadline);
+                    .begin_scoped(scopes.iter().map(String::as_str));
+                miss = Some((key, observed));
+            }
+            // Only the miss path is expensive — gate it.
+            let _permit = match ctx.gate_for(class) {
+                Ok(permit) => permit,
+                Err(reason) => return RouteOutcome::Shed(reason),
+            };
+            if ctx.expired() {
+                return RouteOutcome::Shed(ShedReason::Deadline);
+            }
+            let evaluated = state.with_store(|s| api::handle(s, request));
+            if let Some(trace) = ctx.trace {
+                trace.stamp(Stage::Evaluated);
+            }
+            match (evaluated, miss) {
+                (Ok(response), Some((key, observed))) => {
+                    let payload = encode_cached(200, state.rendered(&response).into_bytes());
+                    state
+                        .responses
+                        .insert_scoped(key, payload.clone(), observed);
+                    payload
                 }
-                let evaluated = state.with_store(|s| api::handle(s, request));
-                if let Some(trace) = ctx.trace {
-                    trace.stamp(Stage::Evaluated);
-                }
-                match evaluated {
-                    Ok(response) => encode_response(200, state.rendered(&response).into()),
-                    Err(e) => {
-                        let (status, body) = store_error(e);
-                        encode_response(status, body.into())
-                    }
+                (Ok(response), None) => encode_response(200, state.rendered(&response).into()),
+                (Err(e), _) => {
+                    let (status, body) = store_error(e);
+                    encode_response(status, body.into())
                 }
             }
         }
@@ -2340,7 +2273,6 @@ fn debug_sleep(params: &Params, ctx: &RequestContext) -> RouteOutcome {
 /// The `/stats` body: cache counters plus the overload block
 /// (queue gauges, sheds by reason, per-class in-flight, cache bytes).
 fn stats_response(state: &ServerState) -> CachedResponse {
-    let cache = state.cache();
     let responses = state.response_cache();
     let ov = state.overload();
     let [queue_full, deadline, class_saturated, draining] = ov.sheds();
@@ -2350,19 +2282,18 @@ fn stats_response(state: &ServerState) -> CachedResponse {
         Role::Replica => "replica",
     };
     let body = serde_json::to_string(&Value::object([
-        ("generation".to_string(), Value::from(cache.generation())),
+        (
+            "generation".to_string(),
+            Value::from(responses.generation()),
+        ),
         ("poisoned".to_string(), Value::from(state.wal_poisoned())),
         ("role".to_string(), Value::from(role)),
-        ("hits".to_string(), Value::from(cache.hits())),
-        ("misses".to_string(), Value::from(cache.misses())),
-        ("entries".to_string(), Value::from(cache.len())),
         ("response_hits".to_string(), Value::from(responses.hits())),
         (
             "response_misses".to_string(),
             Value::from(responses.misses()),
         ),
         ("response_entries".to_string(), Value::from(responses.len())),
-        ("cache_bytes".to_string(), Value::from(cache.bytes())),
         (
             "response_cache_bytes".to_string(),
             Value::from(responses.bytes()),
@@ -2466,7 +2397,6 @@ fn readyz_response(state: &ServerState, options: &ServeOptions) -> CachedRespons
 fn prometheus_response(state: &ServerState) -> CachedResponse {
     let mut out = String::with_capacity(8 * 1024);
     let t = &state.telemetry;
-    let cache = state.cache();
     let responses = state.response_cache();
     let ov = state.overload();
     let [queue_full, deadline, class_saturated, draining] = ov.sheds();
@@ -2616,7 +2546,7 @@ fn prometheus_response(state: &ServerState) -> CachedResponse {
         &mut out,
         "frost_cache_hits_total",
         "counter",
-        "Result-cache hits, by tier (body = rendered JSON, response = serialized bytes).",
+        "Result-cache hits, by tier (response = serialized bytes).",
     );
     telemetry::write_family(
         &mut out,
@@ -2636,39 +2566,26 @@ fn prometheus_response(state: &ServerState) -> CachedResponse {
         "gauge",
         "Tracked result-cache bytes, by tier.",
     );
-    for (tier, hits, misses, entries, bytes) in [
-        (
-            "body",
-            cache.hits(),
-            cache.misses(),
-            cache.len(),
-            cache.bytes(),
-        ),
-        (
-            "response",
-            responses.hits(),
-            responses.misses(),
-            responses.len(),
-            responses.bytes(),
-        ),
+    let labels = "tier=\"response\"";
+    for (family, value) in [
+        ("frost_cache_hits_total", responses.hits()),
+        ("frost_cache_misses_total", responses.misses()),
+        ("frost_cache_entries", responses.len() as u64),
+        ("frost_cache_bytes", responses.bytes() as u64),
     ] {
-        let labels = format!("tier=\"{tier}\"");
-        telemetry::write_sample(&mut out, "frost_cache_hits_total", &labels, hits as f64);
-        telemetry::write_sample(&mut out, "frost_cache_misses_total", &labels, misses as f64);
-        telemetry::write_sample(&mut out, "frost_cache_entries", &labels, entries as f64);
-        telemetry::write_sample(&mut out, "frost_cache_bytes", &labels, bytes as f64);
+        telemetry::write_sample(&mut out, family, labels, value as f64);
     }
     telemetry::write_family(
         &mut out,
         "frost_cache_generation",
         "gauge",
-        "Store mutation generation both cache tiers are stamped with.",
+        "Store mutation generation the result cache is stamped with.",
     );
     telemetry::write_sample(
         &mut out,
         "frost_cache_generation",
         "",
-        cache.generation() as f64,
+        responses.generation() as f64,
     );
     telemetry::write_family(
         &mut out,
@@ -3072,12 +2989,37 @@ fn durable_error(e: DurableError) -> (u16, String) {
     (500, error_body(&format!("write failed: {e}")))
 }
 
+/// Why a [write](ServerState::apply_write) failed: the store refused it, or
+/// the WAL did.
+enum WriteError {
+    Store(StoreError),
+    Durable(DurableError),
+}
+
+impl WriteError {
+    fn http(self) -> (u16, String) {
+        match self {
+            WriteError::Store(e) => store_error(e),
+            WriteError::Durable(e) => durable_error(e),
+        }
+    }
+}
+
+impl std::fmt::Display for WriteError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WriteError::Store(e) => e.fmt(f),
+            WriteError::Durable(e) => e.fmt(f),
+        }
+    }
+}
+
 enum Routed {
     Api {
         request: Request,
         cache_key: Option<String>,
         /// Invalidation scopes the response depends on (see the
-        /// [module docs](self) table); stamped into both cache tiers.
+        /// [module docs](self) table); stamped into the cache entry.
         scopes: Vec<String>,
     },
     Stats,
@@ -3168,6 +3110,12 @@ fn build_request(path: &str, params: &Params) -> Result<Routed, (u16, String)> {
             let samples = parse_param(params, "samples", "20", |s| s.parse::<usize>().ok())?;
             if samples < 2 {
                 return Err((400, error_body("samples must be at least 2")));
+            }
+            if samples > MAX_DIAGRAM_SAMPLES {
+                return Err((
+                    400,
+                    error_body(&format!("samples must be at most {MAX_DIAGRAM_SAMPLES}")),
+                ));
             }
             let key = cache_key(
                 "diagram",

@@ -262,7 +262,6 @@ fn repeated_diagram_hits_the_cache() {
     assert_eq!(status, 200);
     let stats = serde_json::from_str(&stats).unwrap();
     assert!(stats.get("response_hits").and_then(|v| v.as_f64()).unwrap() >= 1.0);
-    assert!(stats.get("hits").is_some());
     assert!(stats.get("generation").is_some());
     assert!(stats.get("json_renders").is_some());
     handle.shutdown();
@@ -274,7 +273,7 @@ fn mutation_bumps_generation_and_invalidates_cached_results() {
     let base = format!("http://{}", handle.addr());
     let target = format!("{base}/metrics?experiment=e1");
     let (_, before) = http_get(&target).unwrap();
-    let gen_before = handle.state().cache().generation();
+    let gen_before = handle.state().response_cache().generation();
 
     // Replace the gold standard: every cached derived artifact is now
     // stale and must be recomputed, not replayed.
@@ -285,7 +284,7 @@ fn mutation_bumps_generation_and_invalidates_cached_results() {
         )
         .unwrap()
     });
-    assert!(handle.state().cache().generation() > gen_before);
+    assert!(handle.state().response_cache().generation() > gen_before);
 
     let (_, after) = http_get(&target).unwrap();
     assert_ne!(

@@ -249,14 +249,13 @@ fn idle_connections_are_reaped() {
 }
 
 #[test]
-fn mutation_clears_both_cache_tiers() {
+fn mutation_clears_the_response_cache() {
     let handle = start(ServeOptions::default());
     let mut conn = Connection::open(&handle.addr().to_string()).unwrap();
     let (_, before) = conn.get("/metrics?experiment=e1").unwrap();
     let (_, again) = conn.get("/metrics?experiment=e1").unwrap();
     assert_eq!(before, again);
     assert!(!handle.state().response_cache().is_empty());
-    assert!(!handle.state().cache().is_empty());
 
     handle.state().with_store_mut(|s| {
         s.set_gold_standard(
@@ -265,9 +264,8 @@ fn mutation_clears_both_cache_tiers() {
         )
         .unwrap()
     });
-    // The generation bump clears both tiers eagerly.
+    // The generation bump clears the cache eagerly.
     assert_eq!(handle.state().response_cache().len(), 0);
-    assert_eq!(handle.state().cache().len(), 0);
 
     let (_, after) = conn.get("/metrics?experiment=e1").unwrap();
     assert_ne!(before, after, "stale bytes served after a mutation");

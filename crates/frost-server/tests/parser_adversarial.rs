@@ -278,3 +278,25 @@ fn error_after_served_pipeline_closes_cleanly() {
     assert_eq!((ok, bad), (1, 1), "{response:?}");
     handle.shutdown();
 }
+
+#[test]
+fn oversized_diagram_sample_counts_get_400_and_the_server_lives() {
+    let handle = start();
+    for samples in ["100000000000", "18446744073709551615"] {
+        let request = format!(
+            "GET /diagram?experiment=e1&samples={samples} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        );
+        let response = raw_exchange(&handle, &[request.as_bytes()]);
+        assert!(
+            response.starts_with("HTTP/1.1 400"),
+            "{samples}: {response:?}"
+        );
+        assert!(response.contains("samples must be at most"), "{response:?}");
+        let health = raw_exchange(
+            &handle,
+            &[b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"],
+        );
+        assert!(health.starts_with("HTTP/1.1 200"), "{health:?}");
+    }
+    handle.shutdown();
+}

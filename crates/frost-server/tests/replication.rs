@@ -15,7 +15,8 @@ use frost_core::dataset::{Dataset, Experiment, Schema};
 use frost_server::client::{Connection, RetryPolicy};
 use frost_server::replication::bootstrap_snapshot;
 use frost_server::{serve_with, ServeOptions, ServerHandle, ServerState};
-use frost_storage::durable::DurableStore;
+use frost_storage::durable::{wal_path_for, DurableStore};
+use frost_storage::wal::WalOp;
 use frost_storage::{snapshot, BenchmarkStore, FsyncPolicy};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -532,4 +533,42 @@ fn sync_replication_times_out_safely_without_a_replica() {
     let body = get_ok(&mut conn, "/experiments");
     assert!(body.contains("up1"), "{body}");
     recovered.shutdown();
+}
+
+#[test]
+fn a_replicated_record_that_fails_prepare_changes_nothing() {
+    let dir = scratch("bad-record");
+    let path = dir.join("replica.frostb");
+    snapshot::save(&store(), &path).unwrap();
+    let (recovered, durable, _) = DurableStore::open(&path, FsyncPolicy::Always).unwrap();
+    let state = ServerState::with_durable(recovered, durable);
+    let wal = wal_path_for(&path);
+    let position = state.replication_position();
+    let wal_bytes = std::fs::read(&wal).unwrap();
+    let names = state.with_store(|s| s.experiment_names(None));
+    for bad in [
+        WalOp::AddExperiment {
+            dataset: "nope".into(),
+            name: "e3".into(),
+            pairs: Vec::new(),
+            kpis: None,
+        },
+        WalOp::DeleteExperiment {
+            name: "ghost".into(),
+        },
+    ] {
+        assert!(state.apply_replicated(&bad).is_err(), "{bad:?} applied");
+        assert_eq!(state.replication_position(), position, "{bad:?}");
+        assert_eq!(std::fs::read(&wal).unwrap(), wal_bytes, "{bad:?}");
+        assert_eq!(state.with_store(|s| s.experiment_names(None)), names);
+    }
+    // A record that prepares still goes through.
+    state
+        .apply_replicated(&WalOp::DeleteExperiment { name: "e2".into() })
+        .unwrap();
+    assert!(state.replication_position().1 > position.1);
+    assert_eq!(
+        state.with_store(|s| s.experiment_names(None)),
+        vec!["e1".to_string()]
+    );
 }

@@ -9,11 +9,17 @@
 //! the server keeps that behind its own read/write lock. The writer
 //! sequences the durability step:
 //!
-//! 1. build the [`WalOp`] (validation + expensive artifact
-//!    construction happen before this point, under a read lock),
+//! 1. prepare the write under a read lock: [`WalOp::prepare`]
+//!    validates it and builds the import-time artifacts, so a write
+//!    that would fail never reaches the log,
 //! 2. [`DurableStore::append`] — frame, append, fsync per policy,
-//! 3. apply the op to the in-memory store (cheap, under the write
-//!    lock), and only then acknowledge the client.
+//! 3. commit it ([`Prepared::commit`](crate::wal::Prepared::commit),
+//!    cheap, under the write lock), and only then acknowledge the
+//!    client.
+//!
+//! Boot replay runs the same two store steps per logged op
+//! ([`WalOp::apply`]), so a recovered store equals the one that
+//! accepted the writes.
 //!
 //! If step 2 fails the frame is rolled back (the WAL is truncated to
 //! its pre-append length) so a client retry cannot collide with a

@@ -5,7 +5,6 @@ use frost_core::dataset::{Dataset, Experiment, RoaringPairSet};
 use frost_core::diagram::{DiagramEngine, DiagramPoint};
 use frost_core::metrics::confusion::ConfusionMatrix;
 use frost_core::softkpi::ExperimentKpis;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -72,20 +71,18 @@ pub struct StoredExperiment {
     pub kpis: Option<ExperimentKpis>,
 }
 
-/// Cache key for diagram series: `(experiment, engine, sample count)`.
-type DiagramKey = (String, DiagramEngine, usize);
-
-/// The benchmark store: datasets, gold standards and experiments, with
-/// cached evaluation results. Reads are lock-free snapshots; the caches
-/// sit behind a [`RwLock`] so a shared (multi-user) deployment can
-/// evaluate concurrently (§5.2 allows both local and shared hosting).
+/// The benchmark store: datasets, gold standards and experiments.
+/// Every evaluation ([`confusion_matrix`](Self::confusion_matrix),
+/// [`diagram_series`](Self::diagram_series)) is a plain computation
+/// over `&self`; the store holds no interior mutability, so a shared
+/// (multi-user) deployment can evaluate concurrently behind one
+/// read/write lock (§5.2 allows both local and shared hosting) and
+/// result caching is the server's job.
 #[derive(Default)]
 pub struct BenchmarkStore {
     datasets: HashMap<String, Dataset>,
     gold_standards: HashMap<String, Clustering>,
     experiments: HashMap<String, StoredExperiment>,
-    diagram_cache: RwLock<HashMap<DiagramKey, Vec<DiagramPoint>>>,
-    matrix_cache: RwLock<HashMap<String, ConfusionMatrix>>,
 }
 
 impl fmt::Debug for BenchmarkStore {
@@ -131,27 +128,41 @@ impl BenchmarkStore {
             ds.len()
         );
         self.gold_standards.insert(dataset.into(), truth);
-        self.matrix_cache.write().clear();
-        self.diagram_cache.write().clear();
         Ok(())
     }
 
-    /// Imports an experiment, performing the §5.3 import-time
-    /// optimization (clustering construction). `O(|Matches| · α(|D|))`
-    /// after the dataset's ID interning.
+    /// Imports an experiment: [`prepare`](Self::prepare), then
+    /// [`insert_stored`](Self::insert_stored).
     pub fn add_experiment(
         &mut self,
         dataset: &str,
         experiment: Experiment,
         kpis: Option<ExperimentKpis>,
     ) -> Result<(), StoreError> {
+        let stored = self.prepare(dataset, experiment, kpis)?;
+        self.insert_stored(stored)
+    }
+
+    /// The read-only half of an import, and the one place an
+    /// [`Experiment`] becomes a [`StoredExperiment`]: validates the
+    /// experiment against its dataset (dataset known, name free, every
+    /// record in range), then performs the §5.3 import-time
+    /// optimization — the closure clustering
+    /// (`O(|Matches| · α(|D|))`) and the roaring arenas. Commit the
+    /// result with [`insert_stored`](Self::insert_stored).
+    pub fn prepare(
+        &self,
+        dataset: &str,
+        experiment: Experiment,
+        kpis: Option<ExperimentKpis>,
+    ) -> Result<StoredExperiment, StoreError> {
         let ds = self
             .datasets
             .get(dataset)
             .ok_or_else(|| StoreError::UnknownDataset(dataset.into()))?;
-        let name = experiment.name().to_string();
-        if self.experiments.contains_key(&name) {
-            return Err(StoreError::AlreadyExists(name));
+        let name = experiment.name();
+        if self.experiments.contains_key(name) {
+            return Err(StoreError::AlreadyExists(name.into()));
         }
         let n = ds.len();
         if experiment
@@ -160,33 +171,27 @@ impl BenchmarkStore {
             .any(|sp| sp.pair.hi().index() >= n)
         {
             return Err(StoreError::RecordOutOfRange {
-                experiment: name,
+                experiment: name.into(),
                 dataset_len: n,
             });
         }
-        let clustering = Clustering::from_experiment(n, &experiment);
-        let pair_set = experiment.roaring_pair_set();
-        self.experiments.insert(
-            name,
-            StoredExperiment {
-                dataset: dataset.into(),
-                experiment,
-                clustering,
-                pair_set,
-                kpis,
-            },
-        );
-        Ok(())
+        Ok(StoredExperiment {
+            dataset: dataset.into(),
+            clustering: Clustering::from_experiment(n, &experiment),
+            pair_set: experiment.roaring_pair_set(),
+            experiment,
+            kpis,
+        })
     }
 
-    /// Inserts an experiment whose import-time artifacts (clustering,
-    /// roaring pair set) are already built — the `FROSTB` snapshot
-    /// loader's fast path, which skips the union-find and arena
-    /// construction that [`add_experiment`](Self::add_experiment)
-    /// performs. The caller vouches that the artifacts belong to the
-    /// experiment; the cheap structural checks (record range, sizes)
-    /// still run so a malformed source cannot plant ids that panic
-    /// record lookups later.
+    /// Commits an experiment whose import-time artifacts (clustering,
+    /// roaring pair set) are already built — by
+    /// [`prepare`](Self::prepare), or by the `FROSTB` snapshot loader,
+    /// which skips the union-find and arena construction. The caller
+    /// vouches that the artifacts belong to the experiment; the cheap
+    /// structural checks (record range, sizes) still run so a
+    /// malformed source cannot plant ids that panic record lookups
+    /// later.
     pub fn insert_stored(&mut self, stored: StoredExperiment) -> Result<(), StoreError> {
         let ds = self
             .datasets
@@ -218,16 +223,12 @@ impl BenchmarkStore {
         Ok(())
     }
 
-    /// Removes an experiment and its cached results.
+    /// Removes an experiment.
     pub fn remove_experiment(&mut self, name: &str) -> Result<(), StoreError> {
         self.experiments
             .remove(name)
-            .ok_or_else(|| StoreError::UnknownExperiment(name.into()))?;
-        self.matrix_cache.write().remove(name);
-        self.diagram_cache
-            .write()
-            .retain(|(exp, _, _), _| exp != name);
-        Ok(())
+            .map(|_| ())
+            .ok_or_else(|| StoreError::UnknownExperiment(name.into()))
     }
 
     /// Dataset lookup.
@@ -271,103 +272,25 @@ impl BenchmarkStore {
     }
 
     /// The confusion matrix of an experiment against its dataset's gold
-    /// standard, cached after the first computation.
+    /// standard.
     pub fn confusion_matrix(&self, experiment: &str) -> Result<ConfusionMatrix, StoreError> {
-        if let Some(m) = self.matrix_cache.read().get(experiment) {
-            return Ok(*m);
-        }
         let stored = self.experiment(experiment)?;
         let truth = self.gold_standard(&stored.dataset)?;
-        let matrix = ConfusionMatrix::from_clusterings(&stored.clustering, truth);
-        self.matrix_cache
-            .write()
-            .insert(experiment.to_string(), matrix);
-        Ok(matrix)
+        Ok(ConfusionMatrix::from_clusterings(&stored.clustering, truth))
     }
 
-    /// A metric/metric diagram series for an experiment, cached per
-    /// `(experiment, engine, s)`.
+    /// A metric/metric diagram series for an experiment: `s` sample
+    /// points of the threshold sweep.
     pub fn diagram_series(
         &self,
         experiment: &str,
         engine: DiagramEngine,
         s: usize,
     ) -> Result<Vec<DiagramPoint>, StoreError> {
-        let key = (experiment.to_string(), engine, s);
-        if let Some(points) = self.diagram_cache.read().get(&key) {
-            return Ok(points.clone());
-        }
         let stored = self.experiment(experiment)?;
         let ds = self.dataset(&stored.dataset)?;
         let truth = self.gold_standard(&stored.dataset)?;
-        let points = engine.confusion_series(ds.len(), truth, &stored.experiment, s);
-        self.diagram_cache.write().insert(key, points.clone());
-        Ok(points)
-    }
-
-    /// Diagram series for several experiments at once — the
-    /// multi-experiment N-Metrics sweep. Cached series are reused;
-    /// the uncached remainder is sharded across rayon tasks
-    /// ([`DiagramEngine::confusion_series_multi`]), then inserted into
-    /// the cache under one write lock. Results are in input order.
-    pub fn diagram_series_multi(
-        &self,
-        experiments: &[&str],
-        engine: DiagramEngine,
-        s: usize,
-    ) -> Result<Vec<Vec<DiagramPoint>>, StoreError> {
-        let mut out: Vec<Option<Vec<DiagramPoint>>> = vec![None; experiments.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let cache = self.diagram_cache.read();
-            for (i, name) in experiments.iter().enumerate() {
-                match cache.get(&(name.to_string(), engine, s)) {
-                    Some(points) => out[i] = Some(points.clone()),
-                    None => missing.push(i),
-                }
-            }
-        }
-        if !missing.is_empty() {
-            // Resolve all store lookups up front (borrow checks + the
-            // per-experiment dataset sizes), then sweep in parallel.
-            // The parallel engine requires one shared ground truth, so
-            // group the misses by dataset.
-            let mut by_dataset: HashMap<String, Vec<usize>> = HashMap::new();
-            for &i in &missing {
-                let stored = self.experiment(experiments[i])?;
-                by_dataset
-                    .entry(stored.dataset.clone())
-                    .or_default()
-                    .push(i);
-            }
-            let mut computed: Vec<(usize, Vec<DiagramPoint>)> = Vec::with_capacity(missing.len());
-            for (dataset, indices) in by_dataset {
-                let ds = self.dataset(&dataset)?;
-                let truth = self.gold_standard(&dataset)?;
-                let exps: Vec<&Experiment> = indices
-                    .iter()
-                    .map(|&i| Ok(&self.experiment(experiments[i])?.experiment))
-                    .collect::<Result<_, StoreError>>()?;
-                let series = engine.confusion_series_multi(ds.len(), truth, &exps, s);
-                computed.extend(indices.into_iter().zip(series));
-            }
-            let mut cache = self.diagram_cache.write();
-            for (i, points) in computed {
-                cache.insert((experiments[i].to_string(), engine, s), points.clone());
-                out[i] = Some(points);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("every slot filled"))
-            .collect())
-    }
-
-    /// Whether a diagram series is already cached (test/metrics hook).
-    pub fn diagram_cached(&self, experiment: &str, engine: DiagramEngine, s: usize) -> bool {
-        self.diagram_cache
-            .read()
-            .contains_key(&(experiment.to_string(), engine, s))
+        Ok(engine.confusion_series(ds.len(), truth, &stored.experiment, s))
     }
 }
 
@@ -498,76 +421,67 @@ mod tests {
     }
 
     #[test]
-    fn confusion_matrix_cached() {
+    fn prepare_validates_without_touching_the_store() {
+        let store = store_with_data();
+        let prepare = |dataset: &str, name: &str, hi: u32| {
+            store.prepare(dataset, Experiment::from_pairs(name, [(0u32, hi)]), None)
+        };
+        assert!(matches!(
+            prepare("nope", "run-2", 1),
+            Err(StoreError::UnknownDataset(_))
+        ));
+        assert!(matches!(
+            prepare("people", "run-1", 1),
+            Err(StoreError::AlreadyExists(_))
+        ));
+        assert!(matches!(
+            prepare("people", "run-2", 99),
+            Err(StoreError::RecordOutOfRange { .. })
+        ));
+        let stored = prepare("people", "run-2", 3).unwrap();
+        assert_eq!(stored.clustering.num_records(), 4);
+        assert_eq!(stored.pair_set.len(), 1);
+        assert_eq!(store.experiment_names(None), vec!["run-1"]);
+        let mut store = store;
+        store.insert_stored(stored).unwrap();
+        assert_eq!(store.experiment_names(None), vec!["run-1", "run-2"]);
+    }
+
+    #[test]
+    fn confusion_matrix_counts_closure_pairs() {
         let store = store_with_data();
         let m1 = store.confusion_matrix("run-1").unwrap();
         // Clustered experiment {0,1,2} → TP 1 ({0,1}), FP 2 ({0,2},{1,2}), FN 1.
         assert_eq!(m1, ConfusionMatrix::new(1, 2, 1, 2));
-        let m2 = store.confusion_matrix("run-1").unwrap();
-        assert_eq!(m1, m2);
+        assert_eq!(store.confusion_matrix("run-1").unwrap(), m1);
     }
 
     #[test]
-    fn diagram_cache_round_trip() {
+    fn diagram_engines_agree() {
         let store = store_with_data();
-        assert!(!store.diagram_cached("run-1", DiagramEngine::Optimized, 3));
-        let a = store
+        let optimized = store
             .diagram_series("run-1", DiagramEngine::Optimized, 3)
             .unwrap();
-        assert!(store.diagram_cached("run-1", DiagramEngine::Optimized, 3));
-        let b = store
-            .diagram_series("run-1", DiagramEngine::Optimized, 3)
-            .unwrap();
-        assert_eq!(a, b);
-        // Both engines agree.
         let naive = store
             .diagram_series("run-1", DiagramEngine::Naive, 3)
             .unwrap();
-        assert_eq!(a, naive);
-    }
-
-    #[test]
-    fn multi_series_matches_single_and_fills_cache() {
-        let mut store = store_with_data();
-        store
-            .add_experiment(
-                "people",
-                Experiment::from_scored_pairs("run-2", [(2u32, 3u32, 0.8)]),
-                None,
-            )
-            .unwrap();
-        // Warm one of the two so the multi call mixes cached + fresh.
-        let single = store
-            .diagram_series("run-1", DiagramEngine::Optimized, 3)
-            .unwrap();
-        let multi = store
-            .diagram_series_multi(&["run-1", "run-2"], DiagramEngine::Optimized, 3)
-            .unwrap();
-        assert_eq!(multi.len(), 2);
-        assert_eq!(multi[0], single);
-        assert_eq!(
-            multi[1],
-            store
-                .diagram_series("run-2", DiagramEngine::Optimized, 3)
-                .unwrap()
-        );
-        assert!(store.diagram_cached("run-2", DiagramEngine::Optimized, 3));
+        assert_eq!(optimized.len(), 3);
+        assert_eq!(optimized, naive);
         assert!(matches!(
-            store.diagram_series_multi(&["nope"], DiagramEngine::Optimized, 3),
+            store.diagram_series("nope", DiagramEngine::Optimized, 3),
             Err(StoreError::UnknownExperiment(_))
         ));
     }
 
     #[test]
-    fn remove_experiment_clears_caches() {
+    fn remove_experiment_makes_lookups_fail() {
         let mut store = store_with_data();
-        store.confusion_matrix("run-1").unwrap();
-        store
-            .diagram_series("run-1", DiagramEngine::Optimized, 3)
-            .unwrap();
         store.remove_experiment("run-1").unwrap();
         assert!(store.experiment("run-1").is_err());
-        assert!(!store.diagram_cached("run-1", DiagramEngine::Optimized, 3));
+        assert!(store.confusion_matrix("run-1").is_err());
+        assert!(store
+            .diagram_series("run-1", DiagramEngine::Optimized, 3)
+            .is_err());
         assert!(matches!(
             store.remove_experiment("run-1"),
             Err(StoreError::UnknownExperiment(_))
@@ -575,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn gold_standard_replacement_invalidates_cache() {
+    fn gold_standard_replacement_changes_the_matrix() {
         let mut store = store_with_data();
         let before = store.confusion_matrix("run-1").unwrap();
         store

@@ -47,7 +47,7 @@
 //! classified as a torn tail even mid-log.
 
 use crate::snapshot::{crc32, Reader, SnapshotError, Writer};
-use crate::store::{BenchmarkStore, StoreError};
+use crate::store::{BenchmarkStore, StoreError, StoredExperiment};
 use frost_core::dataset::{Experiment, PairOrigin, RecordId, RecordPair, ScoredPair};
 use frost_core::softkpi::{Effort, ExperimentKpis};
 use std::fmt;
@@ -147,6 +147,36 @@ pub enum WalOp {
     },
 }
 
+/// A write validated against a store and ready to commit: the result
+/// of [`WalOp::prepare`].
+#[derive(Debug)]
+pub enum Prepared {
+    /// Insert an experiment whose artifacts are built.
+    Insert(Box<StoredExperiment>),
+    /// Remove the named (existing) experiment.
+    Remove(String),
+}
+
+impl Prepared {
+    /// The experiment the write touches.
+    pub fn experiment_name(&self) -> &str {
+        match self {
+            Prepared::Insert(stored) => stored.experiment.name(),
+            Prepared::Remove(name) => name,
+        }
+    }
+
+    /// The cheap second step, run under the store's write lock:
+    /// [`BenchmarkStore::insert_stored`] or
+    /// [`BenchmarkStore::remove_experiment`].
+    pub fn commit(self, store: &mut BenchmarkStore) -> Result<(), StoreError> {
+        match self {
+            Prepared::Insert(stored) => store.insert_stored(*stored),
+            Prepared::Remove(name) => store.remove_experiment(&name),
+        }
+    }
+}
+
 const OP_ADD_EXPERIMENT: u8 = 1;
 const OP_DELETE_EXPERIMENT: u8 = 2;
 
@@ -165,24 +195,38 @@ impl WalOp {
         }
     }
 
-    /// Applies the operation to a store — the boot-time replay path.
-    /// The artifacts (clustering, roaring arenas) are rebuilt exactly
-    /// as the original import built them, so a replayed store is
-    /// byte-identical to the store that accepted the writes.
-    pub fn apply(&self, store: &mut BenchmarkStore) -> Result<(), StoreError> {
+    /// The read-only first step of applying the operation: validates
+    /// it against the store and, for an import, builds the import-time
+    /// artifacts through [`BenchmarkStore::prepare`]. Nothing changes
+    /// until [`Prepared::commit`].
+    pub fn prepare(&self, store: &BenchmarkStore) -> Result<Prepared, StoreError> {
         match self {
             WalOp::AddExperiment {
                 dataset,
                 name,
                 pairs,
                 kpis,
-            } => store.add_experiment(
-                dataset,
-                Experiment::from_deduplicated_pairs(name.clone(), pairs.clone()),
-                *kpis,
-            ),
-            WalOp::DeleteExperiment { name } => store.remove_experiment(name),
+            } => store
+                .prepare(
+                    dataset,
+                    Experiment::from_deduplicated_pairs(name.clone(), pairs.clone()),
+                    *kpis,
+                )
+                .map(|stored| Prepared::Insert(Box::new(stored))),
+            WalOp::DeleteExperiment { name } => {
+                store.experiment(name)?;
+                Ok(Prepared::Remove(name.clone()))
+            }
         }
+    }
+
+    /// Applies the operation to a store — the boot-time replay path:
+    /// [`prepare`](Self::prepare), then [`Prepared::commit`], the same
+    /// two steps the server takes for its own and for replicated
+    /// writes, so a replayed store is byte-identical to the store that
+    /// accepted the writes.
+    pub fn apply(&self, store: &mut BenchmarkStore) -> Result<(), StoreError> {
+        self.prepare(store)?.commit(store)
     }
 
     fn encode(&self, w: &mut Writer) {
