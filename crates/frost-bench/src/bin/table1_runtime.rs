@@ -10,6 +10,10 @@
 //! Expected shape (not absolute numbers — the paper measured TypeScript
 //! on a laptop): the optimized algorithm wins on every dataset and its
 //! advantage grows with dataset size (paper: 9× → 66×).
+//!
+//! Every row asserts that both engines return the same series, so the
+//! binary doubles as an equality check of the two engines on all five
+//! presets.
 
 use frost_bench::{fmt_duration, materialize, scale_from_env};
 use frost_core::diagram::DiagramEngine;
@@ -41,11 +45,12 @@ fn main() {
             preset.config.seed ^ 0xbead,
         );
 
-        // Warm-up + measure: optimized. The sequential entry point
-        // keeps this an algorithm-vs-algorithm comparison (the
-        // production confusion_series also shards sample points
-        // across threads, which would fold host parallelism into the
-        // paper's Table 1 ratio).
+        // Measure: optimized vs naive. The sequential entry point
+        // keeps this an algorithm-vs-algorithm comparison: the
+        // production confusion_series shards the naive engine's sample
+        // points across threads, which would fold host parallelism
+        // into the paper's Table 1 ratio. (The optimized engine is a
+        // single pass and never shards.)
         let t0 = Instant::now();
         let optimized =
             DiagramEngine::Optimized.confusion_series_sequential(n, &gen.truth, &experiment, s);
@@ -80,10 +85,8 @@ fn main() {
     // one dataset uses the latter — see the pairset bench's
     // diagram_sweep section for thread-scaling numbers.)
     // Warm-up pass so the sequential/parallel comparison below is not
-    // skewed by cold caches. Both sides use the unsharded sweep: the
-    // baseline must actually be sequential, and the rayon branch
-    // already parallelizes across datasets — inner point-sharding
-    // would nest scoped-thread fan-outs and oversubscribe.
+    // skewed by cold caches. Both sides use the sequential sweep, so
+    // the rayon branch parallelizes across datasets only.
     for (n, truth, e) in &sweeps {
         let _ = DiagramEngine::Optimized.confusion_series_sequential(*n, truth, e, s);
     }

@@ -2,10 +2,10 @@
 //!
 //! The output of a complete matching solution is a disjoint clustering of
 //! the dataset (§1.2). This module provides the [`Clustering`] type, the
-//! pair-counting [`UnionFind`] with tracked unions that powers the
-//! optimized diagram algorithm (Appendix D), transitive [`closure`]
-//! utilities, and the duplicate-clustering [`algorithms`] referenced by
-//! the paper for non-closed match sets.
+//! pair-counting [`UnionFind`] that powers both diagram engines
+//! (Appendix D), transitive [`closure`] utilities, and the
+//! duplicate-clustering [`algorithms`] referenced by the paper for
+//! non-closed match sets.
 
 #[allow(clippy::module_inception)]
 mod clustering;
@@ -15,4 +15,4 @@ pub mod algorithms;
 pub mod closure;
 
 pub use clustering::Clustering;
-pub use union_find::{ClusterId, Merge, UnionFind};
+pub use union_find::UnionFind;

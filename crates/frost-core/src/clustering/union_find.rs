@@ -1,61 +1,33 @@
-//! Union-find with pair counting and *tracked unions* (Appendix D).
+//! Union-find with pair counting (Appendix D).
 //!
 //! The paper's optimized metric/metric-diagram algorithm assumes a
-//! union-find data structure [Tarjan 1972] extended with two abilities:
-//!
-//! 1. **Pair counting** — tracking the number of intra-cluster record
-//!    pairs per cluster and overall, so confusion-matrix entries can be
-//!    read off in constant time.
-//! 2. **`trackedUnion`** — a batched union that reports, for every newly
-//!    created cluster that survived the batch, which pre-batch clusters
-//!    were merged into it. This feeds the dynamic-intersection update
-//!    (Algorithm 2).
+//! union-find data structure [Tarjan 1972] extended with *pair
+//! counting*: tracking the number of intra-cluster record pairs overall,
+//! so the experiment's `|TP| + |FP|` can be read off in constant time.
+//! [`UnionFind::union`] reports which roots it joined, so the diagram
+//! sweep can carry per-cluster state along with each merge.
 
-use crate::dataset::{RecordId, RecordPair};
+use crate::dataset::RecordId;
 use std::collections::HashMap;
 
-/// Stable identifier of a cluster within a [`UnionFind`].
-///
-/// Unlike a union-find *root* (an implementation detail that survives
-/// merges), a `ClusterId` is regenerated whenever two clusters merge:
-/// the merged cluster receives a fresh id, exactly as Appendix D
-/// specifies ("generating a new cluster ID for the resulting cluster").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ClusterId(pub u32);
-
-/// One entry of a `trackedUnion` result: the pre-batch clusters
-/// (`sources`) that were merged into the post-batch cluster `target`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Merge {
-    /// Cluster ids as they existed *before* the batched union.
-    pub sources: Vec<ClusterId>,
-    /// The id of the merged cluster after the batch.
-    pub target: ClusterId,
-}
-
 /// Union-find over `n` records with union by size, iterative path
-/// compression, intra-cluster pair counting, and batched tracked unions.
+/// compression and intra-cluster pair counting.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<u32>,
     /// Cluster size; valid only at roots.
     size: Vec<u32>,
-    /// Stable cluster id; valid only at roots.
-    cluster_at_root: Vec<u32>,
-    next_cluster: u32,
     total_pairs: u64,
     num_clusters: usize,
 }
 
 impl UnionFind {
-    /// Creates `n` singleton clusters with ids `0..n`.
+    /// Creates `n` singleton clusters.
     pub fn new(n: usize) -> Self {
         let n32 = u32::try_from(n).expect("UnionFind supports at most u32::MAX records");
         Self {
             parent: (0..n32).collect(),
             size: vec![1; n],
-            cluster_at_root: (0..n32).collect(),
-            next_cluster: n32,
             total_pairs: 0,
             num_clusters: n,
         }
@@ -78,10 +50,7 @@ impl UnionFind {
 
     /// Total number of intra-cluster pairs, `Σ s·(s−1)/2` over clusters.
     ///
-    /// For an experiment clustering this is `|TP| + |FP|`; for the dynamic
-    /// intersection clustering it is exactly `|TP|` (Appendix D: "the
-    /// number of true positives equals the number of pairs in
-    /// C_intersect").
+    /// For an experiment clustering this is `|TP| + |FP|`.
     pub fn total_pairs(&self) -> u64 {
         self.total_pairs
     }
@@ -107,12 +76,6 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// The stable [`ClusterId`] of `x`'s cluster.
-    pub fn cluster_id(&mut self, x: RecordId) -> ClusterId {
-        let root = self.find(x);
-        ClusterId(self.cluster_at_root[root.index()])
-    }
-
     /// Size of `x`'s cluster.
     pub fn cluster_size(&mut self, x: RecordId) -> u32 {
         let root = self.find(x);
@@ -125,12 +88,12 @@ impl UnionFind {
         s * (s - 1) / 2
     }
 
-    /// Merges the clusters of `a` and `b`.
+    /// Merges the clusters of `a` and `b` (union by size).
     ///
-    /// Returns the [`ClusterId`] of the merged cluster, or `None` if they
-    /// already shared a cluster. On merge the surviving cluster gets a
-    /// *fresh* id.
-    pub fn union(&mut self, a: RecordId, b: RecordId) -> Option<ClusterId> {
+    /// Returns `(survivor, absorbed)`: the root that now heads the
+    /// merged cluster and the former root attached beneath it. Returns
+    /// `None` if `a` and `b` already shared a cluster.
+    pub fn union(&mut self, a: RecordId, b: RecordId) -> Option<(RecordId, RecordId)> {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra == rb {
@@ -146,64 +109,8 @@ impl UnionFind {
         self.total_pairs += sb * ss;
         self.parent[small.index()] = big.0;
         self.size[big.index()] += self.size[small.index()];
-        let fresh = ClusterId(self.next_cluster);
-        self.next_cluster += 1;
-        self.cluster_at_root[big.index()] = fresh.0;
         self.num_clusters -= 1;
-        Some(fresh)
-    }
-
-    /// Batched union with merge tracking (`trackedUnion` of Appendix D).
-    ///
-    /// Applies `union` for every pair, then reports one [`Merge`] per
-    /// cluster that was newly created during this batch and not merged
-    /// further, listing all *pre-batch* cluster ids it absorbed.
-    ///
-    /// Chained merges collapse: merging `{b,c}` then `{a,c}` on singleton
-    /// clusters yields a single entry whose sources are the three original
-    /// clusters.
-    pub fn tracked_union<I>(&mut self, pairs: I) -> Vec<Merge>
-    where
-        I: IntoIterator<Item = RecordPair>,
-    {
-        // In-flight merge bookkeeping: ids created during this batch map to
-        // the pre-batch ids they absorbed.
-        let mut live: HashMap<ClusterId, Vec<ClusterId>> = HashMap::new();
-        for pair in pairs {
-            let ca = self.cluster_id(pair.lo());
-            let cb = self.cluster_id(pair.hi());
-            if ca == cb {
-                continue;
-            }
-            let target = self
-                .union(pair.lo(), pair.hi())
-                .expect("distinct clusters must merge");
-            let mut sources = live.remove(&ca).unwrap_or_else(|| vec![ca]);
-            let mut more = live.remove(&cb).unwrap_or_else(|| vec![cb]);
-            sources.append(&mut more);
-            live.insert(target, sources);
-        }
-        let mut merges: Vec<Merge> = live
-            .into_iter()
-            .map(|(target, sources)| Merge { sources, target })
-            .collect();
-        merges.sort_by_key(|m| m.target);
-        merges
-    }
-
-    /// Merges all clusters containing the given representatives into one,
-    /// returning the merged cluster's id (Algorithm 2 `unionAll`). With
-    /// fewer than two distinct clusters, returns the single cluster's id.
-    pub fn union_all(&mut self, reps: &[RecordId]) -> ClusterId {
-        assert!(
-            !reps.is_empty(),
-            "union_all requires at least one representative"
-        );
-        let first = reps[0];
-        for &r in &reps[1..] {
-            self.union(first, r);
-        }
-        self.cluster_id(first)
+        Some((big, small))
     }
 
     /// Groups records into clusters: `(representative root, members)`
@@ -226,10 +133,6 @@ impl UnionFind {
 mod tests {
     use super::*;
 
-    fn pair(a: u32, b: u32) -> RecordPair {
-        RecordPair::from((a, b))
-    }
-
     #[test]
     fn singletons() {
         let mut uf = UnionFind::new(4);
@@ -237,16 +140,19 @@ mod tests {
         assert_eq!(uf.num_clusters(), 4);
         assert_eq!(uf.total_pairs(), 0);
         for i in 0..4 {
-            assert_eq!(uf.cluster_id(RecordId(i)), ClusterId(i));
+            assert_eq!(uf.find(RecordId(i)), RecordId(i));
             assert_eq!(uf.cluster_size(RecordId(i)), 1);
         }
     }
 
     #[test]
-    fn union_assigns_fresh_ids_and_counts_pairs() {
+    fn union_reports_roots_and_counts_pairs() {
         let mut uf = UnionFind::new(4);
-        let c = uf.union(RecordId(0), RecordId(1)).unwrap();
-        assert_eq!(c, ClusterId(4)); // fresh id after the n initial ones
+        // Equal sizes: the first argument's root survives.
+        assert_eq!(
+            uf.union(RecordId(0), RecordId(1)),
+            Some((RecordId(0), RecordId(1)))
+        );
         assert_eq!(uf.total_pairs(), 1);
         assert_eq!(uf.num_clusters(), 3);
         assert!(uf.connected(RecordId(0), RecordId(1)));
@@ -254,58 +160,15 @@ mod tests {
         assert_eq!(uf.union(RecordId(1), RecordId(0)), None);
         assert_eq!(uf.total_pairs(), 1);
 
-        // Merge {0,1} with {2}: pairs = 3 = C(3,2).
-        uf.union(RecordId(2), RecordId(0)).unwrap();
+        // Merge {0,1} with {2}: the larger cluster's root survives, and
+        // pairs = 3 = C(3,2).
+        assert_eq!(
+            uf.union(RecordId(2), RecordId(1)),
+            Some((RecordId(0), RecordId(2)))
+        );
         assert_eq!(uf.total_pairs(), 3);
         assert_eq!(uf.cluster_size(RecordId(1)), 3);
         assert_eq!(uf.cluster_pairs(RecordId(1)), 3);
-    }
-
-    #[test]
-    fn tracked_union_paper_example() {
-        // Paper example (Appendix D.1): clustering {{a},{b},{c,d}} with
-        // pairs {a,b} and {b,c} collapses to one merge entry whose sources
-        // are the three original clusters.
-        let mut uf = UnionFind::new(4); // a=0, b=1, c=2, d=3
-        uf.union(RecordId(2), RecordId(3)).unwrap(); // {c,d} has id 4
-        let merges = uf.tracked_union([pair(0, 1), pair(1, 2)]);
-        assert_eq!(merges.len(), 1);
-        let m = &merges[0];
-        let mut sources = m.sources.clone();
-        sources.sort();
-        assert_eq!(sources, vec![ClusterId(0), ClusterId(1), ClusterId(4)]);
-        assert_eq!(uf.cluster_id(RecordId(0)), m.target);
-        assert_eq!(uf.cluster_size(RecordId(3)), 4);
-    }
-
-    #[test]
-    fn tracked_union_independent_merges() {
-        let mut uf = UnionFind::new(6);
-        let merges = uf.tracked_union([pair(0, 1), pair(2, 3)]);
-        assert_eq!(merges.len(), 2);
-        for m in &merges {
-            assert_eq!(m.sources.len(), 2);
-        }
-    }
-
-    #[test]
-    fn tracked_union_skips_already_connected() {
-        let mut uf = UnionFind::new(3);
-        uf.union(RecordId(0), RecordId(1));
-        let merges = uf.tracked_union([pair(0, 1)]);
-        assert!(merges.is_empty());
-    }
-
-    #[test]
-    fn union_all_merges_every_rep() {
-        let mut uf = UnionFind::new(5);
-        let id = uf.union_all(&[RecordId(0), RecordId(2), RecordId(4)]);
-        assert_eq!(uf.cluster_id(RecordId(2)), id);
-        assert_eq!(uf.cluster_size(RecordId(4)), 3);
-        assert_eq!(uf.num_clusters(), 3);
-        // Single rep: identity.
-        let lone = uf.union_all(&[RecordId(1)]);
-        assert_eq!(lone, uf.cluster_id(RecordId(1)));
     }
 
     #[test]

@@ -219,18 +219,13 @@ impl Experiment {
     }
 
     /// Pairs sorted by similarity, descending; unscored pairs sort last.
+    /// Ties break by pair, so the order is total and deterministic.
     ///
     /// This is the order the diagram algorithms (Appendix D) consume
     /// matches in.
     pub fn pairs_by_similarity_desc(&self) -> Vec<ScoredPair> {
         let mut out = self.pairs.clone();
-        out.sort_by(|a, b| {
-            let sa = a.similarity.unwrap_or(f64::NEG_INFINITY);
-            let sb = b.similarity.unwrap_or(f64::NEG_INFINITY);
-            sb.partial_cmp(&sa)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.pair.cmp(&b.pair))
-        });
+        out.sort_unstable_by_key(|sp| (std::cmp::Reverse(similarity_key(sp.similarity)), sp.pair));
         out
     }
 
@@ -253,6 +248,26 @@ impl Experiment {
         if !self.pairs.iter().any(|p| p.pair == sp.pair) {
             self.pairs.push(sp);
         }
+    }
+}
+
+/// Maps a similarity to a `u64` whose order is the numeric order.
+/// Unscored pairs rank with `-∞`, `-0.0` ranks with `+0.0`, and NaN,
+/// which has no place in that order, ranks with unscored pairs rather
+/// than breaking the sort.
+fn similarity_key(similarity: Option<f64>) -> u64 {
+    let s = match similarity {
+        Some(s) if !s.is_nan() => s + 0.0,
+        _ => f64::NEG_INFINITY,
+    };
+    let bits = s.to_bits();
+    // Negative floats order by descending magnitude: flip every bit.
+    // Non-negative ones order by their bits: set the sign bit so they
+    // rank above all negatives.
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
@@ -281,6 +296,30 @@ mod tests {
         assert_eq!(sorted[0].similarity, Some(0.9));
         assert_eq!(sorted[1].similarity, Some(0.4));
         assert_eq!(sorted[2].similarity, None);
+    }
+
+    #[test]
+    fn similarity_sort_is_total() {
+        // NaN ranks with unscored pairs and -0.0 with +0.0; ties break
+        // by pair.
+        let e = Experiment::new(
+            "e",
+            [
+                ScoredPair::scored((0u32, 1u32), f64::NAN),
+                ScoredPair::unscored((2u32, 3u32)),
+                ScoredPair::scored((4u32, 5u32), 0.0),
+                ScoredPair::scored((6u32, 7u32), -0.0),
+                ScoredPair::scored((8u32, 9u32), f64::NEG_INFINITY),
+                ScoredPair::scored((10u32, 11u32), f64::INFINITY),
+                ScoredPair::scored((12u32, 13u32), -0.5),
+            ],
+        );
+        let order: Vec<u32> = e
+            .pairs_by_similarity_desc()
+            .iter()
+            .map(|sp| sp.pair.lo().0)
+            .collect();
+        assert_eq!(order, [10, 4, 6, 12, 0, 2, 8]);
     }
 
     #[test]

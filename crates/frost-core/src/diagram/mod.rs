@@ -13,10 +13,11 @@
 //!   (`O(s · (|D| + |Matches|))`), the baseline of Table 1.
 //! * [`optimized`] — Snowman's algorithm (Appendix D): a single pass over
 //!   the matches in descending similarity order, maintaining the
-//!   experiment clustering with a tracked union-find and *dynamically*
-//!   maintaining the intersection clustering
-//!   (`O(|D| + |Matches|·(s + log |Matches|))`, and faster the more
-//!   similar experiment and ground truth are).
+//!   experiment clustering in a pair-counting union-find whose clusters
+//!   carry ground-truth tallies, so every union updates the
+//!   true-positive count directly. The series costs
+//!   `O(n + m·α(n) + m log m + s)` for `n = |D|` records, `m = |Matches|`
+//!   and `s` samples, and runs on the calling thread.
 //!
 //! Sampling follows the paper: rather than stepping the threshold by a
 //! constant amount (which concentrates points wherever scores cluster),
@@ -53,7 +54,7 @@ pub struct DiagramPoint {
 pub enum DiagramEngine {
     /// Per-threshold recomputation (Table 1 baseline).
     Naive,
-    /// Appendix D: tracked union-find + dynamic intersection.
+    /// Appendix D: one pass, union-find with ground-truth tallies.
     Optimized,
 }
 
@@ -69,14 +70,13 @@ impl DiagramEngine {
     /// # Panics
     /// Panics if `s < 2` or the ground truth does not cover `n` records.
     ///
-    /// One *huge* series is itself sharded across rayon tasks: when
-    /// the sweep's work (`records + matches`) reaches
-    /// [`PARALLEL_SWEEP_MIN_MATCHES`], contiguous ranges of sample
-    /// points are computed in parallel (the naive engine recomputes
-    /// each point anyway; the optimized engine replays the match
-    /// prefix per range in one batch). Results are identical to the
-    /// sequential sweep — every matrix is a pure function of the
-    /// applied prefix.
+    /// A *huge* naive series is itself sharded across rayon tasks:
+    /// when the sweep's work (`records + matches`) reaches
+    /// [`PARALLEL_SWEEP_MIN_MATCHES`], the sample points, which the
+    /// naive engine recomputes from scratch anyway, are computed in
+    /// parallel. Results are identical to the sequential sweep. The
+    /// optimized engine is a single pass and always runs on the
+    /// calling thread.
     pub fn confusion_series(
         self,
         n: usize,
@@ -87,10 +87,10 @@ impl DiagramEngine {
         self.series_one(n, truth, experiment, s, true)
     }
 
-    /// [`confusion_series`](Self::confusion_series) without the
-    /// point-level sharding: the whole sweep runs on the calling
-    /// thread. For callers that manage their own parallelism around
-    /// independent sweeps (nesting scoped-thread fan-outs
+    /// [`confusion_series`](Self::confusion_series) without the naive
+    /// engine's point-level sharding: the whole sweep runs on the
+    /// calling thread. For callers that manage their own parallelism
+    /// around independent sweeps (nesting scoped-thread fan-outs
     /// oversubscribes) or that time the underlying algorithms
     /// apples-to-apples.
     pub fn confusion_series_sequential(
@@ -133,10 +133,7 @@ impl DiagramEngine {
             (DiagramEngine::Naive, _) => {
                 naive::confusion_series_sharded(n, truth, &matches, s, shards)
             }
-            (DiagramEngine::Optimized, 0..=1) => optimized::confusion_series(n, truth, &matches, s),
-            (DiagramEngine::Optimized, _) => {
-                optimized::confusion_series_sharded(n, truth, &matches, s, shards)
-            }
+            (DiagramEngine::Optimized, _) => optimized::confusion_series(truth, &matches, s),
         }
     }
 
@@ -166,8 +163,8 @@ impl DiagramEngine {
         // gate counts both terms.
         let total_work: usize = experiments.iter().map(|e| e.len() + n).sum();
         if total_work < PARALLEL_SWEEP_MIN_MATCHES || experiments.len() < 2 {
-            // Sequential over experiments — a single huge series still
-            // shards its own sample points.
+            // Sequential over experiments — a single huge naive series
+            // still shards its own sample points.
             return experiments
                 .iter()
                 .map(|e| self.series_one(n, truth, e, s, true))
@@ -184,15 +181,21 @@ impl DiagramEngine {
 /// Minimum sweep work (`records + matches`) before a diagram sweep
 /// fans out to threads — summed over all experiments for
 /// [`DiagramEngine::confusion_series_multi`], per series for the
-/// point-sharded [`DiagramEngine::confusion_series`]. Below this, one
-/// sweep is microseconds of work and thread spawning dominates end to
-/// end.
+/// naive engine's point-sharded [`DiagramEngine::confusion_series`].
+/// Below this, one sweep is microseconds of work and thread spawning
+/// dominates end to end. A single optimized series never fans out.
 pub const PARALLEL_SWEEP_MIN_MATCHES: usize = 4_096;
 
 /// The most sample points a diagram request may ask for. A series
 /// holds one point per sample, so the server rejects larger counts
 /// before allocating; the cap sits far above any useful resolution.
 pub const MAX_DIAGRAM_SAMPLES: usize = 100_000;
+
+/// The most sample points a diagram request may ask the naive engine
+/// for — Table 1's value. The naive engine re-clusters the dataset at
+/// every point, so its cost grows with the sample count, while the
+/// optimized engine's barely does.
+pub const MAX_NAIVE_DIAGRAM_SAMPLES: usize = 100;
 
 /// Prefix boundaries for `s` sample points over `m` matches:
 /// `k_i = ⌊i·m/(s−1)⌋` for `i = 0..s`.
@@ -367,6 +370,32 @@ mod tests {
         }
     }
 
+    /// A NaN score (possible through the library, never through
+    /// import) must not break the sort: every engine sweeps, and they
+    /// agree.
+    #[test]
+    fn nan_similarity_sweeps_without_panic() {
+        let n = 2_001u32;
+        let truth = Clustering::from_assignment(&(0..n).map(|i| i / 3).collect::<Vec<_>>());
+        let e = Experiment::from_scored_pairs(
+            "nan",
+            (0..n - 1).map(|i| {
+                let s = if i % 7 == 0 {
+                    f64::NAN
+                } else {
+                    f64::from(i.wrapping_mul(2654435761) % 1000) / 1000.0
+                };
+                (i, i + 1, s)
+            }),
+        );
+        let naive = DiagramEngine::Naive.confusion_series(n as usize, &truth, &e, 11);
+        let optimized = DiagramEngine::Optimized.confusion_series(n as usize, &truth, &e, 11);
+        assert_eq!(naive.len(), 11);
+        for (a, b) in naive.iter().zip(&optimized) {
+            assert_eq!((a.matches_applied, a.matrix), (b.matches_applied, b.matrix));
+        }
+    }
+
     #[test]
     fn sample_boundaries_cover_all_matches() {
         assert_eq!(sample_boundaries(4, 3), vec![0, 2, 4]);
@@ -471,9 +500,10 @@ mod tests {
         }
     }
 
-    /// Point-level sharding of one series returns exactly the
-    /// sequential sweep, for both engines, across shard counts that
-    /// divide the points unevenly (including more shards than points).
+    /// Point-level sharding of one naive series returns exactly the
+    /// sequential sweep, across shard counts that divide the points
+    /// unevenly (including more shards than points), and equals the
+    /// optimized sweep.
     #[test]
     fn sharded_series_equals_sequential() {
         let n = 5_000usize;
@@ -488,14 +518,13 @@ mod tests {
         );
         let matches = e.pairs_by_similarity_desc();
         for s in [2usize, 3, 7, 100] {
-            let seq_opt = optimized::confusion_series(n, &truth, &matches, s);
             let seq_naive = naive::confusion_series(n, &truth, &matches, s);
+            assert_eq!(
+                optimized::confusion_series(&truth, &matches, s),
+                seq_naive,
+                "optimized s={s}"
+            );
             for shards in [1usize, 2, 3, 5, s + 3] {
-                assert_eq!(
-                    optimized::confusion_series_sharded(n, &truth, &matches, s, shards),
-                    seq_opt,
-                    "optimized s={s} shards={shards}"
-                );
                 assert_eq!(
                     naive::confusion_series_sharded(n, &truth, &matches, s, shards),
                     seq_naive,
@@ -505,13 +534,9 @@ mod tests {
         }
         // The public entry point (which gates on work and thread
         // count) agrees too.
+        let direct = naive::confusion_series(n, &truth, &matches, 9);
         for engine in [DiagramEngine::Naive, DiagramEngine::Optimized] {
-            let via_public = engine.confusion_series(n, &truth, &e, 9);
-            let direct = match engine {
-                DiagramEngine::Naive => naive::confusion_series(n, &truth, &matches, 9),
-                DiagramEngine::Optimized => optimized::confusion_series(n, &truth, &matches, 9),
-            };
-            assert_eq!(via_public, direct);
+            assert_eq!(engine.confusion_series(n, &truth, &e, 9), direct);
         }
     }
 }

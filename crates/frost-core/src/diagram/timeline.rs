@@ -9,33 +9,29 @@
 //!
 //! Union-find merges cannot be reverted cheaply in place, but they can
 //! be *checkpointed*: [`DiagramTimeline`] stores snapshots of the
-//! experiment union-find and dynamic intersection every `stride` sample
-//! points. A query for any threshold range restores the nearest
-//! checkpoint at or before the range start (an `O(|D|)` clone — but of a
-//! *pre-merged* state) and replays only the matches inside the range,
-//! instead of rebuilding from scratch and replaying the entire prefix.
-//! For a stride `c`, backward jumps cost
-//! `O(|D| + (range + c/s·|Matches|))` instead of `O(|D| + |Matches|)`,
-//! at `O(s/c · |D|)` memory for the checkpoints.
+//! optimized engine's sweep state (the experiment union-find and its
+//! ground-truth tallies) every `stride` sample points. A query for any
+//! threshold range restores the nearest checkpoint at or before the
+//! range start (an `O(|D|)` clone — but of a *pre-merged* state) and
+//! replays only the matches inside the range, instead of rebuilding
+//! from scratch and replaying the entire prefix. For a stride `c`,
+//! backward jumps cost `O(|D| + (range + c/s·|Matches|))` instead of
+//! `O(|D| + |Matches|)`, at `O(s/c · |D|)` memory for the checkpoints.
 
-use super::optimized::DynamicIntersection;
-use super::{sample_boundaries, threshold_at, DiagramPoint};
-use crate::clustering::{Clustering, UnionFind};
+use super::optimized::{sweep_points, SweepState};
+use super::{sample_boundaries, DiagramPoint};
+use crate::clustering::Clustering;
 use crate::dataset::{Experiment, ScoredPair};
-use crate::metrics::confusion::{total_pairs, ConfusionMatrix};
 
 /// One stored checkpoint: the state after applying a prefix of matches.
 struct Checkpoint {
     /// Sample-point index this checkpoint corresponds to.
     point: usize,
-    experiment: UnionFind,
-    intersection: DynamicIntersection,
+    state: SweepState,
 }
 
 /// A reusable, checkpointed threshold timeline over one experiment.
 pub struct DiagramTimeline {
-    n: usize,
-    truth_pairs: u64,
     truth: Clustering,
     matches: Vec<ScoredPair>,
     boundaries: Vec<usize>,
@@ -58,29 +54,22 @@ impl DiagramTimeline {
         assert_eq!(truth.num_records(), n, "ground truth size mismatch");
         let matches = experiment.pairs_by_similarity_desc();
         let boundaries = sample_boundaries(matches.len(), s);
-        let mut experiment_uf = UnionFind::new(n);
-        let mut intersection = DynamicIntersection::new(n, truth);
+        let mut state = SweepState::new(truth);
         let mut checkpoints = vec![Checkpoint {
             point: 0,
-            experiment: experiment_uf.clone(),
-            intersection: intersection.clone(),
+            state: state.clone(),
         }];
         for (i, window) in boundaries.windows(2).enumerate() {
-            let merges =
-                experiment_uf.tracked_union(matches[window[0]..window[1]].iter().map(|sp| sp.pair));
-            intersection.apply_merges(&merges, truth);
+            state.apply(truth, &matches[window[0]..window[1]]);
             let point = i + 1;
             if point % stride == 0 && point + 1 < boundaries.len() {
                 checkpoints.push(Checkpoint {
                     point,
-                    experiment: experiment_uf.clone(),
-                    intersection: intersection.clone(),
+                    state: state.clone(),
                 });
             }
         }
         Self {
-            n,
-            truth_pairs: truth.pair_count(),
             truth: truth.clone(),
             matches,
             boundaries,
@@ -103,17 +92,6 @@ impl DiagramTimeline {
         self.checkpoints.len()
     }
 
-    fn matrix_of(
-        &self,
-        experiment: &UnionFind,
-        intersection: &DynamicIntersection,
-    ) -> ConfusionMatrix {
-        let tp = intersection.true_positives();
-        let e = experiment.total_pairs();
-        let fn_ = self.truth_pairs - tp;
-        ConfusionMatrix::new(tp, e - tp, fn_, total_pairs(self.n) - e - fn_)
-    }
-
     /// Returns the diagram points for the sample range
     /// `[from_point, to_point]` (inclusive), restoring the nearest
     /// checkpoint and replaying only the needed matches — backward jumps
@@ -134,35 +112,13 @@ impl DiagramTimeline {
             .rev()
             .find(|c| c.point <= from_point)
             .expect("checkpoint 0 always exists");
-        let mut experiment = checkpoint.experiment.clone();
-        let mut intersection = checkpoint.intersection.clone();
-        // Replay up to the range start.
-        let start_match = self.boundaries[checkpoint.point];
-        let from_match = self.boundaries[from_point];
-        let merges = experiment.tracked_union(
-            self.matches[start_match..from_match]
-                .iter()
-                .map(|sp| sp.pair),
-        );
-        intersection.apply_merges(&merges, &self.truth);
-
-        let mut out = Vec::with_capacity(to_point - from_point + 1);
-        out.push(DiagramPoint {
-            threshold: threshold_at(&self.matches, from_match),
-            matches_applied: from_match,
-            matrix: self.matrix_of(&experiment, &intersection),
-        });
-        for point in from_point..to_point {
-            let (a, b) = (self.boundaries[point], self.boundaries[point + 1]);
-            let merges = experiment.tracked_union(self.matches[a..b].iter().map(|sp| sp.pair));
-            intersection.apply_merges(&merges, &self.truth);
-            out.push(DiagramPoint {
-                threshold: threshold_at(&self.matches, b),
-                matches_applied: b,
-                matrix: self.matrix_of(&experiment, &intersection),
-            });
-        }
-        out
+        sweep_points(
+            checkpoint.state.clone(),
+            &self.truth,
+            &self.matches,
+            self.boundaries[checkpoint.point],
+            &self.boundaries[from_point..=to_point],
+        )
     }
 
     /// The new true and false positives gained between two consecutive

@@ -15,13 +15,13 @@
 //!   sorted packed `u64` pair sets via linear merges, galloping
 //!   intersections and k-way merges instead of hash sets — see the
 //!   [`dataset::pairset`] module docs for the complexity table.
-//! * [`clustering`] — union-find with pair counting and tracked unions,
-//!   duplicate clusterings, transitive closure, clustering algorithms.
+//! * [`clustering`] — union-find with pair counting, duplicate
+//!   clusterings, transitive closure, clustering algorithms.
 //! * [`metrics`] — the confusion matrix (Fig. 2 of the paper), pair-based
 //!   metrics (§3.2.1) and cluster-based metrics (§3.2.2).
 //! * [`diagram`] — metric/metric diagrams (§4.5.1) with both the naïve
-//!   per-threshold algorithm and the optimized dynamic-intersection
-//!   algorithm of Appendix D (Table 1 of the paper).
+//!   per-threshold algorithm and the optimized one-pass algorithm of
+//!   Appendix D (Table 1 of the paper).
 //! * [`quality`] — quality estimation without a ground truth (§3.2.3).
 //! * [`profiling`] — dataset profiling and benchmark-dataset selection
 //!   (§3.1.3, Appendix C).

@@ -567,17 +567,30 @@ fn process_buffer(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
             if let Some(trace) = &trace {
                 trace.stamp(Stage::Admitted);
             }
-            match env.tx.try_send(Work {
+            // Reserve the queue slot and count the admission before the
+            // hand-off: a worker may dequeue and answer (even a `/stats`
+            // reporting the count) before `try_send` returns here.
+            let work = Work {
                 request,
                 deadline,
                 loop_id: env.loop_id,
                 token,
                 generation: conn.generation,
                 trace,
-            }) {
+            };
+            let sent = if env.state.overload().try_enqueue(env.options.max_queued) {
+                env.state.note_admitted();
+                let sent = env.tx.try_send(work);
+                if sent.is_err() {
+                    env.state.overload().queue_dequeued();
+                    env.state.withdraw_admitted();
+                }
+                sent
+            } else {
+                Err(TrySendError::Full(work))
+            };
+            match sent {
                 Ok(()) => {
-                    env.state.overload().queue_enqueued();
-                    env.state.note_admitted();
                     conn.phase = Phase::Dispatched;
                     true
                 }

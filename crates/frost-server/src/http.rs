@@ -96,7 +96,7 @@ use crate::event_loop;
 use crate::json::{self, response_to_json};
 use crate::replication::{self, ReplicationHub, Role, StreamPreamble};
 use crate::telemetry::{self, Endpoint, Stage, Telemetry, Trace};
-use frost_core::diagram::MAX_DIAGRAM_SAMPLES;
+use frost_core::diagram::{DiagramEngine, MAX_DIAGRAM_SAMPLES, MAX_NAIVE_DIAGRAM_SAMPLES};
 use frost_storage::api::{self, Request};
 use frost_storage::cache::{CacheWeight, ShardedCache};
 use frost_storage::durable::{DurableError, DurableStore};
@@ -367,9 +367,20 @@ pub struct OverloadStats {
 }
 
 impl OverloadStats {
-    pub(crate) fn queue_enqueued(&self) {
+    /// Reserves a queue slot for one request *before* it is handed to
+    /// the workers, who release it on dequeue; fails, taking nothing,
+    /// when `cap` slots are taken. The depth thus never lags a worker,
+    /// and since the reservation (not the channel) bounds the queue,
+    /// neither the depth nor its high-water mark passes `cap`.
+    pub(crate) fn try_enqueue(&self, cap: usize) -> bool {
+        let cap = cap.max(1) as i64;
         let depth = self.queue_depth.fetch_add(1, Ordering::AcqRel) + 1;
+        if depth > cap {
+            self.queue_depth.fetch_sub(1, Ordering::AcqRel);
+            return false;
+        }
         self.queue_max_depth.fetch_max(depth, Ordering::AcqRel);
+        true
     }
 
     pub(crate) fn queue_dequeued(&self) {
@@ -432,6 +443,17 @@ impl OverloadStats {
     fn note_admitted(&self, secs: u64) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
         self.slot(secs).admitted.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Takes back a [`note_admitted`](Self::note_admitted) whose
+    /// hand-off failed. The window slot may have been reset since, so
+    /// it never goes below zero.
+    fn withdraw_admitted(&self, secs: u64) {
+        self.admitted.fetch_sub(1, Ordering::Relaxed);
+        let _ = self
+            .slot(secs)
+            .admitted
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
     }
 
     fn note_shed(&self, reason: ShedReason, secs: u64) {
@@ -1015,6 +1037,10 @@ impl ServerState {
 
     pub(crate) fn note_admitted(&self) {
         self.overload.note_admitted(self.clock_secs());
+    }
+
+    pub(crate) fn withdraw_admitted(&self) {
+        self.overload.withdraw_admitted(self.clock_secs());
     }
 
     pub(crate) fn note_shed(&self, reason: ShedReason) {
@@ -3115,6 +3141,14 @@ fn build_request(path: &str, params: &Params) -> Result<Routed, (u16, String)> {
                 return Err((
                     400,
                     error_body(&format!("samples must be at most {MAX_DIAGRAM_SAMPLES}")),
+                ));
+            }
+            if engine == DiagramEngine::Naive && samples > MAX_NAIVE_DIAGRAM_SAMPLES {
+                return Err((
+                    400,
+                    error_body(&format!(
+                        "samples must be at most {MAX_NAIVE_DIAGRAM_SAMPLES} with engine=naive"
+                    )),
                 ));
             }
             let key = cache_key(

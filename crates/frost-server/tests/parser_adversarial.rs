@@ -300,3 +300,32 @@ fn oversized_diagram_sample_counts_get_400_and_the_server_lives() {
     }
     handle.shutdown();
 }
+
+#[test]
+fn naive_diagram_sample_counts_are_capped_at_table_1s_value() {
+    let handle = start();
+    let get = |query: &str| {
+        let request =
+            format!("GET /diagram?{query} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+        raw_exchange(&handle, &[request.as_bytes()])
+    };
+    let response = get("experiment=e1&engine=naive&samples=101");
+    assert!(response.starts_with("HTTP/1.1 400"), "{response:?}");
+    assert!(
+        response.contains("samples must be at most 100 with engine=naive"),
+        "{response:?}"
+    );
+    // At the cap the naive engine answers, and the optimized engine
+    // keeps the general cap.
+    for query in [
+        "experiment=e1&engine=naive&samples=100",
+        "experiment=e1&engine=optimized&samples=101",
+    ] {
+        let response = get(query);
+        assert!(
+            response.starts_with("HTTP/1.1 200"),
+            "{query}: {response:?}"
+        );
+    }
+    handle.shutdown();
+}

@@ -152,6 +152,15 @@ fn bad_writes_are_rejected_with_400() {
         .post("/experiments?dataset=people&name=x", b"id1,id2\na,zzz\n")
         .unwrap();
     assert_eq!(status, 400, "{body}");
+    // A NaN score would make the diagram sweep's order undefined.
+    let (status, body) = conn
+        .post(
+            "/experiments?dataset=people&name=x",
+            b"id1,id2,similarity\na,b,0.9\nc,d,NaN\n",
+        )
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("bad similarity"), "{body}");
     // Nothing landed.
     let (status, body) = conn.get("/experiments").unwrap();
     assert_eq!(status, 200);

@@ -196,10 +196,14 @@ pub fn import_experiment(
             continue;
         }
         let similarity = if has_similarity && !row[2].is_empty() {
+            // `NaN` parses as an `f64` but has no place in the
+            // similarity order the diagrams sweep.
             Some(
                 row[2]
                     .parse::<f64>()
-                    .map_err(|_| ImportError::BadSimilarity {
+                    .ok()
+                    .filter(|s| !s.is_nan())
+                    .ok_or_else(|| ImportError::BadSimilarity {
                         row: i + 2,
                         text: row[2].clone(),
                     })?,
@@ -363,6 +367,36 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ImportError::BadSimilarity { row: 2, .. }));
         assert!(err.to_string().contains("bad similarity"));
+    }
+
+    #[test]
+    fn experiment_import_rejects_nan_similarity() {
+        let ds = dataset();
+        for nan in ["NaN", "nan", "-NaN"] {
+            let err = import_experiment(
+                "run",
+                &ds,
+                &format!("id1,id2,similarity\nr1,r2,0.5\nr2,r3,{nan}\n"),
+                CsvOptions::comma(),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                ImportError::BadSimilarity {
+                    row: 3,
+                    text: nan.into()
+                }
+            );
+        }
+        // Infinities are ordered, so they stay valid scores.
+        let e = import_experiment(
+            "run",
+            &ds,
+            "id1,id2,similarity\nr1,r2,inf\n",
+            CsvOptions::comma(),
+        )
+        .unwrap();
+        assert_eq!(e.pairs()[0].similarity, Some(f64::INFINITY));
     }
 
     #[test]

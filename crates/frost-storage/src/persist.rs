@@ -239,10 +239,16 @@ pub fn load(root: impl AsRef<Path>) -> Result<BenchmarkStore, PersistError> {
             let similarity = if row[3].is_empty() {
                 None
             } else {
-                Some(row[3].parse::<f64>().map_err(|_| PersistError::Malformed {
-                    path: path.clone(),
-                    reason: format!("bad similarity {:?}", row[3]),
-                })?)
+                Some(
+                    row[3]
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|s| !s.is_nan())
+                        .ok_or_else(|| PersistError::Malformed {
+                            path: path.clone(),
+                            reason: format!("bad similarity {:?}", row[3]),
+                        })?,
+                )
             };
             let origin = match row[4].as_str() {
                 "matcher" => PairOrigin::Matcher,

@@ -2,8 +2,9 @@
 
 use frost::core::clustering::{closure, Clustering, UnionFind};
 use frost::core::dataset::{
-    parse_csv, write_csv, CsvOptions, Experiment, PairSet, RecordId, RecordPair,
+    parse_csv, write_csv, CsvOptions, Experiment, PairSet, RecordId, RecordPair, ScoredPair,
 };
+use frost::core::diagram::timeline::DiagramTimeline;
 use frost::core::diagram::DiagramEngine;
 use frost::core::explore::setops::venn_regions;
 use frost::core::metrics::cluster as cm;
@@ -25,8 +26,121 @@ fn pairs_strategy(n: u32, max_pairs: usize) -> impl Strategy<Value = Vec<(u32, u
     )
 }
 
+/// Raw draws for a larger diagram input; see [`diagram_input`].
+type Draws = (u32, u32, Vec<u32>, u8, Vec<(u32, u32, u8, u8)>);
+
+fn diagram_draws() -> impl Strategy<Value = Draws> {
+    (
+        40u32..240,
+        1u32..60,
+        prop::collection::vec(0u32..1_000_000, 240),
+        0u8..5,
+        prop::collection::vec((0u32..1_000_000, 0u32..1_000_000, 0u8..11, 0u8..8), 0..400),
+    )
+}
+
+/// Builds `(n, truth, experiment)` from raw draws. `n` records fall into
+/// at most `k` ground-truth clusters. Each draw `(a, b, score, hub)`
+/// becomes a match: `score < 10` scores it `score / 10` (so ties are the
+/// norm), 10 leaves it unscored, and `hub < hubs` replaces `a` by hub
+/// record `hub`. With a few hubs and hundreds of draws, the closure
+/// grows one giant cluster that absorbs clusters of every size.
+fn diagram_input((n, k, labels, hubs, draws): Draws) -> (usize, Clustering, Experiment) {
+    let labels: Vec<u32> = labels[..n as usize].iter().map(|l| l % k).collect();
+    let matches = draws.into_iter().filter_map(|(a, b, score, hub)| {
+        let a = if hub < hubs { u32::from(hub) } else { a % n };
+        let b = b % n;
+        (a != b).then(|| {
+            if score < 10 {
+                ScoredPair::scored((a, b), f64::from(score) / 10.0)
+            } else {
+                ScoredPair::unscored((a, b))
+            }
+        })
+    });
+    (
+        n as usize,
+        Clustering::from_assignment(&labels),
+        Experiment::new("p", matches),
+    )
+}
+
+/// The comparator `Experiment::pairs_by_similarity_desc` used before it
+/// sorted by a total key; total itself on NaN-free input.
+fn similarity_desc_by_comparator(e: &Experiment) -> Vec<ScoredPair> {
+    let mut out = e.pairs().to_vec();
+    out.sort_by(|a, b| {
+        let sa = a.similarity.unwrap_or(f64::NEG_INFINITY);
+        let sb = b.similarity.unwrap_or(f64::NEG_INFINITY);
+        sb.partial_cmp(&sa)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.pair.cmp(&b.pair))
+    });
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Optimized and naive sweeps agree at larger `n`, under score
+    /// ties, unscored pairs, and hub-shaped inputs whose closure is one
+    /// giant cluster (ground-truth tallies merging small-to-large).
+    #[test]
+    fn diagram_engines_agree_at_scale(draws in diagram_draws(), s in 2usize..40) {
+        let (n, truth, e) = diagram_input(draws);
+        let a = DiagramEngine::Naive.confusion_series(n, &truth, &e, s);
+        let b = DiagramEngine::Optimized.confusion_series(n, &truth, &e, s);
+        prop_assert_eq!(a, b);
+    }
+
+    /// Every range a checkpointed timeline answers is the matching slice
+    /// of the full sweep, for any stride and any query order.
+    #[test]
+    fn timeline_range_is_a_slice_of_the_sweep(
+        draws in diagram_draws(),
+        s in 2usize..30,
+        stride in 1usize..6,
+        ranges in prop::collection::vec((0usize..1_000, 0usize..1_000), 1..8),
+    ) {
+        let (n, truth, e) = diagram_input(draws);
+        let full = DiagramEngine::Naive.confusion_series(n, &truth, &e, s);
+        let timeline = DiagramTimeline::build(n, &truth, &e, s, stride);
+        for (from, len) in ranges {
+            let from = from % s;
+            let to = from + len % (s - from);
+            prop_assert_eq!(timeline.range(from, to).as_slice(), &full[from..=to]);
+        }
+    }
+
+    /// The total-key sort orders NaN-free pairs exactly as the
+    /// partial-order comparator did, including ties, unscored pairs,
+    /// infinities and signed zeros.
+    #[test]
+    fn similarity_sort_matches_comparator(
+        draws in prop::collection::vec((0u32..40, 0u32..40, 0usize..9), 0..120),
+    ) {
+        const SCORES: [Option<f64>; 9] = [
+            None,
+            Some(f64::NEG_INFINITY),
+            Some(-1.5),
+            Some(-0.0),
+            Some(0.0),
+            Some(0.25),
+            Some(0.5),
+            Some(1.0),
+            Some(f64::INFINITY),
+        ];
+        let e = Experiment::new(
+            "p",
+            draws.into_iter().filter(|(a, b, _)| a != b).map(|(a, b, i)| match SCORES[i] {
+                Some(score) => ScoredPair::scored((a, b), score),
+                None => ScoredPair::unscored((a, b)),
+            }),
+        );
+        let by_key = e.pairs_by_similarity_desc();
+        let by_comparator = similarity_desc_by_comparator(&e);
+        prop_assert_eq!(by_key, by_comparator);
+    }
 
     /// The optimized Appendix D algorithm and the naïve baseline agree
     /// on every input and sample count.
@@ -63,30 +177,6 @@ proptest! {
             })
             .sum();
         prop_assert_eq!(uf.total_pairs(), from_sizes);
-    }
-
-    /// `tracked_union` reports merges whose sources partition exactly
-    /// the pre-batch clusters that changed.
-    #[test]
-    fn tracked_union_sources_are_consistent(pairs in pairs_strategy(20, 30)) {
-        let mut before = UnionFind::new(20);
-        let mut after = UnionFind::new(20);
-        let record_pairs: Vec<RecordPair> = pairs
-            .iter()
-            .map(|&(a, b, _)| RecordPair::from((a, b)))
-            .collect();
-        let merges = after.tracked_union(record_pairs.iter().copied());
-        let mut all_sources = std::collections::HashSet::new();
-        for m in &merges {
-            prop_assert!(m.sources.len() >= 2, "a merge joins at least two clusters");
-            for s in &m.sources {
-                prop_assert!(all_sources.insert(*s), "source listed twice");
-            }
-        }
-        // Number of vanished clusters equals Σ (|sources| − 1).
-        let vanished: usize = merges.iter().map(|m| m.sources.len() - 1).sum();
-        prop_assert_eq!(before.num_clusters() - after.num_clusters(), vanished);
-        let _ = &mut before;
     }
 
     /// Transitive closure is idempotent and only ever adds pairs.
