@@ -74,7 +74,7 @@
 //! all three engines.
 
 use super::pairset::intersect_into;
-use super::{PairSet, RecordId, RecordPair};
+use super::{PairSet, RecordId, RecordPair, MAX_VENN_SETS};
 use std::fmt;
 
 /// Element count above which a chunk promotes to a bitmap container
@@ -741,7 +741,10 @@ fn merge_chunks<'a>(
 /// (each 64-value window costs one word load per set), and as a scalar
 /// k-way merge when all participants are small arrays.
 pub(crate) fn kway_merge_masks_chunked(sets: &[ChunkedPairSet], mut emit: impl FnMut(u64, u32)) {
-    assert!(sets.len() <= 32, "at most 32 sets supported");
+    assert!(
+        sets.len() <= MAX_VENN_SETS,
+        "at most {MAX_VENN_SETS} sets supported"
+    );
     let mut cursors = vec![0usize; sets.len()];
     // Scratch buffers, hoisted out of the per-chunk loop: sparse sets
     // have ~1 chunk per handful of pairs, so per-chunk allocation

@@ -184,6 +184,10 @@ impl AnyPairSet {
     }
 }
 
+/// The most sets one [`PairAlgebra::kway_merge_masks`] (and so one
+/// Venn diagram) can take: the width of its `u32` region mask.
+pub const MAX_VENN_SETS: usize = u32::BITS as usize;
+
 /// The set-algebra interface shared by Frost's three pair-set engines:
 /// the packed sorted-`Vec<u64>` [`PairSet`], the single-level
 /// [`ChunkedPairSet`] (chunk by `lo`, `u32` containers) and the
@@ -244,7 +248,8 @@ pub trait PairAlgebra: Clone + PartialEq + std::fmt::Debug + Send + Sync + Sized
     /// Streams the k-way merge of `sets`: for every distinct pair in
     /// ascending packed order, `emit(packed, mask)` with bit `i` of
     /// `mask` set iff `sets[i]` contains the pair. The engine under
-    /// [`venn_regions`](crate::explore::setops::venn_regions).
+    /// [`venn_regions`](crate::explore::setops::venn_regions). Takes at
+    /// most [`MAX_VENN_SETS`] sets.
     fn kway_merge_masks(sets: &[Self], emit: impl FnMut(u64, u32));
 
     /// Bytes of heap memory held by the representation.

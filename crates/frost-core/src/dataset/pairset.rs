@@ -29,7 +29,7 @@
 //! makes the merge loops memory-bandwidth-bound rather than
 //! cache-miss-bound.
 
-use super::{RecordId, RecordPair};
+use super::{RecordId, RecordPair, MAX_VENN_SETS};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -543,7 +543,10 @@ pub(crate) fn gallop_intersect<T: Ord + Copy>(small: &[T], large: &[T], mut emit
 /// bit `i` of `mask` is set iff `sets[i]` contains the pair. The engine
 /// under `venn_regions` — one pass, no hashing.
 pub(crate) fn kway_merge_masks(sets: &[PairSet], mut emit: impl FnMut(u64, u32)) {
-    assert!(sets.len() <= 32, "at most 32 sets supported");
+    assert!(
+        sets.len() <= MAX_VENN_SETS,
+        "at most {MAX_VENN_SETS} sets supported"
+    );
     let mut cursors = vec![0usize; sets.len()];
     loop {
         // Minimum current value across all unfinished sets.

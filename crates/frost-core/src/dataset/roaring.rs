@@ -67,7 +67,7 @@
 
 use super::chunked::{words, ARRAY_MAX};
 use super::pairset::intersect_into;
-use super::{PairSet, RecordId, RecordPair};
+use super::{PairSet, RecordId, RecordPair, MAX_VENN_SETS};
 use std::fmt;
 
 /// Words per bitmap container: 2¹⁶ values / 64 bits.
@@ -759,7 +759,10 @@ fn merge_dirs(
 /// indexes within the bitmap extent, so no scalar tail exists), and as
 /// a scalar k-way `u16` merge when all participants are arrays.
 pub(crate) fn kway_merge_masks_roaring(sets: &[RoaringPairSet], mut emit: impl FnMut(u64, u32)) {
-    assert!(sets.len() <= 32, "at most 32 sets supported");
+    assert!(
+        sets.len() <= MAX_VENN_SETS,
+        "at most {MAX_VENN_SETS} sets supported"
+    );
     let mut cursors = vec![0usize; sets.len()];
     // Scratch buffers hoisted out of the per-chunk loop: sparse sets
     // have one chunk per handful of pairs, so per-chunk allocation

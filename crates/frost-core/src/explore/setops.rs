@@ -127,7 +127,8 @@ impl<S: PairAlgebra> VennRegion<S> {
 }
 
 /// Enumerates all non-empty exclusive regions of the n-set Venn diagram
-/// in one k-way merge over the sorted sets (supports up to 32 sets; the
+/// in one k-way merge over the sorted sets (supports up to
+/// [`MAX_VENN_SETS`](crate::dataset::MAX_VENN_SETS) sets; the
 /// UI caps at 3, "Venn diagrams of more than three sets need … advanced
 /// shapes"). Each pair is visited exactly once and lands in exactly one
 /// region, in ascending order — so the per-region sets are built by

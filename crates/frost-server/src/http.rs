@@ -18,7 +18,7 @@
 //! | `/ratios`          | `GetAttributeRatios`     | yes (`exp:<E>`) |
 //! | `/errors`          | `GetErrorProfile`        | yes (`exp:<E>`) |
 //! | `/quality`         | `GetQualitySignals`      | yes (`exp:<E>`) |
-//! | `/stats`           | cache counters           | no             |
+//! | `/stats`           | counters and gauges (JSON) | no           |
 //! | `/metrics` (bare)  | Prometheus exposition    | never          |
 //! | `/debug/traces`    | last-N request traces    | never          |
 //!
@@ -87,6 +87,11 @@
 //! tests can pin that the hot path performs zero of them. Listings
 //! stay uncached — they are cheaper than the cache probe.
 //!
+//! `/stats` and the bare `/metrics` are two encodings of one table,
+//! the counter registry in [`crate::telemetry`]: this module
+//! owns the counters (`OverloadStats`, the cache, the render and
+//! connection counts) but names and renders none of them itself.
+//!
 //! Bodies are rendered by [`json::response_to_json`], so an HTTP
 //! response is byte-identical to rendering the in-process
 //! [`api::handle`] result — the invariant the loopback golden tests
@@ -95,7 +100,7 @@
 use crate::event_loop;
 use crate::json::{self, response_to_json};
 use crate::replication::{self, ReplicationHub, Role, StreamPreamble};
-use crate::telemetry::{self, Endpoint, Stage, Telemetry, Trace};
+use crate::telemetry::{Registry, Stage, Telemetry, Trace};
 use frost_core::diagram::{DiagramEngine, MAX_DIAGRAM_SAMPLES, MAX_NAIVE_DIAGRAM_SAMPLES};
 use frost_storage::api::{self, Request};
 use frost_storage::cache::{CacheWeight, ShardedCache};
@@ -347,22 +352,28 @@ struct WindowSlot {
     shed: AtomicU64,
 }
 
-/// Overload counters surfaced by `/stats` and `/readyz`. All atomics:
-/// the hot path only ever pays relaxed increments.
+/// Overload counters surfaced by `/stats`, `/metrics` and `/readyz`.
+/// All atomics: the hot path only ever pays relaxed increments.
 #[derive(Default)]
 pub struct OverloadStats {
-    queue_depth: AtomicI64,
-    queue_max_depth: AtomicI64,
-    admitted: AtomicU64,
-    shed_queue_full: AtomicU64,
-    shed_deadline: AtomicU64,
-    shed_class_saturated: AtomicU64,
-    shed_draining: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    method_not_allowed: AtomicU64,
-    inflight_cached: AtomicUsize,
-    inflight_compute: AtomicUsize,
-    inflight_write: AtomicUsize,
+    pub(crate) queue_depth: AtomicI64,
+    /// High-water mark of `queue_depth`.
+    pub(crate) queue_max_depth: AtomicI64,
+    pub(crate) admitted: AtomicU64,
+    pub(crate) shed_queue_full: AtomicU64,
+    pub(crate) shed_deadline: AtomicU64,
+    pub(crate) shed_class_saturated: AtomicU64,
+    pub(crate) shed_draining: AtomicU64,
+    /// Requests that saw their deadline pass: shed before evaluation,
+    /// or found late after it.
+    pub(crate) deadline_exceeded: AtomicU64,
+    /// `405` answers, counted only after the deadline check.
+    pub(crate) method_not_allowed: AtomicU64,
+    /// Requests being served per class (compute and write: while
+    /// holding their class permit).
+    pub(crate) inflight_cached: AtomicUsize,
+    pub(crate) inflight_compute: AtomicUsize,
+    pub(crate) inflight_write: AtomicUsize,
     window: [WindowSlot; SHED_WINDOW_SECS as usize],
 }
 
@@ -388,43 +399,8 @@ impl OverloadStats {
     }
 
     /// Connections currently waiting in the admission queue.
-    pub fn queue_depth(&self) -> u64 {
+    pub(crate) fn queue_depth(&self) -> u64 {
         self.queue_depth.load(Ordering::Acquire).max(0) as u64
-    }
-
-    /// High-water mark of [`queue_depth`](Self::queue_depth).
-    pub fn queue_max_depth(&self) -> u64 {
-        self.queue_max_depth.load(Ordering::Acquire).max(0) as u64
-    }
-
-    /// Connections admitted (queued for a worker) since start-up.
-    pub fn admitted(&self) -> u64 {
-        self.admitted.load(Ordering::Relaxed)
-    }
-
-    /// Sheds by reason, in declaration order: queue-full, deadline,
-    /// class-saturated, draining.
-    pub fn sheds(&self) -> [u64; 4] {
-        [
-            self.shed_queue_full.load(Ordering::Relaxed),
-            self.shed_deadline.load(Ordering::Relaxed),
-            self.shed_class_saturated.load(Ordering::Relaxed),
-            self.shed_draining.load(Ordering::Relaxed),
-        ]
-    }
-
-    /// Requests that observed an expired deadline at any point — shed
-    /// before evaluation, or detected late after their (already
-    /// admitted) evaluation finished.
-    pub fn deadline_exceeded(&self) -> u64 {
-        self.deadline_exceeded.load(Ordering::Relaxed)
-    }
-
-    /// Requests refused with `405 Method Not Allowed`. Counted only
-    /// *after* the deadline check — a past-deadline request with a
-    /// bogus method is shed, not answered per-method.
-    pub fn method_not_allowed(&self) -> u64 {
-        self.method_not_allowed.load(Ordering::Relaxed)
     }
 
     pub(crate) fn note_method_not_allowed(&self) {
@@ -498,17 +474,6 @@ impl OverloadStats {
             Class::Compute => &self.inflight_compute,
             Class::Write => &self.inflight_write,
         }
-    }
-
-    /// In-flight gauges `(cached, compute, write)`: requests currently
-    /// being served per class (for compute/write: currently holding a
-    /// class permit, i.e. doing the expensive part).
-    pub fn inflight(&self) -> (usize, usize, usize) {
-        (
-            self.inflight_cached.load(Ordering::Relaxed),
-            self.inflight_compute.load(Ordering::Relaxed),
-            self.inflight_write.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -2253,8 +2218,12 @@ fn route(request: &ParsedRequest, state: &ServerState, ctx: &RequestContext) -> 
                 }
             }
         }
-        Ok(Routed::Stats) => stats_response(state),
-        Ok(Routed::Prometheus) => prometheus_response(state),
+        Ok(Routed::Stats) => encode_response(200, Registry::read(state).stats_json().into()),
+        // Rendered fresh on every scrape: never cached, no `ETag`.
+        Ok(Routed::Prometheus) => {
+            let body = Registry::read(state).exposition().into_bytes();
+            encode_text(200, body, CONTENT_TYPE_PROMETHEUS)
+        }
         Ok(Routed::Traces) => traces_response(state),
         Ok(Routed::ReplicationWal {
             from,
@@ -2294,77 +2263,6 @@ fn debug_sleep(params: &Params, ctx: &RequestContext) -> RouteOutcome {
     }
     let body = serde_json::to_string(&Value::object([("slept_ms".to_string(), Value::from(ms))]));
     RouteOutcome::Response(encode_response(200, body.into()))
-}
-
-/// The `/stats` body: cache counters plus the overload block
-/// (queue gauges, sheds by reason, per-class in-flight, cache bytes).
-fn stats_response(state: &ServerState) -> CachedResponse {
-    let responses = state.response_cache();
-    let ov = state.overload();
-    let [queue_full, deadline, class_saturated, draining] = ov.sheds();
-    let (inflight_cached, inflight_compute, inflight_write) = ov.inflight();
-    let role = match state.hub.role() {
-        Role::Primary => "primary",
-        Role::Replica => "replica",
-    };
-    let body = serde_json::to_string(&Value::object([
-        (
-            "generation".to_string(),
-            Value::from(responses.generation()),
-        ),
-        ("poisoned".to_string(), Value::from(state.wal_poisoned())),
-        ("role".to_string(), Value::from(role)),
-        ("response_hits".to_string(), Value::from(responses.hits())),
-        (
-            "response_misses".to_string(),
-            Value::from(responses.misses()),
-        ),
-        ("response_entries".to_string(), Value::from(responses.len())),
-        (
-            "response_cache_bytes".to_string(),
-            Value::from(responses.bytes()),
-        ),
-        (
-            "json_renders".to_string(),
-            Value::from(state.json_renders()),
-        ),
-        (
-            "connections".to_string(),
-            Value::from(state.connections_accepted()),
-        ),
-        (
-            "open_connections".to_string(),
-            Value::from(state.telemetry.open_connections() as f64),
-        ),
-        ("queue_depth".to_string(), Value::from(ov.queue_depth())),
-        (
-            "queue_max_depth".to_string(),
-            Value::from(ov.queue_max_depth()),
-        ),
-        ("admitted".to_string(), Value::from(ov.admitted())),
-        ("shed_queue_full".to_string(), Value::from(queue_full)),
-        ("shed_deadline".to_string(), Value::from(deadline)),
-        (
-            "shed_class_saturated".to_string(),
-            Value::from(class_saturated),
-        ),
-        ("shed_draining".to_string(), Value::from(draining)),
-        (
-            "deadline_exceeded".to_string(),
-            Value::from(ov.deadline_exceeded()),
-        ),
-        (
-            "method_not_allowed".to_string(),
-            Value::from(ov.method_not_allowed()),
-        ),
-        ("inflight_cached".to_string(), Value::from(inflight_cached)),
-        (
-            "inflight_compute".to_string(),
-            Value::from(inflight_compute),
-        ),
-        ("inflight_write".to_string(), Value::from(inflight_write)),
-    ]));
-    encode_response(200, body.into())
 }
 
 /// The `/readyz` body + status: ready (200) only while the store is
@@ -2415,461 +2313,6 @@ fn readyz_response(state: &ServerState, options: &ServeOptions) -> CachedRespons
         ),
     ]));
     encode_response(if ready { 200 } else { 503 }, body.into())
-}
-
-/// The `GET /metrics` body: every `/stats` counter and gauge plus the
-/// telemetry histograms, in Prometheus text exposition format.
-/// Rendered fresh on every scrape — never cached, no `ETag`.
-fn prometheus_response(state: &ServerState) -> CachedResponse {
-    let mut out = String::with_capacity(8 * 1024);
-    let t = &state.telemetry;
-    let responses = state.response_cache();
-    let ov = state.overload();
-    let [queue_full, deadline, class_saturated, draining] = ov.sheds();
-    let (inflight_cached, inflight_compute, inflight_write) = ov.inflight();
-
-    telemetry::write_family(
-        &mut out,
-        "frost_http_requests_total",
-        "counter",
-        "Responses completed (last byte written), by endpoint.",
-    );
-    for endpoint in Endpoint::ALL {
-        let n = t.requests_for(endpoint);
-        if n > 0 {
-            telemetry::write_sample(
-                &mut out,
-                "frost_http_requests_total",
-                &endpoint_labels(endpoint),
-                n as f64,
-            );
-        }
-    }
-    telemetry::write_family(
-        &mut out,
-        "frost_http_slow_requests_total",
-        "counter",
-        "Requests exceeding the --slow-request-ms threshold.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_http_slow_requests_total",
-        "",
-        t.slow_total() as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_connections_accepted_total",
-        "counter",
-        "Connections accepted since start.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_connections_accepted_total",
-        "",
-        state.connections_accepted() as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_open_connections",
-        "gauge",
-        "Connections currently open on the event loops.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_open_connections",
-        "",
-        t.open_connections() as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_admitted_total",
-        "counter",
-        "Requests admitted to the dispatch queue.",
-    );
-    telemetry::write_sample(&mut out, "frost_admitted_total", "", ov.admitted() as f64);
-    telemetry::write_family(
-        &mut out,
-        "frost_shed_total",
-        "counter",
-        "Requests shed with 503, by reason.",
-    );
-    for (reason, n) in [
-        ("queue_full", queue_full),
-        ("deadline", deadline),
-        ("class_saturated", class_saturated),
-        ("draining", draining),
-    ] {
-        telemetry::write_sample(
-            &mut out,
-            "frost_shed_total",
-            &format!("reason=\"{reason}\""),
-            n as f64,
-        );
-    }
-    telemetry::write_family(
-        &mut out,
-        "frost_deadline_exceeded_total",
-        "counter",
-        "Responses that finished after their deadline had passed.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_deadline_exceeded_total",
-        "",
-        ov.deadline_exceeded() as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_method_not_allowed_total",
-        "counter",
-        "Requests rejected with 405.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_method_not_allowed_total",
-        "",
-        ov.method_not_allowed() as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_queue_depth",
-        "gauge",
-        "Requests currently waiting in the dispatch queue.",
-    );
-    telemetry::write_sample(&mut out, "frost_queue_depth", "", ov.queue_depth() as f64);
-    telemetry::write_family(
-        &mut out,
-        "frost_queue_max_depth",
-        "gauge",
-        "High-water mark of the dispatch queue.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_queue_max_depth",
-        "",
-        ov.queue_max_depth() as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_inflight_requests",
-        "gauge",
-        "Requests currently being routed, by cost class.",
-    );
-    for (class, n) in [
-        ("cached", inflight_cached),
-        ("compute", inflight_compute),
-        ("write", inflight_write),
-    ] {
-        telemetry::write_sample(
-            &mut out,
-            "frost_inflight_requests",
-            &format!("class=\"{class}\""),
-            n as f64,
-        );
-    }
-    telemetry::write_family(
-        &mut out,
-        "frost_cache_hits_total",
-        "counter",
-        "Result-cache hits, by tier (response = serialized bytes).",
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_cache_misses_total",
-        "counter",
-        "Result-cache misses, by tier.",
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_cache_entries",
-        "gauge",
-        "Live result-cache entries, by tier.",
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_cache_bytes",
-        "gauge",
-        "Tracked result-cache bytes, by tier.",
-    );
-    let labels = "tier=\"response\"";
-    for (family, value) in [
-        ("frost_cache_hits_total", responses.hits()),
-        ("frost_cache_misses_total", responses.misses()),
-        ("frost_cache_entries", responses.len() as u64),
-        ("frost_cache_bytes", responses.bytes() as u64),
-    ] {
-        telemetry::write_sample(&mut out, family, labels, value as f64);
-    }
-    telemetry::write_family(
-        &mut out,
-        "frost_cache_generation",
-        "gauge",
-        "Store mutation generation the result cache is stamped with.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_cache_generation",
-        "",
-        responses.generation() as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_json_renders_total",
-        "counter",
-        "JSON serializations actually performed (cache misses).",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_json_renders_total",
-        "",
-        state.json_renders() as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_wal_poisoned",
-        "gauge",
-        "1 when a WAL disk failure has poisoned the write path.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_wal_poisoned",
-        "",
-        if state.wal_poisoned() { 1.0 } else { 0.0 },
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_draining",
-        "gauge",
-        "1 while the server is draining for shutdown.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_draining",
-        "",
-        if state.is_draining() { 1.0 } else { 0.0 },
-    );
-
-    let hub = &state.hub;
-    let lag = hub.lag();
-    let (_, applied_offset, applied_records) = hub.position();
-    telemetry::write_family(
-        &mut out,
-        "frost_replication_role",
-        "gauge",
-        "Replication role: 0 = primary, 1 = replica.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_replication_role",
-        "",
-        if hub.is_primary() { 0.0 } else { 1.0 },
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_replication_applied_offset_bytes",
-        "gauge",
-        "Durable WAL length of this node (the offset replicas poll from).",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_replication_applied_offset_bytes",
-        "",
-        applied_offset as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_replication_applied_records",
-        "gauge",
-        "WAL records in this node's durable prefix.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_replication_applied_records",
-        "",
-        applied_records as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_replication_lag_bytes",
-        "gauge",
-        "WAL bytes the primary has that this replica has not applied (0 on a primary).",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_replication_lag_bytes",
-        "",
-        lag.bytes as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_replication_lag_records",
-        "gauge",
-        "WAL records the primary has that this replica has not applied (0 on a primary).",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_replication_lag_records",
-        "",
-        lag.records as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_replication_lag_seconds",
-        "gauge",
-        "Seconds since this replica last matched the primary's WAL length (0-ish when caught up).",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_replication_lag_seconds",
-        "",
-        lag.ms as f64 / 1000.0,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_replication_connected",
-        "gauge",
-        "1 while the replica's last poll of its primary succeeded.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_replication_connected",
-        "",
-        if hub.connected() { 1.0 } else { 0.0 },
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_replication_polls_total",
-        "counter",
-        "Replication WAL polls served to replicas.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_replication_polls_total",
-        "",
-        hub.polls() as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_replication_streamed_bytes_total",
-        "counter",
-        "WAL and snapshot payload bytes streamed to replicas.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_replication_streamed_bytes_total",
-        "",
-        hub.streamed_bytes() as f64,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_replication_sync_timeouts_total",
-        "counter",
-        "Semi-sync writes answered 503 because no replica acknowledged in time.",
-    );
-    telemetry::write_sample(
-        &mut out,
-        "frost_replication_sync_timeouts_total",
-        "",
-        hub.sync_timeouts() as f64,
-    );
-
-    telemetry::write_family(
-        &mut out,
-        "frost_http_request_duration_seconds",
-        "histogram",
-        "End-to-end request latency (accepted to last byte), by endpoint.",
-    );
-    for endpoint in Endpoint::ALL {
-        let h = t.e2e_histogram(endpoint);
-        if h.count() > 0 {
-            telemetry::write_histogram(
-                &mut out,
-                "frost_http_request_duration_seconds",
-                &endpoint_labels(endpoint),
-                h,
-                1e-9,
-            );
-        }
-    }
-    telemetry::write_family(
-        &mut out,
-        "frost_http_stage_duration_seconds",
-        "histogram",
-        "Duration of each request lifecycle stage (see /debug/traces glossary).",
-    );
-    for stage in &Stage::ALL[1..] {
-        telemetry::write_histogram(
-            &mut out,
-            "frost_http_stage_duration_seconds",
-            &format!("stage=\"{}\"", stage.name()),
-            t.stage_histogram(*stage),
-            1e-9,
-        );
-    }
-    telemetry::write_family(
-        &mut out,
-        "frost_wal_append_duration_seconds",
-        "histogram",
-        "WAL frame append (write) duration.",
-    );
-    telemetry::write_histogram(
-        &mut out,
-        "frost_wal_append_duration_seconds",
-        "",
-        &t.wal().append,
-        1e-9,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_wal_fsync_duration_seconds",
-        "histogram",
-        "WAL fsync duration.",
-    );
-    telemetry::write_histogram(
-        &mut out,
-        "frost_wal_fsync_duration_seconds",
-        "",
-        &t.wal().fsync,
-        1e-9,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_event_loop_poll_dwell_seconds",
-        "histogram",
-        "Wall time spent inside each poll(2) call.",
-    );
-    telemetry::write_histogram(
-        &mut out,
-        "frost_event_loop_poll_dwell_seconds",
-        "",
-        t.poll_dwell(),
-        1e-9,
-    );
-    telemetry::write_family(
-        &mut out,
-        "frost_event_loop_dispatch_batch",
-        "histogram",
-        "Events handled per event-loop wake (adoptions + completions + readiness).",
-    );
-    telemetry::write_histogram(
-        &mut out,
-        "frost_event_loop_dispatch_batch",
-        "",
-        t.dispatch_batch(),
-        1.0,
-    );
-
-    encode_text(200, out.into_bytes(), CONTENT_TYPE_PROMETHEUS)
-}
-
-/// The `endpoint="…",class="…"` label pair of one endpoint.
-fn endpoint_labels(endpoint: Endpoint) -> String {
-    format!(
-        "endpoint=\"{}\",class=\"{}\"",
-        endpoint.name(),
-        endpoint.class_name()
-    )
 }
 
 /// The `GET /debug/traces` body: the retained per-stage traces, most
@@ -3473,6 +2916,164 @@ mod tests {
             buffer.buf.capacity() < 64 * 1024,
             "buffer must not grow with served request count (capacity {})",
             buffer.buf.capacity()
+        );
+    }
+
+    /// Drives a distinct value into every counter and gauge `/stats`
+    /// reports, then hands the state to `check` while the live gauges
+    /// (in-flight requests, open connections) are still held up.
+    fn with_driven_state(check: impl FnOnce(&ServerState)) {
+        let state = ServerState::new(BenchmarkStore::new());
+        let ov = &state.overload;
+        for _ in 0..3 {
+            assert!(ov.try_enqueue(8));
+        }
+        ov.queue_dequeued(); // depth 2, high-water mark 3
+        for _ in 0..4 {
+            state.note_admitted();
+        }
+        for (reason, n) in [
+            (ShedReason::QueueFull, 5),
+            (ShedReason::Deadline, 6),
+            (ShedReason::ClassSaturated, 7),
+            (ShedReason::Draining, 8),
+        ] {
+            for _ in 0..n {
+                state.note_shed(reason);
+            }
+        }
+        for _ in 0..3 {
+            ov.note_deadline_late(); // 6 deadline sheds + 3 late = 9
+        }
+        for _ in 0..10 {
+            ov.note_method_not_allowed();
+        }
+        let _inflight: Vec<GaugeGuard> = [
+            (Class::Cached, 11),
+            (Class::Compute, 12),
+            (Class::Write, 13),
+        ]
+        .into_iter()
+        .flat_map(|(class, n)| (0..n).map(move |_| GaugeGuard::new(ov.gauge(class))))
+        .collect();
+        let cache = &state.responses;
+        cache.invalidate();
+        cache.invalidate(); // generation 2
+        for i in 0..14 {
+            assert!(cache.get(&format!("miss{i}")).is_none());
+        }
+        for key in ["a", "bb"] {
+            let payload = encode_response(200, key.as_bytes().to_vec());
+            cache.insert(key, payload, cache.begin());
+        }
+        for _ in 0..15 {
+            assert!(cache.get("a").is_some());
+        }
+        for _ in 0..16 {
+            state.with_store(|s| state.rendered(&api::handle(s, Request::ListDatasets).unwrap()));
+        }
+        state.connections.fetch_add(17, Ordering::Relaxed);
+        let _open: Vec<crate::telemetry::OpenConnGuard> = (0..18)
+            .map(|_| crate::telemetry::OpenConnGuard::new(&state.telemetry))
+            .collect();
+        state.hub.set_role(Role::Replica);
+        check(&state);
+    }
+
+    /// `/stats` of [`with_driven_state`], captured from the
+    /// hand-written renderer the counter registry replaced.
+    const DRIVEN_STATS: &str = r#"{"admitted":4,"connections":17,"deadline_exceeded":9,"generation":2,"inflight_cached":11,"inflight_compute":12,"inflight_write":13,"json_renders":16,"method_not_allowed":10,"open_connections":18,"poisoned":false,"queue_depth":2,"queue_max_depth":3,"response_cache_bytes":146,"response_entries":2,"response_hits":15,"response_misses":14,"role":"replica","shed_class_saturated":7,"shed_deadline":6,"shed_draining":8,"shed_queue_full":5}"#;
+
+    /// Each `/stats` key and the `/metrics` series reporting the same
+    /// value — the spec the registry's two encoders must agree on.
+    const STATS_SERIES: [(&str, &str); 22] = [
+        ("generation", "frost_cache_generation"),
+        ("poisoned", "frost_wal_poisoned"),
+        ("role", "frost_replication_role"),
+        ("response_hits", "frost_cache_hits_total{tier=\"response\"}"),
+        (
+            "response_misses",
+            "frost_cache_misses_total{tier=\"response\"}",
+        ),
+        ("response_entries", "frost_cache_entries{tier=\"response\"}"),
+        (
+            "response_cache_bytes",
+            "frost_cache_bytes{tier=\"response\"}",
+        ),
+        ("json_renders", "frost_json_renders_total"),
+        ("connections", "frost_connections_accepted_total"),
+        ("open_connections", "frost_open_connections"),
+        ("queue_depth", "frost_queue_depth"),
+        ("queue_max_depth", "frost_queue_max_depth"),
+        ("admitted", "frost_admitted_total"),
+        ("shed_queue_full", "frost_shed_total{reason=\"queue_full\"}"),
+        ("shed_deadline", "frost_shed_total{reason=\"deadline\"}"),
+        (
+            "shed_class_saturated",
+            "frost_shed_total{reason=\"class_saturated\"}",
+        ),
+        ("shed_draining", "frost_shed_total{reason=\"draining\"}"),
+        ("deadline_exceeded", "frost_deadline_exceeded_total"),
+        ("method_not_allowed", "frost_method_not_allowed_total"),
+        (
+            "inflight_cached",
+            "frost_inflight_requests{class=\"cached\"}",
+        ),
+        (
+            "inflight_compute",
+            "frost_inflight_requests{class=\"compute\"}",
+        ),
+        ("inflight_write", "frost_inflight_requests{class=\"write\"}"),
+    ];
+
+    #[test]
+    fn stats_body_matches_the_golden() {
+        with_driven_state(|state| assert_eq!(Registry::read(state).stats_json(), DRIVEN_STATS));
+    }
+
+    #[test]
+    fn every_stats_key_equals_its_metrics_series() {
+        with_driven_state(|state| {
+            let stats = serde_json::from_str(&Registry::read(state).stats_json()).unwrap();
+            let Value::Object(stats) = stats else {
+                panic!("/stats is not an object")
+            };
+            let mut spec_keys: Vec<&str> = STATS_SERIES.iter().map(|(key, _)| *key).collect();
+            spec_keys.sort_unstable();
+            assert!(
+                stats.keys().map(String::as_str).eq(spec_keys),
+                "every /stats key needs a series in the spec: {stats:?}"
+            );
+            let metrics = Registry::read(state).exposition();
+            let series: std::collections::HashMap<&str, f64> = metrics
+                .lines()
+                .filter(|line| !line.starts_with('#'))
+                .map(|line| {
+                    let (name, value) = line.rsplit_once(' ').unwrap();
+                    (name, value.parse().unwrap())
+                })
+                .collect();
+            for (key, name) in STATS_SERIES {
+                let want = match &stats[key] {
+                    Value::Number(n) => *n,
+                    Value::Bool(b) => f64::from(u8::from(*b)),
+                    Value::String(role) if role == "primary" => 0.0,
+                    Value::String(role) if role == "replica" => 1.0,
+                    other => panic!("{key}: unexpected {other:?}"),
+                };
+                assert_eq!(series.get(name), Some(&want), "/stats {key} vs {name}");
+            }
+        });
+    }
+
+    #[test]
+    fn fresh_metrics_match_the_golden() {
+        // Captured from the hand-written renderer, with the four
+        // `frost_cache_*` headers moved next to their own samples.
+        let state = ServerState::new(BenchmarkStore::new());
+        assert_eq!(
+            Registry::read(&state).exposition(),
+            include_str!("../tests/golden/fresh_metrics.prom")
         );
     }
 }

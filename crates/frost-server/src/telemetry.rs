@@ -1,6 +1,7 @@
 //! The serving layer's telemetry: per-request lifecycle traces, the
-//! always-on latency histograms behind `GET /metrics`, and the
-//! last-N trace ring behind `GET /debug/traces`.
+//! always-on latency histograms, the last-N trace ring behind
+//! `GET /debug/traces`, and the counter registry behind `GET /stats`
+//! and `GET /metrics`.
 //!
 //! # Stages
 //!
@@ -35,7 +36,20 @@
 //! [`ServeOptions::telemetry`](crate::ServeOptions::telemetry) to
 //! `false` skips tracing entirely — the bench harness gates the
 //! enabled-vs-disabled difference at ≤ 5 % of hot-path p50.
+//!
+//! # The counter registry
+//!
+//! `Registry::read` is the one place that names, describes and reads
+//! what `frostd` reports about itself. For each counter, gauge and
+//! histogram family it holds the Prometheus name, kind, help text and
+//! labels, the `/stats` key of each sample that has one, and the value,
+//! read once per render. Two encoders render that table:
+//! `Registry::stats_json` (the `/stats` object) and
+//! `Registry::exposition` (the Prometheus text, each family's
+//! `# HELP`/`# TYPE` header directly followed by its samples).
 
+use crate::replication::Role;
+use crate::ServerState;
 use frost_storage::telemetry::{Histogram, WalStats};
 use parking_lot::{Mutex, RwLock};
 use serde_json::Value;
@@ -263,6 +277,15 @@ impl Endpoint {
             _ => "cached",
         }
     }
+
+    /// The `endpoint="…",class="…"` label pair in `/metrics`.
+    fn labels(self) -> String {
+        format!(
+            "endpoint=\"{}\",class=\"{}\"",
+            self.name(),
+            self.class_name()
+        )
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -481,49 +504,6 @@ impl Telemetry {
         self.open_connections.load(Ordering::Relaxed).max(0)
     }
 
-    /// Completed responses, summed over every endpoint.
-    pub fn requests_total(&self) -> u64 {
-        self.requests
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Completed responses for one endpoint label.
-    pub fn requests_for(&self, endpoint: Endpoint) -> u64 {
-        self.requests[endpoint as usize].load(Ordering::Relaxed)
-    }
-
-    /// Requests that exceeded the slow-request threshold.
-    pub fn slow_total(&self) -> u64 {
-        self.slow_total.load(Ordering::Relaxed)
-    }
-
-    /// The end-to-end latency histogram of one endpoint.
-    pub fn e2e_histogram(&self, endpoint: Endpoint) -> &Histogram {
-        &self.e2e[endpoint as usize]
-    }
-
-    /// The duration histogram of the interval ending at `stage`.
-    pub fn stage_histogram(&self, stage: Stage) -> &Histogram {
-        &self.stage[stage as usize]
-    }
-
-    /// The poll-dwell histogram (time inside `poll(2)`).
-    pub fn poll_dwell(&self) -> &Histogram {
-        &self.poll_dwell
-    }
-
-    /// The dispatch-batch-size histogram (events per loop wake).
-    pub fn dispatch_batch(&self) -> &Histogram {
-        &self.dispatch_batch
-    }
-
-    /// The WAL append/fsync histograms.
-    pub fn wal(&self) -> &WalStats {
-        &self.wal
-    }
-
     pub(crate) fn note_poll_dwell(&self, dwell: Duration) {
         self.poll_dwell.record_duration(dwell);
     }
@@ -636,11 +616,358 @@ fn log_slow_request(trace: &Trace, total: Duration, stages: &[(Stage, Duration)]
 }
 
 // ---------------------------------------------------------------------
-// Prometheus text exposition helpers
+// The counter registry: one table, two encoders
 // ---------------------------------------------------------------------
 
+/// One sample's value, read once per render.
+#[derive(Clone, Copy)]
+enum Reading<'a> {
+    /// A count or a level.
+    Number(f64),
+    /// `true`/`false` in `/stats`, `1`/`0` in `/metrics`.
+    Flag(bool),
+    /// `"primary"`/`"replica"` in `/stats`, `0`/`1` in `/metrics`.
+    Role(Role),
+    /// A histogram and the factor its recorded values are multiplied
+    /// by in `/metrics` (`1e-9` renders nanoseconds as seconds).
+    Histogram(&'a Histogram, f64),
+}
+
+impl From<u64> for Reading<'_> {
+    fn from(n: u64) -> Self {
+        Reading::Number(n as f64)
+    }
+}
+
+/// One sample: its label set, its `/stats` key when `/stats` reports
+/// it, and its value.
+struct Sample<'a> {
+    labels: String,
+    stat: Option<&'static str>,
+    value: Reading<'a>,
+}
+
+/// A metric family: its exposition header and its samples.
+struct Family<'a> {
+    name: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    samples: Vec<Sample<'a>>,
+}
+
+impl<'a> Family<'a> {
+    fn sample(
+        &mut self,
+        labels: impl Into<String>,
+        stat: Option<&'static str>,
+        value: impl Into<Reading<'a>>,
+    ) -> &mut Self {
+        self.samples.push(Sample {
+            labels: labels.into(),
+            stat,
+            value: value.into(),
+        });
+        self
+    }
+}
+
+/// Everything `frostd` reports about itself, read once from a
+/// [`ServerState`]: the one table behind both `GET /stats` (the
+/// [`stats_json`](Self::stats_json) encoder) and `GET /metrics` (the
+/// [`exposition`](Self::exposition) encoder). Each family's name,
+/// kind, help text, labels and `/stats` key is written down here and
+/// nowhere else.
+pub(crate) struct Registry<'a> {
+    families: Vec<Family<'a>>,
+}
+
+impl<'a> Registry<'a> {
+    fn family(
+        &mut self,
+        kind: &'static str,
+        name: &'static str,
+        help: &'static str,
+    ) -> &mut Family<'a> {
+        self.families.push(Family {
+            name,
+            kind,
+            help,
+            samples: Vec::new(),
+        });
+        self.families.last_mut().expect("just pushed")
+    }
+
+    fn counter(&mut self, name: &'static str, help: &'static str) -> &mut Family<'a> {
+        self.family("counter", name, help)
+    }
+
+    fn gauge(&mut self, name: &'static str, help: &'static str) -> &mut Family<'a> {
+        self.family("gauge", name, help)
+    }
+
+    fn histogram(&mut self, name: &'static str, help: &'static str) -> &mut Family<'a> {
+        self.family("histogram", name, help)
+    }
+
+    /// Reads every counter, gauge and histogram of `state`, in
+    /// exposition order: counters and gauges first, then histograms.
+    pub(crate) fn read(state: &'a ServerState) -> Self {
+        let mut r = Registry {
+            families: Vec::new(),
+        };
+        let t: &'a Telemetry = state.telemetry();
+        let cache = state.response_cache();
+        let ov = state.overload();
+        let hub = state.hub();
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+
+        let requests = r.counter(
+            "frost_http_requests_total",
+            "Responses completed (last byte written), by endpoint.",
+        );
+        for endpoint in Endpoint::ALL {
+            let n = load(&t.requests[endpoint as usize]);
+            if n > 0 {
+                requests.sample(endpoint.labels(), None, n);
+            }
+        }
+        r.counter(
+            "frost_http_slow_requests_total",
+            "Requests exceeding the --slow-request-ms threshold.",
+        )
+        .sample("", None, load(&t.slow_total));
+        r.counter(
+            "frost_connections_accepted_total",
+            "Connections accepted since start.",
+        )
+        .sample("", Some("connections"), state.connections_accepted());
+        r.gauge(
+            "frost_open_connections",
+            "Connections currently open on the event loops.",
+        )
+        .sample("", Some("open_connections"), t.open_connections() as u64);
+        r.counter(
+            "frost_admitted_total",
+            "Requests admitted to the dispatch queue.",
+        )
+        .sample("", Some("admitted"), load(&ov.admitted));
+        let shed = r.counter("frost_shed_total", "Requests shed with 503, by reason.");
+        for (reason, stat, n) in [
+            ("queue_full", "shed_queue_full", &ov.shed_queue_full),
+            ("deadline", "shed_deadline", &ov.shed_deadline),
+            (
+                "class_saturated",
+                "shed_class_saturated",
+                &ov.shed_class_saturated,
+            ),
+            ("draining", "shed_draining", &ov.shed_draining),
+        ] {
+            shed.sample(format!("reason=\"{reason}\""), Some(stat), load(n));
+        }
+        r.counter(
+            "frost_deadline_exceeded_total",
+            "Responses that finished after their deadline had passed.",
+        )
+        .sample("", Some("deadline_exceeded"), load(&ov.deadline_exceeded));
+        r.counter(
+            "frost_method_not_allowed_total",
+            "Requests rejected with 405.",
+        )
+        .sample("", Some("method_not_allowed"), load(&ov.method_not_allowed));
+        r.gauge(
+            "frost_queue_depth",
+            "Requests currently waiting in the dispatch queue.",
+        )
+        .sample("", Some("queue_depth"), ov.queue_depth());
+        let max_depth = ov.queue_max_depth.load(Ordering::Acquire).max(0) as u64;
+        r.gauge(
+            "frost_queue_max_depth",
+            "High-water mark of the dispatch queue.",
+        )
+        .sample("", Some("queue_max_depth"), max_depth);
+        let inflight = r.gauge(
+            "frost_inflight_requests",
+            "Requests currently being routed, by cost class.",
+        );
+        for (class, stat, n) in [
+            ("cached", "inflight_cached", &ov.inflight_cached),
+            ("compute", "inflight_compute", &ov.inflight_compute),
+            ("write", "inflight_write", &ov.inflight_write),
+        ] {
+            let n = n.load(Ordering::Relaxed) as u64;
+            inflight.sample(format!("class=\"{class}\""), Some(stat), n);
+        }
+        let tier = "tier=\"response\"";
+        r.counter(
+            "frost_cache_hits_total",
+            "Result-cache hits, by tier (response = serialized bytes).",
+        )
+        .sample(tier, Some("response_hits"), cache.hits());
+        r.counter("frost_cache_misses_total", "Result-cache misses, by tier.")
+            .sample(tier, Some("response_misses"), cache.misses());
+        r.gauge("frost_cache_entries", "Live result-cache entries, by tier.")
+            .sample(tier, Some("response_entries"), cache.len() as u64);
+        r.gauge("frost_cache_bytes", "Tracked result-cache bytes, by tier.")
+            .sample(tier, Some("response_cache_bytes"), cache.bytes() as u64);
+        r.gauge(
+            "frost_cache_generation",
+            "Store mutation generation the result cache is stamped with.",
+        )
+        .sample("", Some("generation"), cache.generation());
+        r.counter(
+            "frost_json_renders_total",
+            "JSON serializations actually performed (cache misses).",
+        )
+        .sample("", Some("json_renders"), state.json_renders());
+        r.gauge(
+            "frost_wal_poisoned",
+            "1 when a WAL disk failure has poisoned the write path.",
+        )
+        .sample("", Some("poisoned"), Reading::Flag(state.wal_poisoned()));
+        r.gauge(
+            "frost_draining",
+            "1 while the server is draining for shutdown.",
+        )
+        .sample("", None, Reading::Flag(state.is_draining()));
+
+        let lag = hub.lag();
+        let (_, applied_offset, applied_records) = hub.position();
+        r.gauge(
+            "frost_replication_role",
+            "Replication role: 0 = primary, 1 = replica.",
+        )
+        .sample("", Some("role"), Reading::Role(hub.role()));
+        r.gauge(
+            "frost_replication_applied_offset_bytes",
+            "Durable WAL length of this node (the offset replicas poll from).",
+        )
+        .sample("", None, applied_offset);
+        r.gauge(
+            "frost_replication_applied_records",
+            "WAL records in this node's durable prefix.",
+        )
+        .sample("", None, applied_records);
+        r.gauge(
+            "frost_replication_lag_bytes",
+            "WAL bytes the primary has that this replica has not applied (0 on a primary).",
+        )
+        .sample("", None, lag.bytes);
+        r.gauge(
+            "frost_replication_lag_records",
+            "WAL records the primary has that this replica has not applied (0 on a primary).",
+        )
+        .sample("", None, lag.records);
+        r.gauge(
+            "frost_replication_lag_seconds",
+            "Seconds since this replica last matched the primary's WAL length (0-ish when caught up).",
+        )
+        .sample("", None, Reading::Number(lag.ms as f64 / 1000.0));
+        r.gauge(
+            "frost_replication_connected",
+            "1 while the replica's last poll of its primary succeeded.",
+        )
+        .sample("", None, Reading::Flag(hub.connected()));
+        r.counter(
+            "frost_replication_polls_total",
+            "Replication WAL polls served to replicas.",
+        )
+        .sample("", None, hub.polls());
+        r.counter(
+            "frost_replication_streamed_bytes_total",
+            "WAL and snapshot payload bytes streamed to replicas.",
+        )
+        .sample("", None, hub.streamed_bytes());
+        r.counter(
+            "frost_replication_sync_timeouts_total",
+            "Semi-sync writes answered 503 because no replica acknowledged in time.",
+        )
+        .sample("", None, hub.sync_timeouts());
+
+        let e2e = r.histogram(
+            "frost_http_request_duration_seconds",
+            "End-to-end request latency (accepted to last byte), by endpoint.",
+        );
+        for endpoint in Endpoint::ALL {
+            let h = &t.e2e[endpoint as usize];
+            if h.count() > 0 {
+                e2e.sample(endpoint.labels(), None, Reading::Histogram(h, 1e-9));
+            }
+        }
+        let stages = r.histogram(
+            "frost_http_stage_duration_seconds",
+            "Duration of each request lifecycle stage (see /debug/traces glossary).",
+        );
+        for stage in &Stage::ALL[1..] {
+            let h = &t.stage[*stage as usize];
+            stages.sample(
+                format!("stage=\"{}\"", stage.name()),
+                None,
+                Reading::Histogram(h, 1e-9),
+            );
+        }
+        r.histogram(
+            "frost_wal_append_duration_seconds",
+            "WAL frame append (write) duration.",
+        )
+        .sample("", None, Reading::Histogram(&t.wal.append, 1e-9));
+        r.histogram("frost_wal_fsync_duration_seconds", "WAL fsync duration.")
+            .sample("", None, Reading::Histogram(&t.wal.fsync, 1e-9));
+        r.histogram(
+            "frost_event_loop_poll_dwell_seconds",
+            "Wall time spent inside each poll(2) call.",
+        )
+        .sample("", None, Reading::Histogram(&t.poll_dwell, 1e-9));
+        r.histogram(
+            "frost_event_loop_dispatch_batch",
+            "Events handled per event-loop wake (adoptions + completions + readiness).",
+        )
+        .sample("", None, Reading::Histogram(&t.dispatch_batch, 1.0));
+        r
+    }
+
+    /// The `/stats` JSON object: every sample that has a `/stats` key
+    /// (object keys render sorted).
+    pub(crate) fn stats_json(&self) -> String {
+        let entries = self.families.iter().flat_map(|f| &f.samples);
+        let entries = entries.filter_map(|s| {
+            let key = s.stat?;
+            let value = match s.value {
+                Reading::Number(n) => Value::from(n),
+                Reading::Flag(b) => Value::from(b),
+                Reading::Role(Role::Primary) => Value::from("primary"),
+                Reading::Role(Role::Replica) => Value::from("replica"),
+                Reading::Histogram(..) => return None,
+            };
+            Some((key.to_string(), value))
+        });
+        serde_json::to_string(&Value::object(entries))
+    }
+
+    /// The Prometheus text exposition: each family's `# HELP`/`# TYPE`
+    /// header directly followed by its samples.
+    pub(crate) fn exposition(&self) -> String {
+        let mut out = String::with_capacity(8 * 1024);
+        for f in &self.families {
+            write_family(&mut out, f.name, f.kind, f.help);
+            for s in &f.samples {
+                let value = match s.value {
+                    Reading::Number(n) => n,
+                    Reading::Flag(b) => f64::from(u8::from(b)),
+                    Reading::Role(role) => f64::from(u8::from(role == Role::Replica)),
+                    Reading::Histogram(h, unit) => {
+                        write_histogram(&mut out, f.name, &s.labels, h, unit);
+                        continue;
+                    }
+                };
+                write_sample(&mut out, f.name, &s.labels, value);
+            }
+        }
+        out
+    }
+}
+
 /// Appends a `# HELP` + `# TYPE` family header.
-pub(crate) fn write_family(out: &mut String, name: &str, kind: &str, help: &str) {
+fn write_family(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push_str("# HELP ");
     out.push_str(name);
     out.push(' ');
@@ -654,7 +981,7 @@ pub(crate) fn write_family(out: &mut String, name: &str, kind: &str, help: &str)
 
 /// Appends one `name{labels} value` sample line (`labels` may be
 /// empty; values render integrally when integral).
-pub(crate) fn write_sample(out: &mut String, name: &str, labels: &str, value: f64) {
+fn write_sample(out: &mut String, name: &str, labels: &str, value: f64) {
     out.push_str(name);
     if !labels.is_empty() {
         out.push('{');
@@ -676,13 +1003,7 @@ pub(crate) fn write_sample(out: &mut String, name: &str, labels: &str, value: f6
 /// ones). Only non-empty buckets plus the mandatory `+Inf` bucket are
 /// emitted — cumulative `le` semantics make that a valid (and
 /// compact) exposition.
-pub(crate) fn write_histogram(
-    out: &mut String,
-    name: &str,
-    labels: &str,
-    h: &Histogram,
-    unit: f64,
-) {
+fn write_histogram(out: &mut String, name: &str, labels: &str, h: &Histogram, unit: f64) {
     let sep = if labels.is_empty() { "" } else { "," };
     let mut cumulative = 0u64;
     for (upper, count) in h.nonzero_buckets() {
@@ -751,8 +1072,11 @@ mod tests {
         trace.stamp_at(Stage::LastByte, t0 + Duration::from_micros(120));
         trace.set_status(200);
         telemetry.finish(trace);
-        assert_eq!(telemetry.requests_for(Endpoint::Datasets), 1);
-        assert_eq!(telemetry.e2e_histogram(Endpoint::Datasets).count(), 1);
+        assert_eq!(
+            telemetry.requests[Endpoint::Datasets as usize].load(Ordering::Relaxed),
+            1
+        );
+        assert_eq!(telemetry.e2e[Endpoint::Datasets as usize].count(), 1);
         let traces = telemetry.traces_json();
         let entries = traces.get("traces").and_then(Value::as_array).unwrap();
         assert_eq!(entries.len(), 1);

@@ -329,3 +329,37 @@ fn naive_diagram_sample_counts_are_capped_at_table_1s_value() {
     }
     handle.shutdown();
 }
+
+#[test]
+fn comparisons_wider_than_the_region_mask_get_400_and_the_server_lives() {
+    let handle = start();
+    let get = |path: &str, sets: usize| {
+        let experiments = vec!["e1"; sets].join(",");
+        let request = format!(
+            "GET {path}?experiments={experiments} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        );
+        raw_exchange(&handle, &[request.as_bytes()])
+    };
+    // /venn appends the gold standard as one more set.
+    let response = get("/venn", 31);
+    assert!(response.starts_with("HTTP/1.1 200"), "{response:?}");
+    for (path, sets) in [("/venn", 32), ("/compare", 33)] {
+        let response = get(path, sets);
+        assert!(
+            response.starts_with("HTTP/1.1 400"),
+            "{path} with {sets}: {response:?}"
+        );
+        assert!(
+            response.contains("a comparison takes at most 32 sets"),
+            "{response:?}"
+        );
+    }
+    let response = get("/compare", 32);
+    assert!(response.starts_with("HTTP/1.1 200"), "{response:?}");
+    let health = raw_exchange(
+        &handle,
+        &[b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"],
+    );
+    assert!(health.starts_with("HTTP/1.1 200"), "{health:?}");
+    handle.shutdown();
+}

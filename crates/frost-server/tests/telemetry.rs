@@ -66,10 +66,27 @@ fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
 }
 
 /// Every non-comment exposition line must be `name{labels} value` (or
-/// `name value`) with a parseable finite value.
+/// `name value`) with a parseable finite value, and must belong to the
+/// family named by the most recent `# TYPE` line (a histogram's
+/// samples through `_bucket`/`_sum`/`_count`). No family header may
+/// appear twice.
 fn assert_exposition_shape(body: &str) {
+    let mut headers = std::collections::HashSet::new();
+    let mut family: Option<(&str, &str)> = None;
     for line in body.lines() {
-        if line.is_empty() || line.starts_with('#') {
+        if let Some(header) = line.strip_prefix("# ") {
+            let mut words = header.split(' ');
+            let (kind, name) = (words.next().unwrap(), words.next().unwrap_or(""));
+            assert!(
+                headers.insert((kind, name)),
+                "family header appears twice: {line:?}"
+            );
+            if kind == "TYPE" {
+                family = Some((name, words.next().unwrap_or("")));
+            }
+            continue;
+        }
+        if line.is_empty() {
             continue;
         }
         let (name_part, value) = line.rsplit_once(' ').unwrap_or_else(|| {
@@ -95,6 +112,20 @@ fn assert_exposition_shape(body: &str) {
                 );
             }
         }
+        let (family_name, kind) =
+            family.unwrap_or_else(|| panic!("sample before any # TYPE line: {line:?}"));
+        let base = if kind == "histogram" {
+            ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| name.strip_suffix(suffix))
+                .unwrap_or(name)
+        } else {
+            name
+        };
+        assert_eq!(
+            base, family_name,
+            "sample {line:?} sits under the # TYPE of another family"
+        );
     }
 }
 

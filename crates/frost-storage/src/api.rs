@@ -10,6 +10,7 @@
 //! get the full feature set through one entry point.
 
 use crate::store::{BenchmarkStore, StoreError};
+use frost_core::dataset::MAX_VENN_SETS;
 use frost_core::diagram::DiagramEngine;
 use frost_core::explore::setops::venn_regions;
 use frost_core::metrics::confusion::ConfusionMatrix;
@@ -264,6 +265,12 @@ pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, Stor
             experiments,
             include_gold,
         } => {
+            let sets = experiments.len() + usize::from(include_gold);
+            if sets > MAX_VENN_SETS {
+                return Err(StoreError::InvalidInput(format!(
+                    "a comparison takes at most {MAX_VENN_SETS} sets, got {sets}"
+                )));
+            }
             // Engine auto-selection: the N-Intersection viewer holds
             // every compared set in memory at once, so the cost model
             // (pair count × chunk occupancy, `pair_engine_hint`)

@@ -308,8 +308,16 @@ fn run_venn_view(
     experiments: &[String],
     table: bool,
 ) -> Result<(), String> {
-    use frost::core::dataset::{ChunkedPairSet, PairAlgebra, PairEngine, PairSet, RoaringPairSet};
+    use frost::core::dataset::{
+        ChunkedPairSet, PairAlgebra, PairEngine, PairSet, RoaringPairSet, MAX_VENN_SETS,
+    };
 
+    if experiments.len() >= MAX_VENN_SETS {
+        let max = MAX_VENN_SETS - 1;
+        return Err(format!(
+            "at most {max} experiments can be compared ({MAX_VENN_SETS} sets with the gold standard)"
+        ));
+    }
     let ds = importer
         .import("dataset", &read(dataset)?)
         .map_err(|e| e.to_string())?;

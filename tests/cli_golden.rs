@@ -120,3 +120,27 @@ fn venn_and_compare_report_bad_input() {
     }
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// A comparison takes at most 32 sets (the width of the region mask),
+/// and the gold standard is one of them: 31 experiments render, 32
+/// exit 1 with a one-line message instead of panicking.
+#[test]
+fn venn_and_compare_cap_the_set_count() {
+    let (dir, ds, gold, e1, _) = fixture("wide");
+    for cmd in ["compare", "venn"] {
+        let mut args = vec![cmd, &ds, &gold];
+        args.extend(std::iter::repeat_n(e1.as_str(), 31));
+        let (_, stderr, ok) = run_frost(&args);
+        assert!(ok, "{cmd} with 31 experiments: {stderr}");
+        args.push(&e1);
+        let (stdout, stderr, ok) = run_frost(&args);
+        assert!(!ok, "{cmd} with 32 experiments must fail");
+        assert!(stdout.is_empty(), "{cmd} printed a partial table");
+        assert_eq!(
+            stderr.trim_end(),
+            "at most 31 experiments can be compared (32 sets with the gold standard)",
+            "{cmd}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
