@@ -21,7 +21,7 @@
 //! * [`star_clustering`] — star clusters around degree-ordered hubs
 //!   (records may only attach to their best available hub).
 
-use super::{Clustering, UnionFind};
+use super::{Clustering, Contingency, UnionFind};
 use crate::dataset::{RecordId, ScoredPair};
 use std::collections::{HashMap, HashSet};
 
@@ -41,11 +41,7 @@ fn by_similarity_desc(pairs: &[ScoredPair]) -> Vec<ScoredPair> {
 
 /// Transitive closure: connected components of the match graph.
 pub fn connected_components(n: usize, pairs: &[ScoredPair]) -> Clustering {
-    let mut uf = UnionFind::new(n);
-    for sp in pairs {
-        uf.union(sp.pair.lo(), sp.pair.hi());
-    }
-    Clustering::from_union_find(&mut uf)
+    Clustering::from_pairs(n, pairs.iter().map(|sp| sp.pair))
 }
 
 /// Center clustering (Hassanzadeh et al.): edges are visited in descending
@@ -410,14 +406,17 @@ pub fn star_clustering(n: usize, pairs: &[ScoredPair]) -> Clustering {
 /// Agreement between two clusterings as the Jaccard similarity of their
 /// intra-cluster pair sets. Used for the algorithm-agreement quality
 /// signal (§3.2.3).
+///
+/// Counted, not enumerated: `|A ∩ B|` is the contingency table's
+/// `Σ C(n_ij, 2)`, so the cost is linear in the records however large
+/// the clusters are.
 pub fn clustering_agreement(a: &Clustering, b: &Clustering) -> f64 {
-    let pa: HashSet<_> = a.intra_pairs().collect();
-    let pb: HashSet<_> = b.intra_pairs().collect();
-    if pa.is_empty() && pb.is_empty() {
+    let (pa, pb) = (a.pair_count(), b.pair_count());
+    if pa == 0 && pb == 0 {
         return 1.0;
     }
-    let inter = pa.intersection(&pb).count() as f64;
-    let union = (pa.len() + pb.len()) as f64 - inter;
+    let inter = Contingency::new(a, b).pair_count() as f64;
+    let union = (pa + pb) as f64 - inter;
     inter / union
 }
 

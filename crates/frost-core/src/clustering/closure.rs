@@ -32,18 +32,12 @@ pub fn close_experiment(n: usize, experiment: &Experiment) -> Experiment {
     Experiment::new(format!("{}+closure", experiment.name()), pairs)
 }
 
-/// Number of pairs that must be **added** to make the match set
-/// transitively closed. Zero means the solution's output is consistent;
-/// "the larger this number, the more inconsistent the proposed matches"
-/// (§3.2.3).
-pub fn missing_closure_pairs(n: usize, experiment: &Experiment) -> u64 {
-    let clustering = Clustering::from_experiment(n, experiment);
-    clustering.pair_count() - experiment.len() as u64
-}
-
-/// Whether the experiment's match set is already transitively closed.
+/// Whether the experiment's match set is already transitively closed
+/// (its [`closure_inconsistency`](crate::quality::closure_inconsistency)
+/// is zero).
 pub fn is_transitively_closed(n: usize, experiment: &Experiment) -> bool {
-    missing_closure_pairs(n, experiment) == 0
+    let closure = Clustering::from_experiment(n, experiment);
+    crate::quality::closure_inconsistency(&closure, experiment) == 0
 }
 
 #[cfg(test)]
@@ -72,7 +66,6 @@ mod tests {
     fn closed_set_is_fixed_point() {
         let e = Experiment::from_pairs("e", [(0u32, 1u32), (1, 2), (0, 2)]);
         assert!(is_transitively_closed(3, &e));
-        assert_eq!(missing_closure_pairs(3, &e), 0);
         let closed = close_experiment(3, &e);
         assert_eq!(closed.len(), 3);
     }
@@ -81,7 +74,8 @@ mod tests {
     fn missing_pairs_counts_chain() {
         // A path 0-1-2-3 needs 3 extra pairs to close the 4-clique.
         let e = Experiment::from_pairs("e", [(0u32, 1u32), (1, 2), (2, 3)]);
-        assert_eq!(missing_closure_pairs(4, &e), 3);
+        let closure = Clustering::from_experiment(4, &e);
+        assert_eq!(crate::quality::closure_inconsistency(&closure, &e), 3);
         assert!(!is_transitively_closed(4, &e));
     }
 

@@ -88,19 +88,13 @@ impl Clustering {
         Self::from_pairs(n, experiment.pairs().iter().map(|sp| sp.pair))
     }
 
-    /// Snapshots a [`UnionFind`]'s current state.
+    /// Snapshots a [`UnionFind`]'s current state: records sharing a root
+    /// share a cluster, numbered by smallest member.
     pub fn from_union_find(uf: &mut UnionFind) -> Self {
-        let clusters = uf.clusters();
-        let mut assignment = vec![0u32; uf.len()];
-        for (dense, members) in clusters.iter().enumerate() {
-            for &m in members {
-                assignment[m.index()] = dense as u32;
-            }
-        }
-        Self {
-            assignment,
-            clusters,
-        }
+        let roots: Vec<u32> = (0..uf.len() as u32)
+            .map(|r| uf.find(RecordId(r)).0)
+            .collect();
+        Self::from_assignment(&roots)
     }
 
     /// Number of records.
@@ -176,26 +170,16 @@ impl Clustering {
     /// The intersection clustering: records share a cluster iff they share
     /// a cluster in **both** inputs. The pair count of the result is the
     /// true-positive count when `self` is an experiment and `other` the
-    /// ground truth (Appendix D).
+    /// ground truth (Appendix D), which
+    /// [`Contingency::pair_count`](super::Contingency::pair_count) counts
+    /// without building the clustering.
     pub fn intersect(&self, other: &Clustering) -> Clustering {
         assert_eq!(
             self.num_records(),
             other.num_records(),
             "clusterings cover different datasets"
         );
-        let mut remap: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut next = 0u32;
-        let dense: Vec<u32> = (0..self.num_records())
-            .map(|i| {
-                let key = (self.assignment[i], other.assignment[i]);
-                *remap.entry(key).or_insert_with(|| {
-                    let d = next;
-                    next += 1;
-                    d
-                })
-            })
-            .collect();
-        Clustering::from_assignment(&dense)
+        Clustering::from_labels(self.assignment.iter().zip(&other.assignment))
     }
 
     /// Converts the clustering to an unscored [`Experiment`] containing

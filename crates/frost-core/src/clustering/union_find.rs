@@ -8,7 +8,6 @@
 //! sweep can carry per-cluster state along with each merge.
 
 use crate::dataset::RecordId;
-use std::collections::HashMap;
 
 /// Union-find over `n` records with union by size, iterative path
 /// compression and intra-cluster pair counting.
@@ -112,21 +111,6 @@ impl UnionFind {
         self.num_clusters -= 1;
         Some((big, small))
     }
-
-    /// Groups records into clusters: `(representative root, members)`
-    /// sorted by root id. `O(n α(n))`.
-    pub fn clusters(&mut self) -> Vec<Vec<RecordId>> {
-        let n = self.len();
-        let mut groups: HashMap<RecordId, Vec<RecordId>> = HashMap::new();
-        for i in 0..n {
-            let id = RecordId(i as u32);
-            let root = self.find(id);
-            groups.entry(root).or_default().push(id);
-        }
-        let mut out: Vec<Vec<RecordId>> = groups.into_values().collect();
-        out.sort_by_key(|members| members[0]);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +160,8 @@ mod tests {
         let mut uf = UnionFind::new(5);
         uf.union(RecordId(0), RecordId(3));
         uf.union(RecordId(1), RecordId(2));
-        let clusters = uf.clusters();
+        let clustering = crate::clustering::Clustering::from_union_find(&mut uf);
+        let clusters = clustering.clusters();
         assert_eq!(clusters.len(), 3);
         assert_eq!(clusters[0], vec![RecordId(0), RecordId(3)]);
         assert_eq!(clusters[1], vec![RecordId(1), RecordId(2)]);

@@ -9,7 +9,7 @@
 //! impractical on large datasets.
 
 use super::{sample_boundaries, threshold_at, DiagramPoint};
-use crate::clustering::{Clustering, UnionFind};
+use crate::clustering::Clustering;
 use crate::dataset::ScoredPair;
 use crate::metrics::confusion::ConfusionMatrix;
 
@@ -51,11 +51,7 @@ pub fn confusion_series_sharded(
 
 /// One sample point: fresh clustering of the first `k` matches.
 fn point_at(n: usize, truth: &Clustering, matches: &[ScoredPair], k: usize) -> DiagramPoint {
-    let mut uf = UnionFind::new(n);
-    for sp in &matches[..k] {
-        uf.union(sp.pair.lo(), sp.pair.hi());
-    }
-    let experiment = Clustering::from_union_find(&mut uf);
+    let experiment = Clustering::from_pairs(n, matches[..k].iter().map(|sp| sp.pair));
     let matrix = ConfusionMatrix::from_clusterings(&experiment, truth);
     DiagramPoint {
         threshold: threshold_at(matches, k),

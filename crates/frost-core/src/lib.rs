@@ -72,7 +72,7 @@ pub mod softkpi;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::clustering::{Clustering, UnionFind};
+    pub use crate::clustering::{Clustering, Contingency, UnionFind};
     pub use crate::dataset::{
         Dataset, Experiment, PairSet, Record, RecordId, RecordPair, Schema, ScoredPair,
     };

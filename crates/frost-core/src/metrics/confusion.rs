@@ -8,7 +8,7 @@
 //! | Predicted positive | `E ∩ G` (TP)    | `E \ G` (FP)          |
 //! | Predicted negative | `G \ E` (FN)    | `([D]² \ E) \ G` (TN) |
 
-use crate::clustering::Clustering;
+use crate::clustering::{Clustering, Contingency};
 use crate::dataset::{Experiment, PairAlgebra};
 use serde::{Deserialize, Serialize};
 
@@ -83,19 +83,13 @@ impl ConfusionMatrix {
         Self::new(tp, fp, fn_, tn)
     }
 
-    /// Compares two *clusterings* via their intersection, in time linear
-    /// in the number of records — the import-time optimization Snowman
-    /// relies on (§5.3, Appendix D): `TP` equals the pair count of the
-    /// intersection clustering.
+    /// Compares two *clusterings* via their contingency table, in time
+    /// linear in the number of records — the import-time optimization
+    /// Snowman relies on (§5.3, Appendix D): `TP` equals the pair count
+    /// of the intersection clustering, `Σ C(n_ij, 2)`.
     pub fn from_clusterings(experiment: &Clustering, truth: &Clustering) -> Self {
         let n = experiment.num_records();
-        assert_eq!(
-            n,
-            truth.num_records(),
-            "clusterings cover different datasets"
-        );
-        let inter = experiment.intersect(truth);
-        let tp = inter.pair_count();
+        let tp = Contingency::new(experiment, truth).pair_count();
         let e = experiment.pair_count();
         let g = truth.pair_count();
         let total = total_pairs(n);

@@ -333,8 +333,8 @@ pub fn matcher_behavior_similarity(
     let ca = Clustering::from_experiment(use_case_n, use_case_run);
     let cb = Clustering::from_experiment(benchmark_n, benchmark_run);
     let dist_sim = cluster_size_distribution_similarity(&ca, &cb);
-    let ia = crate::quality::normalized_closure_inconsistency(use_case_n, use_case_run);
-    let ib = crate::quality::normalized_closure_inconsistency(benchmark_n, benchmark_run);
+    let ia = crate::quality::normalized_closure_inconsistency(&ca, use_case_run);
+    let ib = crate::quality::normalized_closure_inconsistency(&cb, benchmark_run);
     let inconsistency_sim = 1.0 - (ia - ib).abs();
     (dist_sim + inconsistency_sim) / 2.0
 }

@@ -14,34 +14,38 @@
 //!   clustering algorithms applied to the same match set.
 //! * [`majority_vote`] / [`consensus_deviation`] — consensus across
 //!   several matching solutions on the same dataset.
+//!
+//! The signals built on the experiment's transitive closure take that
+//! closure as a parameter — the store computes it once at import — and
+//! never enumerate its intra-cluster pairs: they cost `O(records +
+//! pairs)` however large the closure clusters are.
 
 use crate::clustering::algorithms::{
-    center_clustering, clustering_agreement, connected_components, greedy_clique_clustering,
+    center_clustering, clustering_agreement, greedy_clique_clustering,
 };
-use crate::clustering::{closure, Clustering};
+use crate::clustering::Clustering;
 use crate::dataset::{Experiment, PairAlgebra, PairSet, RecordPair, RoaringPairSet};
 use std::collections::HashMap;
 
-/// The number of pairs that must be added for the experiment's match set
-/// to be transitively closed; 0 means fully consistent.
-pub fn closure_inconsistency(n: usize, experiment: &Experiment) -> u64 {
-    closure::missing_closure_pairs(n, experiment)
+/// The number of pairs that must be **added** for the experiment's match
+/// set to be transitively closed, given its `closure`; 0 means fully
+/// consistent — "the larger this number, the more inconsistent the
+/// proposed matches" (§3.2.3).
+pub fn closure_inconsistency(closure: &Clustering, experiment: &Experiment) -> u64 {
+    closure.pair_count() - experiment.len() as u64
 }
 
 /// Closure inconsistency normalized by the closed pair count, in `[0, 1)`.
 /// `0.0` for an already-closed (or empty) experiment.
-pub fn normalized_closure_inconsistency(n: usize, experiment: &Experiment) -> f64 {
-    let missing = closure_inconsistency(n, experiment);
-    let closed = experiment.len() as u64 + missing;
-    if closed == 0 {
-        0.0
-    } else {
-        missing as f64 / closed as f64
+pub fn normalized_closure_inconsistency(closure: &Clustering, experiment: &Experiment) -> f64 {
+    match closure.pair_count() {
+        0 => 0.0,
+        closed => closure_inconsistency(closure, experiment) as f64 / closed as f64,
     }
 }
 
 /// Redundancy of the identity link network, averaged over non-trivial
-/// components, in `[0, 1]`.
+/// components of the experiment's `closure`, in `[0, 1]`.
 ///
 /// A component of `k` records needs `k−1` links to be connected; every
 /// additional link is *redundant* evidence. Per component the score is
@@ -49,24 +53,22 @@ pub fn normalized_closure_inconsistency(n: usize, experiment: &Experiment) -> f6
 /// 1 for a clique; components of size 2 are fully redundant by
 /// definition. Idrissou et al. report "very strong predictive power" of
 /// such redundancy for matching quality.
-pub fn link_redundancy(n: usize, experiment: &Experiment) -> f64 {
-    let components = connected_components(n, experiment.pairs());
+pub fn link_redundancy(closure: &Clustering, experiment: &Experiment) -> f64 {
     // Count matcher-emitted links per component.
-    let mut links: HashMap<u32, u64> = HashMap::new();
+    let mut links = vec![0u64; closure.num_clusters()];
     for sp in experiment.pairs() {
-        let c = components.cluster_of(sp.pair.lo());
-        debug_assert_eq!(c, components.cluster_of(sp.pair.hi()));
-        *links.entry(c).or_insert(0) += 1;
+        let c = closure.cluster_of(sp.pair.lo());
+        debug_assert_eq!(c, closure.cluster_of(sp.pair.hi()));
+        links[c as usize] += 1;
     }
     let mut total = 0.0;
     let mut count = 0usize;
-    for (idx, members) in components.clusters().iter().enumerate() {
+    for (members, &l) in closure.clusters().iter().zip(&links) {
         let k = members.len() as u64;
         if k < 2 {
             continue;
         }
         count += 1;
-        let l = links.get(&(idx as u32)).copied().unwrap_or(0);
         let spanning = k - 1;
         let max = k * (k - 1) / 2;
         total += if max == spanning {
@@ -141,23 +143,18 @@ pub fn separation(clustering: &Clustering, scored_candidates: &[(RecordPair, f64
 /// match set: the mean pairwise Jaccard agreement of transitive closure,
 /// center clustering, and greedy clique clustering. "The more similar
 /// the resulting clusterings are, the more consistent are the initially
-/// discovered matches."
-pub fn algorithm_consensus(n: usize, experiment: &Experiment) -> f64 {
-    let pairs = experiment.pairs();
-    let clusterings = [
-        connected_components(n, pairs),
-        center_clustering(n, pairs),
-        greedy_clique_clustering(n, pairs),
+/// discovered matches." The transitive closure is the experiment's
+/// `closure`.
+pub fn algorithm_consensus(closure: &Clustering, experiment: &Experiment) -> f64 {
+    let (n, pairs) = (closure.num_records(), experiment.pairs());
+    let center = center_clustering(n, pairs);
+    let clique = greedy_clique_clustering(n, pairs);
+    let agreements = [
+        clustering_agreement(closure, &center),
+        clustering_agreement(closure, &clique),
+        clustering_agreement(&center, &clique),
     ];
-    let mut total = 0.0;
-    let mut count = 0;
-    for i in 0..clusterings.len() {
-        for j in i + 1..clusterings.len() {
-            total += clustering_agreement(&clusterings[i], &clusterings[j]);
-            count += 1;
-        }
-    }
-    total / count as f64
+    agreements.iter().sum::<f64>() / agreements.len() as f64
 }
 
 /// Fraction of matcher-emitted links that are *bridges* of the identity
@@ -302,30 +299,39 @@ mod tests {
         RecordPair::from((a, b))
     }
 
+    fn closure(n: usize, e: &Experiment) -> Clustering {
+        Clustering::from_experiment(n, e)
+    }
+
     #[test]
     fn closure_inconsistency_wrappers() {
         let chain = Experiment::from_pairs("c", [(0u32, 1u32), (1, 2), (2, 3)]);
-        assert_eq!(closure_inconsistency(4, &chain), 3);
-        assert!((normalized_closure_inconsistency(4, &chain) - 0.5).abs() < 1e-12);
+        assert_eq!(closure_inconsistency(&closure(4, &chain), &chain), 3);
+        assert!(
+            (normalized_closure_inconsistency(&closure(4, &chain), &chain) - 0.5).abs() < 1e-12
+        );
         let empty = Experiment::from_pairs::<u32>("e", []);
-        assert_eq!(normalized_closure_inconsistency(4, &empty), 0.0);
+        assert_eq!(
+            normalized_closure_inconsistency(&closure(4, &empty), &empty),
+            0.0
+        );
     }
 
     #[test]
     fn redundancy_spanning_tree_vs_clique() {
         // Star over 4 nodes: no redundancy.
         let star = Experiment::from_pairs("s", [(0u32, 1u32), (0, 2), (0, 3)]);
-        assert_eq!(link_redundancy(4, &star), 0.0);
+        assert_eq!(link_redundancy(&closure(4, &star), &star), 0.0);
         // Full clique: maximal redundancy.
         let clique =
             Experiment::from_pairs("k", [(0u32, 1u32), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
-        assert!((link_redundancy(4, &clique) - 1.0).abs() < 1e-12);
+        assert!((link_redundancy(&closure(4, &clique), &clique) - 1.0).abs() < 1e-12);
         // Size-2 components count as fully redundant.
         let edge = Experiment::from_pairs("e", [(0u32, 1u32)]);
-        assert_eq!(link_redundancy(2, &edge), 1.0);
+        assert_eq!(link_redundancy(&closure(2, &edge), &edge), 1.0);
         // No links at all.
         let none = Experiment::from_pairs::<u32>("n", []);
-        assert_eq!(link_redundancy(3, &none), 0.0);
+        assert_eq!(link_redundancy(&closure(3, &none), &none), 0.0);
     }
 
     #[test]
@@ -356,13 +362,13 @@ mod tests {
         // A clean clique agrees across algorithms...
         let clean =
             Experiment::from_scored_pairs("clean", [(0u32, 1u32, 0.9), (1, 2, 0.9), (0, 2, 0.9)]);
-        let c_clean = algorithm_consensus(5, &clean);
+        let c_clean = algorithm_consensus(&closure(5, &clean), &clean);
         // ...a straggly chain does not.
         let chain = Experiment::from_scored_pairs(
             "chain",
             [(0u32, 1u32, 0.9), (1, 2, 0.5), (2, 3, 0.4), (3, 4, 0.3)],
         );
-        let c_chain = algorithm_consensus(5, &chain);
+        let c_chain = algorithm_consensus(&closure(5, &chain), &chain);
         assert!(c_clean > c_chain, "{c_clean} vs {c_chain}");
         assert!((c_clean - 1.0).abs() < 1e-12);
     }

@@ -336,31 +336,19 @@ pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, Stor
             use frost_core::metrics::cluster as cm;
             let stored = store.experiment(&experiment)?;
             let truth = store.gold_standard(&stored.dataset)?;
-            let c = &stored.clustering;
+            let t = &frost_core::clustering::Contingency::new(&stored.clustering, truth);
             Ok(Response::Metrics(vec![
-                (
-                    "closest-cluster f1".into(),
-                    cm::closest_cluster_f1(c, truth),
-                ),
+                ("closest-cluster f1".into(), cm::closest_cluster_f1(t)),
                 (
                     "variation of information".into(),
-                    cm::variation_of_information(c, truth),
+                    cm::variation_of_information(t),
                 ),
-                (
-                    "basic merge distance".into(),
-                    cm::basic_merge_distance(c, truth),
-                ),
-                (
-                    "adjusted Rand index".into(),
-                    cm::adjusted_rand_index(c, truth),
-                ),
-                ("purity".into(), cm::purity(c, truth)),
-                ("inverse purity".into(), cm::inverse_purity(c, truth)),
-                ("purity f1".into(), cm::purity_f1(c, truth)),
-                (
-                    "Talburt-Wang index".into(),
-                    cm::talburt_wang_index(c, truth),
-                ),
+                ("basic merge distance".into(), cm::basic_merge_distance(t)),
+                ("adjusted Rand index".into(), cm::adjusted_rand_index(t)),
+                ("purity".into(), cm::purity(t)),
+                ("inverse purity".into(), cm::inverse_purity(t)),
+                ("purity f1".into(), cm::purity_f1(t)),
+                ("Talburt-Wang index".into(), cm::talburt_wang_index(t)),
             ]))
         }
         Request::GetAttributeRatios { experiment, kind } => {
@@ -388,26 +376,27 @@ pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, Stor
         Request::GetQualitySignals { experiment } => {
             use frost_core::quality;
             let stored = store.experiment(&experiment)?;
-            let ds = store.dataset(&stored.dataset)?;
-            let n = ds.len();
-            let e = &stored.experiment;
+            let (closure, e) = (&stored.clustering, &stored.experiment);
             let mut signals = vec![
                 (
                     "closure inconsistency".to_string(),
-                    quality::closure_inconsistency(n, e) as f64,
+                    quality::closure_inconsistency(closure, e) as f64,
                 ),
                 (
                     "normalized closure inconsistency".to_string(),
-                    quality::normalized_closure_inconsistency(n, e),
+                    quality::normalized_closure_inconsistency(closure, e),
                 ),
                 (
                     "link redundancy".to_string(),
-                    quality::link_redundancy(n, e),
+                    quality::link_redundancy(closure, e),
                 ),
-                ("bridge ratio".to_string(), quality::bridge_ratio(n, e)),
+                (
+                    "bridge ratio".to_string(),
+                    quality::bridge_ratio(closure.num_records(), e),
+                ),
                 (
                     "algorithm consensus".to_string(),
-                    quality::algorithm_consensus(n, e),
+                    quality::algorithm_consensus(closure, e),
                 ),
             ];
             if let Some(compactness) = quality::compactness(e) {

@@ -8,6 +8,7 @@
 //! cargo run --release --example error_study
 //! ```
 
+use frost::core::clustering::Clustering;
 use frost::core::explore::error_categories::{ErrorCategory, ErrorProfile};
 use frost::core::explore::judge_experiment;
 use frost::core::profiling::{
@@ -88,7 +89,10 @@ fn main() {
     // Link fragility of the result.
     println!(
         "\nlink redundancy {:.3}, bridge ratio {:.3}",
-        link_redundancy(use_case.dataset.len(), &run.experiment),
+        link_redundancy(
+            &Clustering::from_experiment(use_case.dataset.len(), &run.experiment),
+            &run.experiment
+        ),
         bridge_ratio(use_case.dataset.len(), &run.experiment),
     );
 

@@ -2,6 +2,7 @@
 //! run real matching pipelines, store and evaluate the results, and
 //! exercise the exploration stack on top.
 
+use frost::core::clustering::Clustering;
 use frost::core::diagram::DiagramEngine;
 use frost::core::explore::{attribute_stats, judge_experiment, selection, setops};
 use frost::core::metrics::pair::PairMetric;
@@ -161,8 +162,10 @@ fn full_platform_round_trip() {
         0.0,
         5,
     );
-    let good_consensus = quality::algorithm_consensus(ds.len(), &token_run.experiment);
-    let _ = quality::algorithm_consensus(ds.len(), &noise);
+    let closure = |e| Clustering::from_experiment(ds.len(), e);
+    let good_consensus =
+        quality::algorithm_consensus(&closure(&token_run.experiment), &token_run.experiment);
+    let _ = quality::algorithm_consensus(&closure(&noise), &noise);
     assert!(good_consensus > 0.5);
 
     // Profiling through the API.

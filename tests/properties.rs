@@ -1,6 +1,7 @@
 //! Property-based tests on the platform's core invariants.
 
-use frost::core::clustering::{closure, Clustering, UnionFind};
+use frost::core::clustering::algorithms::clustering_agreement;
+use frost::core::clustering::{closure, Clustering, Contingency, UnionFind};
 use frost::core::dataset::{
     parse_csv, write_csv, CsvOptions, Experiment, PairSet, RecordId, RecordPair, ScoredPair,
 };
@@ -11,6 +12,7 @@ use frost::core::metrics::cluster as cm;
 use frost::core::metrics::confusion::{total_pairs, ConfusionMatrix};
 use frost::core::metrics::pair as pm;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// A random clustering over `n` records as an assignment vector.
 fn clustering_strategy(n: usize) -> impl Strategy<Value = Clustering> {
@@ -168,7 +170,7 @@ proptest! {
             }
         }
         prop_assert_eq!(uf.num_clusters(), 32 - merges);
-        let from_sizes: u64 = uf
+        let from_sizes: u64 = Clustering::from_union_find(&mut uf)
             .clusters()
             .iter()
             .map(|c| {
@@ -222,21 +224,24 @@ proptest! {
         a in clustering_strategy(18),
         b in clustering_strategy(18),
     ) {
-        prop_assert!(cm::variation_of_information(&a, &b) >= 0.0);
+        let ab = Contingency::new(&a, &b);
+        let ba = Contingency::new(&b, &a);
+        let aa = Contingency::new(&a, &a);
+        prop_assert!(cm::variation_of_information(&ab) >= 0.0);
         prop_assert!(
-            (cm::variation_of_information(&a, &b) - cm::variation_of_information(&b, &a)).abs()
+            (cm::variation_of_information(&ab) - cm::variation_of_information(&ba)).abs()
                 < 1e-9
         );
-        prop_assert!(cm::variation_of_information(&a, &a) < 1e-9);
-        prop_assert_eq!(cm::basic_merge_distance(&a, &a), 0.0);
-        let f = cm::closest_cluster_f1(&a, &b);
+        prop_assert!(cm::variation_of_information(&aa) < 1e-9);
+        prop_assert_eq!(cm::basic_merge_distance(&aa), 0.0);
+        let f = cm::closest_cluster_f1(&ab);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&f));
-        let ari = cm::adjusted_rand_index(&a, &b);
+        let ari = cm::adjusted_rand_index(&ab);
         prop_assert!(ari <= 1.0 + 1e-9);
         // GMD-derived pairwise metrics equal the confusion-matrix route.
         let m = ConfusionMatrix::from_clusterings(&a, &b);
-        prop_assert!((cm::gmd_pairwise_precision(&a, &b) - pm::precision(&m)).abs() < 1e-9);
-        prop_assert!((cm::gmd_pairwise_recall(&a, &b) - pm::recall(&m)).abs() < 1e-9);
+        prop_assert!((cm::gmd_pairwise_precision(&ab) - pm::precision(&m)).abs() < 1e-9);
+        prop_assert!((cm::gmd_pairwise_recall(&ab) - pm::recall(&m)).abs() < 1e-9);
     }
 
     /// The static intersection's pair count equals TP from the pair
@@ -249,6 +254,26 @@ proptest! {
         let inter = a.intersect(&b);
         let m = ConfusionMatrix::from_clusterings(&a, &b);
         prop_assert_eq!(inter.pair_count(), m.true_positives);
+    }
+
+    /// The counted agreement equals, bit for bit, the Jaccard similarity
+    /// of the two enumerated intra-cluster pair sets, and the
+    /// contingency's pair count equals the intersection clustering's.
+    #[test]
+    fn agreement_matches_pair_set_jaccard(
+        a in clustering_strategy(18),
+        b in clustering_strategy(18),
+    ) {
+        let pa: HashSet<RecordPair> = a.intra_pairs().collect();
+        let pb: HashSet<RecordPair> = b.intra_pairs().collect();
+        let reference = if pa.is_empty() && pb.is_empty() {
+            1.0
+        } else {
+            let inter = pa.intersection(&pb).count() as f64;
+            inter / ((pa.len() + pb.len()) as f64 - inter)
+        };
+        prop_assert_eq!(clustering_agreement(&a, &b).to_bits(), reference.to_bits());
+        prop_assert_eq!(Contingency::new(&a, &b).pair_count(), a.intersect(&b).pair_count());
     }
 
     /// Venn regions are disjoint and cover exactly the union.
