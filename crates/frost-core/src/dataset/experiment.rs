@@ -166,13 +166,6 @@ impl Experiment {
         self.pairs.iter().map(|sp| sp.pair).collect()
     }
 
-    /// The set of matched [`RecordPair`]s as a roaring-style
-    /// [`ChunkedPairSet`](super::ChunkedPairSet) — the compressed
-    /// engine for memory-bound or dense workloads.
-    pub fn chunked_pair_set(&self) -> super::ChunkedPairSet {
-        self.pairs.iter().map(|sp| sp.pair).collect()
-    }
-
     /// The set of matched [`RecordPair`]s as a two-level
     /// [`RoaringPairSet`](super::RoaringPairSet) — the engine that
     /// keeps *sparse* working sets small, used wherever many
@@ -193,17 +186,6 @@ impl Experiment {
     /// distinct 2¹⁶-value chunks.
     pub fn pair_engine_hint(&self) -> super::PairEngine {
         super::pair_engine_for(self.pairs.iter().map(|sp| sp.pair))
-    }
-
-    /// The set of matched [`RecordPair`]s in the engine the cost model
-    /// picks for this input — packed for small one-shots, chunked when
-    /// dense chunks dominate, roaring for large sparse sets.
-    pub fn pair_set_auto(&self) -> super::AnyPairSet {
-        match self.pair_engine_hint() {
-            super::PairEngine::Packed => super::AnyPairSet::Packed(self.pair_set()),
-            super::PairEngine::Chunked => super::AnyPairSet::Chunked(self.chunked_pair_set()),
-            super::PairEngine::Roaring => super::AnyPairSet::Roaring(self.roaring_pair_set()),
-        }
     }
 
     /// Only the pairs the matcher itself emitted (§4.2.4 "plain result pairs").
@@ -360,23 +342,16 @@ mod tests {
 
     #[test]
     fn engine_auto_selection() {
-        use crate::dataset::{AnyPairSet, PairEngine};
+        use crate::dataset::PairEngine;
         // Small → packed, whatever the shape.
         let small = Experiment::from_pairs("s", [(0u32, 1u32), (2, 3)]);
         assert_eq!(small.pair_engine_hint(), PairEngine::Packed);
-        assert!(matches!(small.pair_set_auto(), AnyPairSet::Packed(_)));
         // Large and dense (one lo with 10k partners → occupancy ≫ 256).
         let dense = Experiment::from_pairs("d", (1..=10_000u32).map(|hi| (0u32, hi)));
         assert_eq!(dense.pair_engine_hint(), PairEngine::Chunked);
         // Large and sparse (one pair per chunk).
         let sparse = Experiment::from_pairs("r", (0..10_000u32).map(|lo| (lo, lo + 1)));
         assert_eq!(sparse.pair_engine_hint(), PairEngine::Roaring);
-        let auto = sparse.pair_set_auto();
-        assert_eq!(auto.engine(), PairEngine::Roaring);
-        assert_eq!(auto.len(), 10_000);
-        assert!(!auto.is_empty());
-        assert!(auto.contains(&RecordPair::from((17u32, 18u32))));
-        assert!(auto.heap_bytes() > 0);
     }
 
     #[test]

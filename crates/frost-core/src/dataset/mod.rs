@@ -123,67 +123,6 @@ pub fn pair_engine_for(pairs: impl IntoIterator<Item = RecordPair>) -> PairEngin
     choose_pair_engine(n, chunks.len())
 }
 
-/// A pair set in whichever engine the cost model picked — the return
-/// type of [`Experiment::pair_set_auto`]. Set algebra stays on the
-/// homogeneous [`PairAlgebra`] engines; this wrapper carries a single
-/// set whose representation was chosen per input.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnyPairSet {
-    /// Packed representation.
-    Packed(PairSet),
-    /// Single-level chunked representation.
-    Chunked(ChunkedPairSet),
-    /// Two-level roaring representation.
-    Roaring(RoaringPairSet),
-}
-
-impl AnyPairSet {
-    /// Which engine holds the set.
-    pub fn engine(&self) -> PairEngine {
-        match self {
-            AnyPairSet::Packed(_) => PairEngine::Packed,
-            AnyPairSet::Chunked(_) => PairEngine::Chunked,
-            AnyPairSet::Roaring(_) => PairEngine::Roaring,
-        }
-    }
-
-    /// Number of pairs.
-    pub fn len(&self) -> usize {
-        match self {
-            AnyPairSet::Packed(s) => s.len(),
-            AnyPairSet::Chunked(s) => s.len(),
-            AnyPairSet::Roaring(s) => s.len(),
-        }
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            AnyPairSet::Packed(s) => s.is_empty(),
-            AnyPairSet::Chunked(s) => s.is_empty(),
-            AnyPairSet::Roaring(s) => s.is_empty(),
-        }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, pair: &RecordPair) -> bool {
-        match self {
-            AnyPairSet::Packed(s) => s.contains(pair),
-            AnyPairSet::Chunked(s) => s.contains(pair),
-            AnyPairSet::Roaring(s) => s.contains(pair),
-        }
-    }
-
-    /// Bytes of heap memory held by the representation.
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            AnyPairSet::Packed(s) => s.heap_bytes(),
-            AnyPairSet::Chunked(s) => s.heap_bytes(),
-            AnyPairSet::Roaring(s) => s.heap_bytes(),
-        }
-    }
-}
-
 /// The most sets one [`PairAlgebra::kway_merge_masks`] (and so one
 /// Venn diagram) can take: the width of its `u32` region mask.
 pub const MAX_VENN_SETS: usize = u32::BITS as usize;

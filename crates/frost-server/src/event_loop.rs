@@ -30,9 +30,10 @@
 //!   bytes instead of being RST-destroyed.
 
 use crate::http::{
-    close_variant_bytes, encode_response, error_body, shed_response_bytes, CachedResponse, Parsed,
-    ParsedRequest, RequestBuffer, ServeOptions, ServerState, ShedReason,
+    close_variant_bytes, encode, error_body, shed_response_bytes, CachedResponse, Parsed,
+    ParsedRequest, RequestBuffer, ServeOptions, ServerState, ShedReason, CONTENT_TYPE_JSON,
 };
+use crate::route::{self, Endpoint, Route};
 use crate::telemetry::{OpenConnGuard, Stage, Trace};
 use polling::{PollFd, Source, Waker, POLLIN, POLLOUT};
 use std::io::{Read, Write};
@@ -57,10 +58,11 @@ const READ_BUDGET: usize = 64 * 1024;
 const DRAIN_CAP: Duration = Duration::from_secs(5);
 
 /// A complete parsed request queued for the worker pool, stamped with
-/// its absolute deadline and its return address (loop, slot,
-/// generation).
+/// its route, its absolute deadline and its return address (loop,
+/// slot, generation).
 pub(crate) struct Work {
     pub request: ParsedRequest,
+    pub route: Route,
     pub deadline: Option<Instant>,
     pub loop_id: usize,
     pub token: usize,
@@ -464,7 +466,7 @@ fn sweep_timer(conn: &mut Conn, token: usize, env: &LoopEnv, now: Instant) -> bo
                 .head_started
                 .is_some_and(|s| now >= s + env.options.idle_timeout);
             if head_expired {
-                let payload = encode_response(400, error_body("request head timeout").into());
+                let payload = error_response(400, "request head timeout");
                 start_response(conn, token, env, &payload, After::Close)
             } else {
                 env.state.note_shed(ShedReason::Deadline);
@@ -525,10 +527,13 @@ fn process_buffer(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
                 .or_else(|| conn.parser.last_arrival())
                 .unwrap_or_else(Instant::now);
             let deadline = env.options.request_deadline.map(|limit| clock + limit);
+            // The one routing decision: the worker answers from it and
+            // the trace is labelled with it.
+            let route = route::resolve(&request.method, &request.target);
             // The trace's `accepted` stamp is the same clock the
             // deadline runs on, so queue wait is visible in it.
             let trace = env.state.telemetry().enabled().then(|| {
-                let trace = Trace::begin(&request.method, &request.target, clock);
+                let trace = Trace::begin(&request.method, &request.target, route.endpoint(), clock);
                 trace.stamp(Stage::HeadComplete);
                 trace
             });
@@ -555,10 +560,7 @@ fn process_buffer(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
                     trace.set_status(405);
                 }
                 conn.trace = trace;
-                let payload = encode_response(
-                    405,
-                    error_body("only GET, POST and DELETE are supported").into(),
-                );
+                let payload = error_response(405, "only GET, POST and DELETE are supported");
                 return start_response(conn, token, env, &payload, After::Close);
             }
             conn.pending_close = !request.keep_alive
@@ -572,6 +574,7 @@ fn process_buffer(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
             // reporting the count) before `try_send` returns here.
             let work = Work {
                 request,
+                route,
                 deadline,
                 loop_id: env.loop_id,
                 token,
@@ -615,11 +618,11 @@ fn process_buffer(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
             // One diagnostic, then close: the byte stream is not
             // trustworthy beyond this point.
             if env.state.telemetry().enabled() {
-                let trace = Trace::begin("", "", Instant::now());
+                let trace = Trace::begin("", "", Endpoint::Other, Instant::now());
                 trace.set_status(400);
                 conn.trace = Some(trace);
             }
-            let payload = encode_response(400, error_body(message).into());
+            let payload = error_response(400, message);
             start_response(conn, token, env, &payload, After::Close)
         }
         Parsed::Incomplete => {
@@ -662,13 +665,15 @@ fn apply_completion(conn: &mut Conn, token: usize, env: &LoopEnv, done: Done) ->
             start_canned(conn, token, env, shed_response_bytes(reason), After::Close)
         }
         Done::Panicked => {
-            let payload = encode_response(
-                500,
-                error_body("internal error: request handler panicked").into(),
-            );
+            let payload = error_response(500, "internal error: request handler panicked");
             start_response(conn, token, env, &payload, After::Close)
         }
     }
+}
+
+/// A JSON error answered by the loop itself.
+fn error_response(status: u16, message: &str) -> CachedResponse {
+    encode(status, error_body(message), CONTENT_TYPE_JSON, None, None)
 }
 
 /// Queues `payload` for writing: the keep-alive form shares the

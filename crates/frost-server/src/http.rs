@@ -4,30 +4,13 @@
 //!
 //! # Endpoints
 //!
-//! | path               | request variant          | cached (scope) |
-//! |--------------------|--------------------------|----------------|
-//! | `/datasets`        | `ListDatasets`           | yes (`sys:datasets`) |
-//! | `/experiments`     | `ListExperiments`        | yes (`sys:experiments`) |
-//! | `/profile`         | `ProfileDataset`         | yes (`ds:<D>`) |
-//! | `/matrix`          | `GetConfusionMatrix`     | yes (`exp:<E>`) |
-//! | `/metrics`         | `GetMetrics`             | yes (`exp:<E>`) |
-//! | `/diagram`         | `GetDiagram`             | yes (`exp:<E>`) |
-//! | `/compare`         | `CompareExperiments`     | yes (per exp.) |
-//! | `/venn`            | `CompareExperiments` (gold appended) | yes (per exp.) |
-//! | `/cluster-metrics` | `GetClusterMetrics`      | yes (`exp:<E>`) |
-//! | `/ratios`          | `GetAttributeRatios`     | yes (`exp:<E>`) |
-//! | `/errors`          | `GetErrorProfile`        | yes (`exp:<E>`) |
-//! | `/quality`         | `GetQualitySignals`      | yes (`exp:<E>`) |
-//! | `/stats`           | counters and gauges (JSON) | no           |
-//! | `/metrics` (bare)  | Prometheus exposition    | never          |
-//! | `/debug/traces`    | last-N request traces    | never          |
-//!
-//! Write endpoints (threaded through the same `api::Request` enum):
-//!
-//! * `POST /experiments?dataset=<D>&name=<N>` — import an experiment
-//!   from a CSV request body (`id1,id2[,similarity]`, native ids).
-//! * `DELETE /experiments/<N>` — remove an experiment.
-//! * `POST /snapshot/save` — compact WAL + snapshot (durable stores).
+//! [`crate::route`] holds the route table: which endpoint a request
+//! is, and each endpoint's handler, cost class, telemetry label and
+//! cache scopes. Reads are cached response bytes; the write endpoints
+//! are `POST /experiments?dataset=<D>&name=<N>` (import an experiment
+//! from a CSV request body, `id1,id2[,similarity]` with native ids),
+//! `DELETE /experiments/<N>` and `POST /snapshot/save` (compact WAL +
+//! snapshot on durable stores).
 //!
 //! # Write path and durability
 //!
@@ -84,8 +67,7 @@
 //! `304 Not Modified` instead of the payload.
 //!
 //! [`ServerState::json_renders`] counts actual JSON serializations, so
-//! tests can pin that the hot path performs zero of them. Listings
-//! stay uncached — they are cheaper than the cache probe.
+//! tests can pin that the hot path performs zero of them.
 //!
 //! `/stats` and the bare `/metrics` are two encodings of one table,
 //! the counter registry in [`crate::telemetry`]: this module
@@ -98,11 +80,11 @@
 //! pin, including across reused connections and pipelined clients.
 
 use crate::event_loop;
-use crate::json::{self, response_to_json};
+use crate::json::response_to_json;
 use crate::replication::{self, ReplicationHub, Role, StreamPreamble};
-use crate::telemetry::{Registry, Stage, Telemetry, Trace};
-use frost_core::diagram::{DiagramEngine, MAX_DIAGRAM_SAMPLES, MAX_NAIVE_DIAGRAM_SAMPLES};
-use frost_storage::api::{self, Request};
+use crate::route::{self, store_error, Class};
+use crate::telemetry::{Stage, Telemetry, Trace};
+use frost_storage::api;
 use frost_storage::cache::{CacheWeight, ShardedCache};
 use frost_storage::durable::{DurableError, DurableStore};
 use frost_storage::store::StoreError;
@@ -156,11 +138,6 @@ const READY_MIN_WINDOW_EVENTS: u64 = 16;
 /// Longest a `/replication/wal` long poll is held open waiting for new
 /// frames (the `wait_ms` parameter is clamped to this).
 const MAX_POLL_WAIT_MS: u64 = 10_000;
-
-/// How long a semi-sync (`--sync-replication`) write waits for a
-/// replica to prove it durable before answering `503` (the write stays
-/// durable locally either way).
-const SYNC_ACK_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Tunables of the connection path.
 #[derive(Debug, Clone)]
@@ -317,30 +294,6 @@ impl ShedReason {
     }
 }
 
-/// Endpoint cost classes: each is gated independently so one class
-/// cannot starve another (see [`ServeOptions::compute_concurrency`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    /// Cheap GETs (cache probes, listings, health, stats) — never
-    /// gated; bounded by the worker pool itself.
-    Cached,
-    /// Compute-heavy GETs: `/compare`, `/diagram`, `/venn` (and the
-    /// test-only `/debug/sleep`).
-    Compute,
-    /// Mutating requests: `POST`, `DELETE`.
-    Write,
-}
-
-fn classify(method: &str, path: &str) -> Class {
-    if method != "GET" {
-        Class::Write
-    } else if matches!(path, "/compare" | "/diagram" | "/venn" | "/debug/sleep") {
-        Class::Compute
-    } else {
-        Class::Cached
-    }
-}
-
 /// One shed-rate window slot (a one-second bucket, reused modulo the
 /// window length). Counts are heuristically reset when the slot is
 /// reused for a new second; tiny cross-thread races only blur the
@@ -468,7 +421,7 @@ impl OverloadStats {
         (shed, total)
     }
 
-    fn gauge(&self, class: Class) -> &AtomicUsize {
+    pub(crate) fn gauge(&self, class: Class) -> &AtomicUsize {
         match class {
             Class::Cached => &self.inflight_cached,
             Class::Compute => &self.inflight_compute,
@@ -520,13 +473,13 @@ impl Gate {
 }
 
 /// The per-class gates one `serve_with` call shares across its pool.
-struct ClassGates {
+pub(crate) struct ClassGates {
     compute: Gate,
     write: Gate,
 }
 
 impl ClassGates {
-    fn for_options(options: &ServeOptions) -> Self {
+    pub(crate) fn for_options(options: &ServeOptions) -> Self {
         let workers = options.workers.max(1);
         Self {
             compute: Gate::new(options.compute_concurrency.unwrap_or((workers / 2).max(1))),
@@ -549,10 +502,10 @@ impl Drop for Permit<'_> {
 }
 
 /// An RAII in-flight gauge bump (one per routed request, by class).
-struct GaugeGuard<'a>(&'a AtomicUsize);
+pub(crate) struct GaugeGuard<'a>(&'a AtomicUsize);
 
 impl<'a> GaugeGuard<'a> {
-    fn new(gauge: &'a AtomicUsize) -> Self {
+    pub(crate) fn new(gauge: &'a AtomicUsize) -> Self {
         gauge.fetch_add(1, Ordering::Relaxed);
         Self(gauge)
     }
@@ -564,53 +517,56 @@ impl Drop for GaugeGuard<'_> {
     }
 }
 
-/// Per-request routing context: the class gates plus the request's
-/// absolute deadline (when configured).
-struct RequestContext<'a> {
-    options: &'a ServeOptions,
-    gates: &'a ClassGates,
-    deadline: Option<Instant>,
+/// Per-request routing context: the request's class gate and absolute
+/// deadline (when configured).
+pub(crate) struct RequestContext<'a> {
+    pub(crate) options: &'a ServeOptions,
+    pub(crate) gates: &'a ClassGates,
+    /// The resolved endpoint's cost class.
+    pub(crate) class: Class,
+    pub(crate) deadline: Option<Instant>,
     /// The request's lifecycle trace, when telemetry is on.
-    trace: Option<&'a Trace>,
+    pub(crate) trace: Option<&'a Trace>,
 }
 
 impl RequestContext<'_> {
-    fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() > d)
-    }
-
-    /// How long a request may wait for a class permit: its remaining
-    /// deadline, or one idle timeout when deadlines are off.
-    fn gate_wait(&self) -> Duration {
-        match self.deadline {
-            Some(d) => d.saturating_duration_since(Instant::now()),
-            None => self.options.idle_timeout,
-        }
-    }
-
-    /// Acquires the class's concurrency permit ([`Class::Cached`] has
-    /// no gate). `Err` = the class stayed saturated for the whole
-    /// allowed wait — the caller sheds.
-    fn gate_for(&self, class: Class) -> Result<Option<Permit<'_>>, ShedReason> {
-        let gate = match class {
-            Class::Cached => return Ok(None),
-            Class::Compute => &self.gates.compute,
-            Class::Write => &self.gates.write,
+    /// The one path the expensive part of every request takes: acquire
+    /// the class's concurrency permit ([`Class::Cached`] has no gate),
+    /// re-check the deadline, run `work`, stamp `evaluated`. `Err` =
+    /// shed: the class stayed saturated for the whole allowed wait
+    /// (the remaining deadline, or one idle timeout when deadlines are
+    /// off), or the deadline passed while waiting.
+    pub(crate) fn evaluate<T>(&self, work: impl FnOnce() -> T) -> Result<T, ShedReason> {
+        let gate = match self.class {
+            Class::Cached => None,
+            Class::Compute => Some(&self.gates.compute),
+            Class::Write => Some(&self.gates.write),
         };
-        if !gate.acquire(self.gate_wait()) {
-            return Err(ShedReason::ClassSaturated);
+        let _permit = match gate {
+            Some(gate) => {
+                let wait = match self.deadline {
+                    Some(d) => d.saturating_duration_since(Instant::now()),
+                    None => self.options.idle_timeout,
+                };
+                if !gate.acquire(wait) {
+                    return Err(ShedReason::ClassSaturated);
+                }
+                if let Some(trace) = self.trace {
+                    trace.stamp(Stage::GateAcquired);
+                }
+                Some(Permit { gate })
+            }
+            None => None,
+        };
+        if self.deadline.is_some_and(|d| Instant::now() > d) {
+            return Err(ShedReason::Deadline);
         }
+        let out = work();
         if let Some(trace) = self.trace {
-            trace.stamp(Stage::GateAcquired);
+            trace.stamp(Stage::Evaluated);
         }
-        Ok(Some(Permit { gate }))
+        Ok(out)
     }
-}
-
-/// What routing produced: a response to write, or a shed to report.
-enum RouteOutcome {
-    Response(CachedResponse),
-    Shed(ShedReason),
 }
 
 /// A fully serialized HTTP response: the keep-alive rendering (status
@@ -624,7 +580,7 @@ pub struct CachedResponse {
     body_start: usize,
     /// The `Content-Type` this response was framed with — the closing
     /// variant re-frames the head and must preserve it.
-    content_type: &'static str,
+    pub(crate) content_type: &'static str,
     /// Strong validator (quoted FNV-1a of the body), present only on
     /// cached `200`s — the revalidation (`If-None-Match` → `304`)
     /// surface.
@@ -825,7 +781,7 @@ impl ServerState {
 
     /// `POST /experiments`: parses the CSV against the store, then
     /// takes the [write sequence](Self::apply_write).
-    fn import_experiment(
+    pub(crate) fn import_experiment(
         &self,
         dataset: &str,
         name: &str,
@@ -845,7 +801,7 @@ impl ServerState {
     }
 
     /// `DELETE /experiments/<N>` through the [write sequence](Self::apply_write).
-    fn delete_experiment(&self, name: &str) -> Result<api::Response, (u16, String)> {
+    pub(crate) fn delete_experiment(&self, name: &str) -> Result<api::Response, (u16, String)> {
         self.apply_write(|_| {
             Ok(WalOp::DeleteExperiment {
                 name: name.to_string(),
@@ -860,7 +816,7 @@ impl ServerState {
     /// Compacts WAL + snapshot under live traffic: the new `FROSTB`
     /// is written and atomically renamed while readers keep serving
     /// (only the writer lock and a read lock are held).
-    fn save_snapshot(&self) -> Result<api::Response, (u16, String)> {
+    pub(crate) fn save_snapshot(&self) -> Result<api::Response, (u16, String)> {
         let mut writer = self.writer.lock();
         let Some(d) = writer.as_mut() else {
             return Err((
@@ -1036,7 +992,7 @@ impl ServerState {
         self.responses.set_budget(total_bytes.max(1));
     }
 
-    fn rendered(&self, response: &api::Response) -> String {
+    pub(crate) fn rendered(&self, response: &api::Response) -> String {
         self.json_renders.fetch_add(1, Ordering::Relaxed);
         serde_json::to_string(&response_to_json(response))
     }
@@ -1725,6 +1681,7 @@ fn execute(
     let ctx = RequestContext {
         options,
         gates,
+        class: work.route.endpoint().class(),
         deadline: work.deadline,
         trace,
     };
@@ -1734,13 +1691,10 @@ fn execute(
     // request. The store's own locks are parking_lot (no poisoning),
     // so unwinding cannot wedge them.
     let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if options.debug_panic && request.target == "/debug/panic" {
-            panic!("debug panic requested");
-        }
-        route(request, state, &ctx)
+        route::route(&work.route, request, state, &ctx)
     }));
     match routed {
-        Ok(RouteOutcome::Response(payload)) => {
+        Ok(Ok(payload)) => {
             if work.deadline.is_some_and(|d| Instant::now() > d) {
                 state.overload.note_deadline_late();
             }
@@ -1751,7 +1705,7 @@ fn execute(
             }
             event_loop::Done::Response(payload)
         }
-        Ok(RouteOutcome::Shed(reason)) => {
+        Ok(Err(reason)) => {
             state.note_shed(reason);
             if let Some(trace) = trace {
                 trace.set_status(503);
@@ -1771,14 +1725,16 @@ fn execute(
 /// an entity tag and the request's `If-None-Match` matches it, the
 /// body is replaced by a `304 Not Modified` — the client's cached copy
 /// is current, so only headers go over the wire.
-fn revalidate(payload: CachedResponse, request: &ParsedRequest) -> CachedResponse {
+pub(crate) fn revalidate(payload: CachedResponse, request: &ParsedRequest) -> CachedResponse {
     let (Some(etag), Some(candidates)) =
         (payload.etag.as_deref(), request.if_none_match.as_deref())
     else {
         return payload;
     };
     if payload.status == 200 && etag_matches(candidates, etag) {
-        not_modified(etag)
+        // Bodyless (`Content-Length: 0` keeps the in-repo client's
+        // framing exact), echoing the tag it validated.
+        encode(304, Vec::new(), CONTENT_TYPE_JSON, Some(etag.into()), None)
     } else {
         payload
     }
@@ -1864,14 +1820,14 @@ pub(crate) fn shed_response_bytes(reason: ShedReason) -> &'static [u8] {
 }
 
 /// The default response content type (every JSON endpoint).
-const CONTENT_TYPE_JSON: &str = "application/json";
+pub(crate) const CONTENT_TYPE_JSON: &str = "application/json";
 
 /// The Prometheus text exposition format version `/metrics` serves.
-const CONTENT_TYPE_PROMETHEUS: &str = "text/plain; version=0.0.4";
+pub(crate) const CONTENT_TYPE_PROMETHEUS: &str = "text/plain; version=0.0.4";
 
 /// The replication stream content type (`/replication/wal` and
 /// `/replication/snapshot` bodies are binary: preamble + raw bytes).
-const CONTENT_TYPE_BINARY: &str = "application/octet-stream";
+pub(crate) const CONTENT_TYPE_BINARY: &str = "application/octet-stream";
 
 /// The one response-head rendering both framings share; the closing
 /// variant only adds the `Connection: close` header (HTTP/1.1
@@ -1904,47 +1860,19 @@ fn response_head(
     )
 }
 
-/// Serializes an untagged response in its keep-alive form.
-pub(crate) fn encode_response(status: u16, body: Vec<u8>) -> CachedResponse {
-    encode_with_etag(status, body, None)
-}
-
-/// [`encode_response`] with a non-JSON content type (the Prometheus
-/// exposition).
-fn encode_text(status: u16, body: Vec<u8>, content_type: &'static str) -> CachedResponse {
-    encode_full(status, body, None, content_type)
-}
-
-/// Serializes a cacheable response with a strong entity tag derived
-/// from the body, enabling `If-None-Match` revalidation on the
-/// response cache.
-fn encode_cached(status: u16, body: Vec<u8>) -> CachedResponse {
-    let etag: Arc<str> = format!("\"{:016x}\"", fnv1a64(&body)).into();
-    encode_with_etag(status, body, Some(etag))
-}
-
-fn encode_with_etag(status: u16, body: Vec<u8>, etag: Option<Arc<str>>) -> CachedResponse {
-    encode_full(status, body, etag, CONTENT_TYPE_JSON)
-}
-
-fn encode_full(
+/// The one response encoder: frames `body` in its keep-alive form —
+/// status line, `Content-Type`, `Content-Length`, then the `ETag` and
+/// any extra pre-rendered header lines (the replica write rejection's
+/// `Frost-Primary` hint) when given. [`close_variant_bytes`] re-frames
+/// the same fields with `Connection: close`.
+pub(crate) fn encode(
     status: u16,
-    body: Vec<u8>,
-    etag: Option<Arc<str>>,
+    body: impl Into<Vec<u8>>,
     content_type: &'static str,
-) -> CachedResponse {
-    encode_extra(status, body, etag, content_type, None)
-}
-
-/// [`encode_full`] carrying extra pre-rendered header lines (the
-/// replica write rejection's `Frost-Primary` hint).
-fn encode_extra(
-    status: u16,
-    body: Vec<u8>,
     etag: Option<Arc<str>>,
-    content_type: &'static str,
     extra: Option<Arc<str>>,
 ) -> CachedResponse {
+    let body = body.into();
     let head = response_head(
         status,
         body.len(),
@@ -1967,23 +1895,16 @@ fn encode_extra(
     }
 }
 
-/// The canned `304 Not Modified` for a revalidated entity tag: an
-/// empty body (`Content-Length: 0` keeps the in-repo client's framing
-/// exact) echoing the tag it validated.
-fn not_modified(etag: &str) -> CachedResponse {
-    let etag: Arc<str> = etag.into();
-    encode_with_etag(304, Vec::new(), Some(etag))
-}
-
-/// FNV-1a 64-bit — cheap, dependency-free, and stable across runs,
-/// which is all an entity tag needs.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// The strong entity tag of a cacheable body: its quoted FNV-1a 64-bit
+/// hash — cheap, dependency-free, and stable across runs, which is all
+/// an entity tag needs.
+pub(crate) fn entity_tag(body: &[u8]) -> Arc<str> {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in body {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    hash
+    format!("\"{hash:016x}\"").into()
 }
 
 /// Re-frames a response with `Connection: close`, sharing nothing —
@@ -2011,446 +1932,161 @@ pub(crate) fn error_body(message: &str) -> String {
     )]))
 }
 
-/// Splits a request target into path + decoded query pairs.
-fn parse_target(target: &str) -> (String, Vec<(String, String)>) {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let params = query
-        .split('&')
-        .filter(|kv| !kv.is_empty())
-        .map(|kv| match kv.split_once('=') {
-            Some((k, v)) => (percent_decode(k), percent_decode(v)),
-            None => (percent_decode(kv), String::new()),
-        })
-        .collect();
-    (percent_decode(path), params)
-}
-
-fn percent_decode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'+' => out.push(b' '),
-            b'%' => {
-                let hex = bytes
-                    .get(i + 1..i + 3)
-                    .and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok());
-                match hex {
-                    Some(b) => {
-                        out.push(b);
-                        i += 2;
-                    }
-                    None => out.push(b'%'),
-                }
-            }
-            b => out.push(b),
-        }
-        i += 1;
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-struct Params(Vec<(String, String)>);
-
-impl Params {
-    fn get(&self, key: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+impl ServerState {
+    /// A write sent to a replica: `503`, with the `Frost-Primary` header
+    /// naming where to retry when the primary is known.
+    pub(crate) fn replica_rejection(&self) -> CachedResponse {
+        let extra = self
+            .hub
+            .primary_hint()
+            .map(|h| Arc::from(format!("Frost-Primary: {h}\r\n")));
+        let body = error_body("replica: writes must go to the primary");
+        encode(503, body, CONTENT_TYPE_JSON, None, extra)
     }
 
-    fn required(&self, key: &str) -> Result<&str, (u16, String)> {
-        self.get(key)
-            .filter(|v| !v.is_empty())
-            .ok_or_else(|| (400, error_body(&format!("missing query parameter {key:?}"))))
+    /// The `/readyz` body + status: ready (200) only while the store is
+    /// loaded, the WAL has not been poisoned by a disk failure, and the
+    /// recent shed rate is below the configured threshold.
+    pub(crate) fn readyz_response(&self, options: &ServeOptions) -> CachedResponse {
+        let poisoned = self.wal_poisoned();
+        let shed_rate = self.recent_shed_rate();
+        let draining = self.is_draining();
+        let hub = &self.hub;
+        let is_replica = !hub.is_primary();
+        let role = if is_replica { "replica" } else { "primary" };
+        let lag = hub.lag();
+        // The lag gate takes a stale replica out of rotation; primaries
+        // (lag zero by definition) are never gated by it.
+        let lag_exceeded = is_replica
+            && options
+                .max_replica_lag
+                .is_some_and(|max_ms| lag.ms > max_ms);
+        let ready =
+            !poisoned && !draining && !lag_exceeded && shed_rate <= options.shed_ready_threshold;
+        let (_, applied_offset, applied_records) = hub.position();
+        let body = serde_json::to_string(&Value::object([
+            ("ready".to_string(), Value::from(ready)),
+            ("store_loaded".to_string(), Value::from(true)),
+            ("wal_poisoned".to_string(), Value::from(poisoned)),
+            ("draining".to_string(), Value::from(draining)),
+            ("recent_shed_rate".to_string(), Value::from(shed_rate)),
+            ("role".to_string(), Value::from(role)),
+            (
+                "applied_offset_bytes".to_string(),
+                Value::from(applied_offset),
+            ),
+            ("applied_records".to_string(), Value::from(applied_records)),
+            ("replication_lag_bytes".to_string(), Value::from(lag.bytes)),
+            (
+                "replication_lag_records".to_string(),
+                Value::from(lag.records),
+            ),
+            ("replication_lag_ms".to_string(), Value::from(lag.ms)),
+            (
+                "replication_lag_exceeded".to_string(),
+                Value::from(lag_exceeded),
+            ),
+            (
+                "replication_connected".to_string(),
+                Value::from(hub.connected()),
+            ),
+        ]));
+        encode(
+            if ready { 200 } else { 503 },
+            body,
+            CONTENT_TYPE_JSON,
+            None,
+            None,
+        )
     }
-}
 
-/// Routes one parsed request to its serialized response — or to a
-/// shed decision.
-///
-/// Cacheable GET endpoints probe the response cache (a hit is the
-/// shared serialized bytes, no allocation); a miss computes, renders
-/// and fills the cache, the entry stamped with the invalidation
-/// scopes it read. Write methods take the durable
-/// [write sequence](ServerState::apply_write) and bump only the scopes they
-/// touched.
-///
-/// Overload discipline: the cache probe runs *before* the class gate,
-/// so a hot GET on a saturated compute class degrades to its cached
-/// response instead of shedding; only the expensive part (store
-/// compute + render, or a write) needs a permit, and a permit-holder
-/// re-checks its deadline before starting — queue wait and gate wait
-/// never leak into evaluation time.
-fn route(request: &ParsedRequest, state: &ServerState, ctx: &RequestContext) -> RouteOutcome {
-    let (path, params) = parse_target(&request.target);
-    let params = Params(params);
-    let class = classify(&request.method, &path);
-    let _inflight = GaugeGuard::new(state.overload.gauge(class));
-    if request.method != "GET" {
-        if request.method == "POST" && path == "/replication/promote" {
-            let _permit = match ctx.gate_for(class) {
-                Ok(permit) => permit,
-                Err(reason) => return RouteOutcome::Shed(reason),
-            };
-            let outcome = state.promote();
-            if let Some(trace) = ctx.trace {
-                trace.stamp(Stage::Evaluated);
-            }
-            return RouteOutcome::Response(match outcome {
-                Ok(body) => encode_response(200, body.into()),
-                Err((status, body)) => encode_response(status, body.into()),
-            });
-        }
-        if !state.hub.is_primary() {
-            // Replicas reject writes before any gate or permit: cheap,
-            // and the Frost-Primary header tells the client where to
-            // retry.
-            let extra = state
-                .hub
-                .primary_hint()
-                .map(|h| Arc::from(format!("Frost-Primary: {h}\r\n")));
-            if let Some(trace) = ctx.trace {
-                trace.set_status(503);
-            }
-            return RouteOutcome::Response(encode_extra(
-                503,
-                error_body("replica: writes must go to the primary").into(),
-                None,
-                CONTENT_TYPE_JSON,
-                extra,
+    /// `GET /replication/wal?from=<offset>`: the long-poll WAL tail. The
+    /// reply is a [`StreamPreamble`] followed by the raw CRC-framed WAL
+    /// bytes from `from` to the durable length — exactly the bytes a
+    /// single-node recovery would replay. When the caller is current the
+    /// request is held open (condvar, no locks) up to `wait_ms` waiting
+    /// for the next append; a snapshot-epoch mismatch answers immediately
+    /// with empty frames so the caller re-bootstraps.
+    ///
+    /// The poll doubles as the replication acknowledgement: a caller
+    /// asking for bytes past `from` has everything before `from` durable,
+    /// which is what `--sync-replication` writers wait on.
+    pub(crate) fn replication_wal_response(
+        &self,
+        from: u64,
+        wait_ms: u64,
+        snap: Option<SnapshotId>,
+    ) -> Result<CachedResponse, (u16, String)> {
+        let hub = &self.hub;
+        let (current_snap, _, _) = hub.position();
+        let snap = snap.unwrap_or(current_snap);
+        hub.note_poll(snap, from);
+        let wait = Duration::from_millis(wait_ms.min(MAX_POLL_WAIT_MS));
+        hub.wait_for_data(from, snap, wait);
+        // Serve under the writer lock so position and file bytes stay
+        // consistent — no append or compaction can race the read.
+        let writer = self.writer.lock();
+        let Some(d) = writer.as_ref() else {
+            return Err((
+                400,
+                error_body("store is volatile (no WAL): replication unavailable"),
             ));
-        }
-        let _permit = match ctx.gate_for(class) {
-            Ok(permit) => permit,
-            Err(reason) => return RouteOutcome::Shed(reason),
         };
-        if ctx.expired() {
-            return RouteOutcome::Shed(ShedReason::Deadline);
-        }
-        let outcome = route_write(&request.method, &path, &params, &request.body, state);
-        if let Some(trace) = ctx.trace {
-            trace.stamp(Stage::Evaluated);
-        }
-        // Semi-sync replication: a WAL-appending write is acknowledged
-        // only once a replica has proven it durable by polling past
-        // its offset. On timeout the client sees 503, but the write IS
-        // durable locally — the safe direction (a retry is idempotent
-        // for imports of the same experiment).
-        let appended_wal = matches!(
-            (request.method.as_str(), path.as_str()),
-            ("POST", "/experiments")
-        ) || (request.method == "DELETE" && path.starts_with("/experiments/"));
-        if outcome.is_ok() && appended_wal && ctx.options.sync_replication && state.is_durable() {
-            let (snap, target, _) = state.hub.position();
-            let mut wait = SYNC_ACK_TIMEOUT;
-            if let Some(deadline) = ctx.deadline {
-                wait = wait.min(deadline.saturating_duration_since(Instant::now()));
+        let snapshot_id = d.snapshot_id();
+        let wal_len = d.wal_len();
+        let records = d.wal_records();
+        let frames: Vec<u8> = if snap == snapshot_id && from >= WAL_HEADER_LEN && from < wal_len {
+            match d.read_wal() {
+                Ok(bytes) => bytes
+                    .get(from as usize..)
+                    .map(<[u8]>::to_vec)
+                    .unwrap_or_default(),
+                Err(e) => return Err((500, error_body(&format!("WAL read failed: {e}")))),
             }
-            if !state.hub.wait_for_ack(snap, target, wait) {
-                return RouteOutcome::Response(encode_response(
-                    503,
-                    error_body(
-                        "write is durable on the primary but no replica \
-                         acknowledged it in time",
-                    )
-                    .into(),
-                ));
-            }
-        }
-        return RouteOutcome::Response(match outcome {
-            Ok(response) => encode_response(200, state.rendered(&response).into()),
-            Err((status, body)) => encode_response(status, body.into()),
-        });
+        } else {
+            Vec::new()
+        };
+        drop(writer);
+        hub.add_streamed(frames.len() as u64);
+        let preamble = StreamPreamble {
+            primary: hub.is_primary(),
+            snapshot: snapshot_id,
+            wal_len,
+            records,
+        };
+        let mut body = Vec::with_capacity(replication::STREAM_PREAMBLE_LEN + frames.len());
+        body.extend_from_slice(&preamble.encode());
+        body.extend_from_slice(&frames);
+        Ok(encode(200, body, CONTENT_TYPE_BINARY, None, None))
     }
-    if path == "/debug/sleep" && ctx.options.debug_sleep {
-        return debug_sleep(&params, ctx);
-    }
-    RouteOutcome::Response(match build_request(&path, &params) {
-        Ok(Routed::Api {
-            request,
-            cache_key,
-            scopes,
-        }) => {
-            let mut miss = None;
-            if let Some(key) = cache_key {
-                let probed = state.responses.get(&key);
-                if let Some(trace) = ctx.trace {
-                    trace.stamp(Stage::CacheProbe);
-                }
-                if let Some(hit) = probed {
-                    return RouteOutcome::Response(hit);
-                }
-                let observed = state
-                    .responses
-                    .begin_scoped(scopes.iter().map(String::as_str));
-                miss = Some((key, observed));
-            }
-            // Only the miss path is expensive — gate it.
-            let _permit = match ctx.gate_for(class) {
-                Ok(permit) => permit,
-                Err(reason) => return RouteOutcome::Shed(reason),
-            };
-            if ctx.expired() {
-                return RouteOutcome::Shed(ShedReason::Deadline);
-            }
-            let evaluated = state.with_store(|s| api::handle(s, request));
-            if let Some(trace) = ctx.trace {
-                trace.stamp(Stage::Evaluated);
-            }
-            match (evaluated, miss) {
-                (Ok(response), Some((key, observed))) => {
-                    let payload = encode_cached(200, state.rendered(&response).into_bytes());
-                    state
-                        .responses
-                        .insert_scoped(key, payload.clone(), observed);
-                    payload
-                }
-                (Ok(response), None) => encode_response(200, state.rendered(&response).into()),
-                (Err(e), _) => {
-                    let (status, body) = store_error(e);
-                    encode_response(status, body.into())
-                }
-            }
-        }
-        Ok(Routed::Stats) => encode_response(200, Registry::read(state).stats_json().into()),
-        // Rendered fresh on every scrape: never cached, no `ETag`.
-        Ok(Routed::Prometheus) => {
-            let body = Registry::read(state).exposition().into_bytes();
-            encode_text(200, body, CONTENT_TYPE_PROMETHEUS)
-        }
-        Ok(Routed::Traces) => traces_response(state),
-        Ok(Routed::ReplicationWal {
-            from,
-            wait_ms,
-            snap,
-        }) => replication_wal_response(state, from, wait_ms, snap),
-        Ok(Routed::ReplicationSnapshot) => replication_snapshot_response(state),
-        Ok(Routed::Health) => {
-            // Liveness: the process routes requests. Nothing else.
-            let body =
-                serde_json::to_string(&Value::object([("ok".to_string(), Value::from(true))]));
-            encode_response(200, body.into())
-        }
-        Ok(Routed::Ready) => readyz_response(state, ctx.options),
-        Err((status, body)) => encode_response(status, body.into()),
-    })
-}
 
-/// `GET /debug/sleep?ms=N` (test-only): a compute-class request that
-/// holds its worker and compute permit for `N` ms — the deterministic
-/// load the overload tests saturate the server with.
-fn debug_sleep(params: &Params, ctx: &RequestContext) -> RouteOutcome {
-    let ms = match parse_param(params, "ms", "50", |s| s.parse::<u64>().ok()) {
-        Ok(ms) => ms.min(10_000),
-        Err((status, body)) => return RouteOutcome::Response(encode_response(status, body.into())),
-    };
-    let _permit = match ctx.gate_for(Class::Compute) {
-        Ok(permit) => permit,
-        Err(reason) => return RouteOutcome::Shed(reason),
-    };
-    if ctx.expired() {
-        return RouteOutcome::Shed(ShedReason::Deadline);
-    }
-    std::thread::sleep(Duration::from_millis(ms));
-    if let Some(trace) = ctx.trace {
-        trace.stamp(Stage::Evaluated);
-    }
-    let body = serde_json::to_string(&Value::object([("slept_ms".to_string(), Value::from(ms))]));
-    RouteOutcome::Response(encode_response(200, body.into()))
-}
-
-/// The `/readyz` body + status: ready (200) only while the store is
-/// loaded, the WAL has not been poisoned by a disk failure, and the
-/// recent shed rate is below the configured threshold.
-fn readyz_response(state: &ServerState, options: &ServeOptions) -> CachedResponse {
-    let poisoned = state.wal_poisoned();
-    let shed_rate = state.recent_shed_rate();
-    let draining = state.is_draining();
-    let hub = &state.hub;
-    let is_replica = !hub.is_primary();
-    let role = if is_replica { "replica" } else { "primary" };
-    let lag = hub.lag();
-    // The lag gate takes a stale replica out of rotation; primaries
-    // (lag zero by definition) are never gated by it.
-    let lag_exceeded = is_replica
-        && options
-            .max_replica_lag
-            .is_some_and(|max_ms| lag.ms > max_ms);
-    let ready =
-        !poisoned && !draining && !lag_exceeded && shed_rate <= options.shed_ready_threshold;
-    let (_, applied_offset, applied_records) = hub.position();
-    let body = serde_json::to_string(&Value::object([
-        ("ready".to_string(), Value::from(ready)),
-        ("store_loaded".to_string(), Value::from(true)),
-        ("wal_poisoned".to_string(), Value::from(poisoned)),
-        ("draining".to_string(), Value::from(draining)),
-        ("recent_shed_rate".to_string(), Value::from(shed_rate)),
-        ("role".to_string(), Value::from(role)),
-        (
-            "applied_offset_bytes".to_string(),
-            Value::from(applied_offset),
-        ),
-        ("applied_records".to_string(), Value::from(applied_records)),
-        ("replication_lag_bytes".to_string(), Value::from(lag.bytes)),
-        (
-            "replication_lag_records".to_string(),
-            Value::from(lag.records),
-        ),
-        ("replication_lag_ms".to_string(), Value::from(lag.ms)),
-        (
-            "replication_lag_exceeded".to_string(),
-            Value::from(lag_exceeded),
-        ),
-        (
-            "replication_connected".to_string(),
-            Value::from(hub.connected()),
-        ),
-    ]));
-    encode_response(if ready { 200 } else { 503 }, body.into())
-}
-
-/// The `GET /debug/traces` body: the retained per-stage traces, most
-/// recent first. Never cached.
-fn traces_response(state: &ServerState) -> CachedResponse {
-    let body = serde_json::to_string(&state.telemetry.traces_json());
-    encode_response(200, body.into())
-}
-
-/// `GET /replication/wal?from=<offset>`: the long-poll WAL tail. The
-/// reply is a [`StreamPreamble`] followed by the raw CRC-framed WAL
-/// bytes from `from` to the durable length — exactly the bytes a
-/// single-node recovery would replay. When the caller is current the
-/// request is held open (condvar, no locks) up to `wait_ms` waiting
-/// for the next append; a snapshot-epoch mismatch answers immediately
-/// with empty frames so the caller re-bootstraps.
-///
-/// The poll doubles as the replication acknowledgement: a caller
-/// asking for bytes past `from` has everything before `from` durable,
-/// which is what `--sync-replication` writers wait on.
-fn replication_wal_response(
-    state: &ServerState,
-    from: u64,
-    wait_ms: u64,
-    snap: Option<SnapshotId>,
-) -> CachedResponse {
-    let hub = &state.hub;
-    let (current_snap, _, _) = hub.position();
-    let snap = snap.unwrap_or(current_snap);
-    hub.note_poll(snap, from);
-    let wait = Duration::from_millis(wait_ms.min(MAX_POLL_WAIT_MS));
-    hub.wait_for_data(from, snap, wait);
-    // Serve under the writer lock so position and file bytes stay
-    // consistent — no append or compaction can race the read.
-    let writer = state.writer.lock();
-    let Some(d) = writer.as_ref() else {
-        return encode_response(
-            400,
-            error_body("store is volatile (no WAL): replication unavailable").into(),
-        );
-    };
-    let snapshot_id = d.snapshot_id();
-    let wal_len = d.wal_len();
-    let records = d.wal_records();
-    let frames: Vec<u8> = if snap == snapshot_id && from >= WAL_HEADER_LEN && from < wal_len {
-        match d.read_wal() {
-            Ok(bytes) => bytes
-                .get(from as usize..)
-                .map(<[u8]>::to_vec)
-                .unwrap_or_default(),
-            Err(e) => {
-                return encode_response(500, error_body(&format!("WAL read failed: {e}")).into());
-            }
-        }
-    } else {
-        Vec::new()
-    };
-    drop(writer);
-    hub.add_streamed(frames.len() as u64);
-    let preamble = StreamPreamble {
-        primary: hub.is_primary(),
-        snapshot: snapshot_id,
-        wal_len,
-        records,
-    };
-    let mut body = Vec::with_capacity(replication::STREAM_PREAMBLE_LEN + frames.len());
-    body.extend_from_slice(&preamble.encode());
-    body.extend_from_slice(&frames);
-    encode_text(200, body, CONTENT_TYPE_BINARY)
-}
-
-/// `GET /replication/snapshot`: preamble + the exact current FROSTB
-/// snapshot bytes — the replica bootstrap payload. Served under the
-/// writer lock so a concurrent compaction cannot swap the file
-/// mid-read.
-fn replication_snapshot_response(state: &ServerState) -> CachedResponse {
-    let writer = state.writer.lock();
-    let Some(d) = writer.as_ref() else {
-        return encode_response(
-            400,
-            error_body("store is volatile (no snapshot): replication unavailable").into(),
-        );
-    };
-    let bytes = match d.read_snapshot() {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            return encode_response(
-                500,
-                error_body(&format!("snapshot read failed: {e}")).into(),
-            );
-        }
-    };
-    let preamble = StreamPreamble {
-        primary: state.hub.is_primary(),
-        snapshot: d.snapshot_id(),
-        wal_len: d.wal_len(),
-        records: d.wal_records(),
-    };
-    drop(writer);
-    state.hub.add_streamed(bytes.len() as u64);
-    let mut body = Vec::with_capacity(replication::STREAM_PREAMBLE_LEN + bytes.len());
-    body.extend_from_slice(&preamble.encode());
-    body.extend_from_slice(&bytes);
-    encode_text(200, body, CONTENT_TYPE_BINARY)
-}
-
-/// The write-method dispatcher: `POST /experiments` (CSV import),
-/// `DELETE /experiments/<name>`, `POST /snapshot/save`. Anything else
-/// reached with a write method is a 405.
-fn route_write(
-    method: &str,
-    path: &str,
-    params: &Params,
-    body: &[u8],
-    state: &ServerState,
-) -> Result<api::Response, (u16, String)> {
-    match (method, path) {
-        ("POST", "/experiments") => {
-            let dataset = params.required("dataset")?;
-            let name = params.required("name")?;
-            let csv = std::str::from_utf8(body)
-                .map_err(|_| (400, error_body("request body is not valid UTF-8")))?;
-            if csv.trim().is_empty() {
-                return Err((400, error_body("request body is empty; expected CSV")));
-            }
-            state.import_experiment(dataset, name, csv)
-        }
-        ("POST", "/snapshot/save") => state.save_snapshot(),
-        ("DELETE", p) => {
-            let Some(name) = p.strip_prefix("/experiments/").filter(|n| !n.is_empty()) else {
-                return Err((
-                    405,
-                    error_body("DELETE is only supported on /experiments/<name>"),
-                ));
-            };
-            state.delete_experiment(name)
-        }
-        _ => Err((405, error_body("only GET is supported on this endpoint"))),
+    /// `GET /replication/snapshot`: preamble + the exact current FROSTB
+    /// snapshot bytes — the replica bootstrap payload. Served under the
+    /// writer lock so a concurrent compaction cannot swap the file
+    /// mid-read.
+    pub(crate) fn replication_snapshot_response(&self) -> Result<CachedResponse, (u16, String)> {
+        let writer = self.writer.lock();
+        let Some(d) = writer.as_ref() else {
+            return Err((
+                400,
+                error_body("store is volatile (no snapshot): replication unavailable"),
+            ));
+        };
+        let bytes = d
+            .read_snapshot()
+            .map_err(|e| (500, error_body(&format!("snapshot read failed: {e}"))))?;
+        let preamble = StreamPreamble {
+            primary: self.hub.is_primary(),
+            snapshot: d.snapshot_id(),
+            wal_len: d.wal_len(),
+            records: d.wal_records(),
+        };
+        drop(writer);
+        self.hub.add_streamed(bytes.len() as u64);
+        let mut body = Vec::with_capacity(replication::STREAM_PREAMBLE_LEN + bytes.len());
+        body.extend_from_slice(&preamble.encode());
+        body.extend_from_slice(&bytes);
+        Ok(encode(200, body, CONTENT_TYPE_BINARY, None, None))
     }
 }
 
@@ -2483,292 +2119,11 @@ impl std::fmt::Display for WriteError {
     }
 }
 
-enum Routed {
-    Api {
-        request: Request,
-        cache_key: Option<String>,
-        /// Invalidation scopes the response depends on (see the
-        /// [module docs](self) table); stamped into the cache entry.
-        scopes: Vec<String>,
-    },
-    Stats,
-    /// `/healthz`: liveness.
-    Health,
-    /// `/readyz`: readiness (store loaded, WAL healthy, shed rate
-    /// under threshold).
-    Ready,
-    /// `GET /metrics` without an `experiment` parameter: the
-    /// Prometheus text exposition. Never cached — scrapers must see
-    /// live values.
-    Prometheus,
-    /// `GET /debug/traces`: the last-N request traces. Never cached.
-    Traces,
-    /// `GET /replication/wal?from=<offset>`: long-poll WAL tail for
-    /// replicas. Never cached.
-    ReplicationWal {
-        from: u64,
-        wait_ms: u64,
-        /// The snapshot epoch the caller's WAL applies over; a
-        /// mismatch with ours means the caller must re-bootstrap, so
-        /// the server answers immediately with empty frames. `None`
-        /// (parameters absent) means "whatever the server has".
-        snap: Option<SnapshotId>,
-    },
-    /// `GET /replication/snapshot`: the current FROSTB snapshot bytes
-    /// (replica bootstrap). Never cached.
-    ReplicationSnapshot,
-}
-
-fn build_request(path: &str, params: &Params) -> Result<Routed, (u16, String)> {
-    let api = |request, cache_key, scopes| {
-        Ok(Routed::Api {
-            request,
-            cache_key,
-            scopes,
-        })
-    };
-    let exp_scope = |e: &str| vec![format!("exp:{e}")];
-    match path {
-        "/datasets" => api(
-            Request::ListDatasets,
-            Some(cache_key("datasets", &[])),
-            vec!["sys:datasets".to_string()],
-        ),
-        "/experiments" => {
-            let dataset = params.get("dataset").map(str::to_string);
-            let key = cache_key("experiments", &[dataset.as_deref().unwrap_or("")]);
-            api(
-                Request::ListExperiments { dataset },
-                Some(key),
-                vec!["sys:experiments".to_string()],
-            )
-        }
-        "/profile" => {
-            let dataset = params.required("dataset")?.to_string();
-            let key = cache_key("profile", &[&dataset]);
-            let scopes = vec![format!("ds:{dataset}")];
-            api(Request::ProfileDataset { dataset }, Some(key), scopes)
-        }
-        "/matrix" => {
-            let experiment = params.required("experiment")?.to_string();
-            let key = cache_key("matrix", &[&experiment]);
-            let scopes = exp_scope(&experiment);
-            api(
-                Request::GetConfusionMatrix { experiment },
-                Some(key),
-                scopes,
-            )
-        }
-        "/metrics" => {
-            // The bare path is the Prometheus exposition; with an
-            // `experiment` parameter it is the evaluation-metrics API
-            // (an empty value is still the API's 400, not a scrape).
-            if params.get("experiment").is_none() {
-                return Ok(Routed::Prometheus);
-            }
-            let experiment = params.required("experiment")?.to_string();
-            let key = cache_key("metrics", &[&experiment]);
-            let scopes = exp_scope(&experiment);
-            api(Request::GetMetrics { experiment }, Some(key), scopes)
-        }
-        "/diagram" => {
-            let experiment = params.required("experiment")?.to_string();
-            let x = parse_param(params, "x", "recall", json::parse_metric)?;
-            let y = parse_param(params, "y", "precision", json::parse_metric)?;
-            let engine = parse_param(params, "engine", "optimized", json::parse_engine)?;
-            let samples = parse_param(params, "samples", "20", |s| s.parse::<usize>().ok())?;
-            if samples < 2 {
-                return Err((400, error_body("samples must be at least 2")));
-            }
-            if samples > MAX_DIAGRAM_SAMPLES {
-                return Err((
-                    400,
-                    error_body(&format!("samples must be at most {MAX_DIAGRAM_SAMPLES}")),
-                ));
-            }
-            if engine == DiagramEngine::Naive && samples > MAX_NAIVE_DIAGRAM_SAMPLES {
-                return Err((
-                    400,
-                    error_body(&format!(
-                        "samples must be at most {MAX_NAIVE_DIAGRAM_SAMPLES} with engine=naive"
-                    )),
-                ));
-            }
-            let key = cache_key(
-                "diagram",
-                &[
-                    &experiment,
-                    &x.to_string(),
-                    &y.to_string(),
-                    &format!("{engine:?}"),
-                    &samples.to_string(),
-                ],
-            );
-            let scopes = exp_scope(&experiment);
-            api(
-                Request::GetDiagram {
-                    experiment,
-                    x,
-                    y,
-                    engine,
-                    samples,
-                },
-                Some(key),
-                scopes,
-            )
-        }
-        "/compare" | "/venn" => {
-            let list = params.required("experiments")?;
-            let experiments: Vec<String> = list
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect();
-            if experiments.is_empty() {
-                return Err((400, error_body("experiments list is empty")));
-            }
-            // /venn is the N-Intersection view including the ground
-            // truth; /compare defaults to experiments only.
-            let default_gold = path == "/venn";
-            let include_gold = match params.get("gold") {
-                None => default_gold,
-                Some("true") => true,
-                Some("false") => false,
-                Some(other) => return Err((400, error_body(&format!("bad gold flag {other:?}")))),
-            };
-            let mut key_parts: Vec<&str> = experiments.iter().map(String::as_str).collect();
-            let gold_part = include_gold.to_string();
-            key_parts.push(&gold_part);
-            let key = cache_key("venn", &key_parts);
-            let scopes = experiments.iter().map(|e| format!("exp:{e}")).collect();
-            api(
-                Request::CompareExperiments {
-                    experiments,
-                    include_gold,
-                },
-                Some(key),
-                scopes,
-            )
-        }
-        "/cluster-metrics" => {
-            let experiment = params.required("experiment")?.to_string();
-            let key = cache_key("cluster-metrics", &[&experiment]);
-            let scopes = exp_scope(&experiment);
-            api(Request::GetClusterMetrics { experiment }, Some(key), scopes)
-        }
-        "/ratios" => {
-            let experiment = params.required("experiment")?.to_string();
-            let kind = parse_param(params, "kind", "null", json::parse_ratio_kind)?;
-            let key = cache_key("ratios", &[&experiment, &format!("{kind:?}")]);
-            let scopes = exp_scope(&experiment);
-            api(
-                Request::GetAttributeRatios { experiment, kind },
-                Some(key),
-                scopes,
-            )
-        }
-        "/errors" => {
-            let experiment = params.required("experiment")?.to_string();
-            let key = cache_key("errors", &[&experiment]);
-            let scopes = exp_scope(&experiment);
-            api(Request::GetErrorProfile { experiment }, Some(key), scopes)
-        }
-        "/quality" => {
-            let experiment = params.required("experiment")?.to_string();
-            let key = cache_key("quality", &[&experiment]);
-            let scopes = exp_scope(&experiment);
-            api(Request::GetQualitySignals { experiment }, Some(key), scopes)
-        }
-        "/stats" => Ok(Routed::Stats),
-        "/healthz" => Ok(Routed::Health),
-        "/readyz" => Ok(Routed::Ready),
-        "/debug/traces" => Ok(Routed::Traces),
-        "/replication/wal" => {
-            let from = parse_param(params, "from", "", |s| s.parse::<u64>().ok())?;
-            let wait_ms = parse_param(
-                params,
-                "wait_ms",
-                &replication::REPLICA_POLL_WAIT_MS.to_string(),
-                |s| s.parse::<u64>().ok(),
-            )?;
-            let snap = match (params.get("snap_len"), params.get("snap_crc")) {
-                (Some(len), Some(crc)) => Some(SnapshotId {
-                    len: len
-                        .parse()
-                        .map_err(|_| (400, error_body("bad snap_len value")))?,
-                    crc: crc
-                        .parse()
-                        .map_err(|_| (400, error_body("bad snap_crc value")))?,
-                }),
-                _ => None,
-            };
-            Ok(Routed::ReplicationWal {
-                from,
-                wait_ms,
-                snap,
-            })
-        }
-        "/replication/snapshot" => Ok(Routed::ReplicationSnapshot),
-        other => Err((404, error_body(&format!("no such endpoint {other:?}")))),
-    }
-}
-
-/// Builds an unambiguous cache key: every component is
-/// length-prefixed, so user-controlled names (which may contain any
-/// byte, including the separators) cannot alias another request's
-/// key.
-fn cache_key(kind: &str, parts: &[&str]) -> String {
-    let mut key =
-        String::with_capacity(kind.len() + parts.iter().map(|p| p.len() + 8).sum::<usize>());
-    key.push_str(kind);
-    for p in parts {
-        key.push('\u{1}');
-        key.push_str(&p.len().to_string());
-        key.push(':');
-        key.push_str(p);
-    }
-    key
-}
-
-fn parse_param<T>(
-    params: &Params,
-    key: &str,
-    default: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<T, (u16, String)> {
-    let raw = params.get(key).unwrap_or(default);
-    parse(raw).ok_or_else(|| (400, error_body(&format!("bad {key} value {raw:?}"))))
-}
-
-fn store_error(e: StoreError) -> (u16, String) {
-    let status = match &e {
-        StoreError::UnknownDataset(_)
-        | StoreError::UnknownExperiment(_)
-        | StoreError::NoGoldStandard(_) => 404,
-        _ => 400,
-    };
-    (status, error_body(&e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn target_parsing_decodes_queries() {
-        let (path, params) = parse_target("/diagram?experiment=run%201&samples=5&flag");
-        assert_eq!(path, "/diagram");
-        assert_eq!(
-            params,
-            vec![
-                ("experiment".to_string(), "run 1".to_string()),
-                ("samples".to_string(), "5".to_string()),
-                ("flag".to_string(), String::new()),
-            ]
-        );
-        assert_eq!(percent_decode("a+b%2Cc%"), "a b,c%");
-        assert_eq!(percent_decode("%zz"), "%zz");
-    }
+    use crate::telemetry::Registry;
+    use frost_storage::api::Request;
 
     fn parse_all(bytes: &[u8]) -> Vec<Parsed> {
         let mut buffer = RequestBuffer::new();
@@ -2963,7 +2318,7 @@ mod tests {
             assert!(cache.get(&format!("miss{i}")).is_none());
         }
         for key in ["a", "bb"] {
-            let payload = encode_response(200, key.as_bytes().to_vec());
+            let payload = encode(200, key, CONTENT_TYPE_JSON, None, None);
             cache.insert(key, payload, cache.begin());
         }
         for _ in 0..15 {

@@ -15,11 +15,14 @@
 //!   endpoint. Connections live on a readiness-based event loop (a
 //!   vendored `poll(2)` shim — idle connections cost a poll slot, not
 //!   a thread); only complete parsed requests reach the fixed worker
-//!   pool. Two generation-stamped cache tiers
-//!   ([`frost_storage::cache`]) sit in front of the derived artifacts:
-//!   rendered JSON bodies, and fully serialized response bytes served
-//!   by a single `write_all` on the hot path, with content-derived
-//!   `ETag` revalidation (`304`) on top.
+//!   pool. One generation-stamped cache ([`frost_storage::cache`])
+//!   holds fully serialized response bytes, served by a single
+//!   `write_all` on the hot path, with content-derived `ETag`
+//!   revalidation (`304`) on top.
+//! * [`route`] — the route table: each request is resolved to one
+//!   [`Endpoint`](route::Endpoint) when its head completes, and that
+//!   endpoint names its handler, cost class, telemetry label and cache
+//!   scopes.
 //! * [`json`] — the canonical JSON rendering of
 //!   [`Response`](frost_storage::api::Response) values. Tests pin the
 //!   HTTP bodies byte-for-byte against this in-process rendering.
@@ -46,6 +49,7 @@ mod event_loop;
 pub mod http;
 pub mod json;
 pub mod replication;
+pub mod route;
 pub mod telemetry;
 
 pub use http::{run_daemon, serve, serve_with, ServeOptions, ServerHandle, ServerState};

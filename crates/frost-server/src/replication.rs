@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 use frost_storage::wal::{self, SnapshotId};
 
 use crate::http::ServerState;
+use crate::route::Endpoint::{ReplicationSnapshot, ReplicationWal};
 
 // ---------------------------------------------------------------------
 // Stream preamble
@@ -440,8 +441,10 @@ pub fn run_replica(state: &ServerState, primary: &str, shutdown: &AtomicBool) {
         let hub = state.hub();
         let (snapshot, from) = state.replication_position();
         let path = format!(
-            "/replication/wal?from={from}&wait_ms={REPLICA_POLL_WAIT_MS}&snap_len={}&snap_crc={}",
-            snapshot.len, snapshot.crc
+            "{}?from={from}&wait_ms={REPLICA_POLL_WAIT_MS}&snap_len={}&snap_crc={}",
+            ReplicationWal.path(),
+            snapshot.len,
+            snapshot.crc
         );
         let (status, body) = match http_get_binary(primary, &path, POLL_TIMEOUT) {
             Ok(reply) => reply,
@@ -518,7 +521,7 @@ pub fn run_replica(state: &ServerState, primary: &str, shutdown: &AtomicBool) {
 /// Fetches the primary's snapshot, verifies it against its preamble,
 /// and swaps it in as this node's new baseline.
 fn rebootstrap(state: &ServerState, primary: &str) -> io::Result<()> {
-    let (status, body) = http_get_binary(primary, "/replication/snapshot", SNAPSHOT_TIMEOUT)?;
+    let (status, body) = http_get_binary(primary, ReplicationSnapshot.path(), SNAPSHOT_TIMEOUT)?;
     if status != 200 {
         return Err(io::Error::other(format!(
             "snapshot fetch returned HTTP {status}"
@@ -556,7 +559,7 @@ pub fn bootstrap_snapshot(primary: &str, path: &Path, max_wait: Duration) -> io:
 }
 
 fn try_bootstrap(primary: &str, path: &Path) -> io::Result<()> {
-    let (status, body) = http_get_binary(primary, "/replication/snapshot", SNAPSHOT_TIMEOUT)?;
+    let (status, body) = http_get_binary(primary, ReplicationSnapshot.path(), SNAPSHOT_TIMEOUT)?;
     if status != 200 {
         return Err(io::Error::other(format!(
             "snapshot fetch returned HTTP {status}"

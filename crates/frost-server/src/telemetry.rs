@@ -49,6 +49,7 @@
 //! `# HELP`/`# TYPE` header directly followed by its samples).
 
 use crate::replication::Role;
+use crate::route::{Endpoint, ENDPOINT_COUNT};
 use crate::ServerState;
 use frost_storage::telemetry::{Histogram, WalStats};
 use parking_lot::{Mutex, RwLock};
@@ -67,7 +68,7 @@ pub const DEFAULT_TRACE_RING: usize = 256;
 const SERVER_SUB_BITS: u32 = 5;
 
 // ---------------------------------------------------------------------
-// Stages and endpoint labels
+// Stages
 // ---------------------------------------------------------------------
 
 /// A request lifecycle stage (see the [module docs](self) glossary).
@@ -117,175 +118,13 @@ impl Stage {
     }
 }
 
-/// The bounded endpoint label set request metrics are keyed by. Every
-/// request maps to exactly one label (unknown paths fall into
-/// [`Endpoint::Other`]), and each label implies one cost class — so
-/// `endpoint × class` label pairs stay bounded no matter what clients
-/// send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
-    Datasets = 0,
-    Experiments = 1,
-    Profile = 2,
-    Matrix = 3,
-    /// `/metrics?experiment=<E>` — the evaluation-metrics API (the
-    /// bare `/metrics` is [`Endpoint::Prometheus`]).
-    Metrics = 4,
-    Diagram = 5,
-    Compare = 6,
-    Venn = 7,
-    ClusterMetrics = 8,
-    Ratios = 9,
-    Errors = 10,
-    Quality = 11,
-    Stats = 12,
-    Healthz = 13,
-    Readyz = 14,
-    /// `GET /metrics` without an `experiment` parameter: the
-    /// Prometheus exposition.
-    Prometheus = 15,
-    /// `GET /debug/traces`.
-    Traces = 16,
-    /// The test-only `/debug/*` load endpoints.
-    Debug = 17,
-    /// `POST /experiments` (CSV import).
-    Import = 18,
-    /// `DELETE /experiments/<name>`.
-    Delete = 19,
-    /// `POST /snapshot/save`.
-    Snapshot = 20,
-    Other = 21,
-    /// `GET /replication/wal` — the replica long-poll WAL stream.
-    ReplicationWal = 22,
-    /// `GET /replication/snapshot` — the replica bootstrap download.
-    ReplicationSnapshot = 23,
-    /// `POST /replication/promote` — the explicit failover trigger.
-    Promote = 24,
-}
-
-/// Number of [`Endpoint`] labels.
-pub const ENDPOINT_COUNT: usize = 25;
-
-impl Endpoint {
-    /// Every label, in index order.
-    pub const ALL: [Endpoint; ENDPOINT_COUNT] = [
-        Endpoint::Datasets,
-        Endpoint::Experiments,
-        Endpoint::Profile,
-        Endpoint::Matrix,
-        Endpoint::Metrics,
-        Endpoint::Diagram,
-        Endpoint::Compare,
-        Endpoint::Venn,
-        Endpoint::ClusterMetrics,
-        Endpoint::Ratios,
-        Endpoint::Errors,
-        Endpoint::Quality,
-        Endpoint::Stats,
-        Endpoint::Healthz,
-        Endpoint::Readyz,
-        Endpoint::Prometheus,
-        Endpoint::Traces,
-        Endpoint::Debug,
-        Endpoint::Import,
-        Endpoint::Delete,
-        Endpoint::Snapshot,
-        Endpoint::Other,
-        Endpoint::ReplicationWal,
-        Endpoint::ReplicationSnapshot,
-        Endpoint::Promote,
-    ];
-
-    /// Maps a request line to its label without allocating.
-    pub fn from_request(method: &str, target: &str) -> Endpoint {
-        let (path, query) = match target.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (target, ""),
-        };
-        match method {
-            "GET" => match path {
-                "/datasets" => Endpoint::Datasets,
-                "/experiments" => Endpoint::Experiments,
-                "/profile" => Endpoint::Profile,
-                "/matrix" => Endpoint::Matrix,
-                "/metrics" if query.contains("experiment") => Endpoint::Metrics,
-                "/metrics" => Endpoint::Prometheus,
-                "/diagram" => Endpoint::Diagram,
-                "/compare" => Endpoint::Compare,
-                "/venn" => Endpoint::Venn,
-                "/cluster-metrics" => Endpoint::ClusterMetrics,
-                "/ratios" => Endpoint::Ratios,
-                "/errors" => Endpoint::Errors,
-                "/quality" => Endpoint::Quality,
-                "/stats" => Endpoint::Stats,
-                "/healthz" => Endpoint::Healthz,
-                "/readyz" => Endpoint::Readyz,
-                "/debug/traces" => Endpoint::Traces,
-                "/replication/wal" => Endpoint::ReplicationWal,
-                "/replication/snapshot" => Endpoint::ReplicationSnapshot,
-                p if p.starts_with("/debug/") => Endpoint::Debug,
-                _ => Endpoint::Other,
-            },
-            "POST" => match path {
-                "/experiments" => Endpoint::Import,
-                "/snapshot/save" => Endpoint::Snapshot,
-                "/replication/promote" => Endpoint::Promote,
-                _ => Endpoint::Other,
-            },
-            "DELETE" => Endpoint::Delete,
-            _ => Endpoint::Other,
-        }
-    }
-
-    /// The label value in `/metrics`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Endpoint::Datasets => "datasets",
-            Endpoint::Experiments => "experiments",
-            Endpoint::Profile => "profile",
-            Endpoint::Matrix => "matrix",
-            Endpoint::Metrics => "metrics",
-            Endpoint::Diagram => "diagram",
-            Endpoint::Compare => "compare",
-            Endpoint::Venn => "venn",
-            Endpoint::ClusterMetrics => "cluster_metrics",
-            Endpoint::Ratios => "ratios",
-            Endpoint::Errors => "errors",
-            Endpoint::Quality => "quality",
-            Endpoint::Stats => "stats",
-            Endpoint::Healthz => "healthz",
-            Endpoint::Readyz => "readyz",
-            Endpoint::Prometheus => "prometheus",
-            Endpoint::Traces => "traces",
-            Endpoint::Debug => "debug",
-            Endpoint::Import => "import",
-            Endpoint::Delete => "delete",
-            Endpoint::Snapshot => "snapshot",
-            Endpoint::Other => "other",
-            Endpoint::ReplicationWal => "replication_wal",
-            Endpoint::ReplicationSnapshot => "replication_snapshot",
-            Endpoint::Promote => "promote",
-        }
-    }
-
-    /// The cost class this endpoint routes to (mirrors the server's
-    /// `classify`) — the second metric label.
-    pub fn class_name(self) -> &'static str {
-        match self {
-            Endpoint::Compare | Endpoint::Diagram | Endpoint::Venn | Endpoint::Debug => "compute",
-            Endpoint::Import | Endpoint::Delete | Endpoint::Snapshot | Endpoint::Promote => "write",
-            _ => "cached",
-        }
-    }
-
-    /// The `endpoint="…",class="…"` label pair in `/metrics`.
-    fn labels(self) -> String {
-        format!(
-            "endpoint=\"{}\",class=\"{}\"",
-            self.name(),
-            self.class_name()
-        )
-    }
+/// The `endpoint="…",class="…"` label pair of `endpoint` in `/metrics`.
+fn labels(endpoint: Endpoint) -> String {
+    format!(
+        "endpoint=\"{}\",class=\"{}\"",
+        endpoint.name(),
+        endpoint.class().name()
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -307,10 +146,11 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Starts a trace at `accepted` (the request's deadline clock).
-    pub fn begin(method: &str, target: &str, accepted: Instant) -> Box<Trace> {
+    /// Starts a trace of a request resolved to `endpoint` at
+    /// `accepted` (the request's deadline clock).
+    pub fn begin(method: &str, target: &str, endpoint: Endpoint, accepted: Instant) -> Box<Trace> {
         let trace = Box::new(Trace {
-            endpoint: Endpoint::from_request(method, target),
+            endpoint,
             method: method.to_string(),
             target: target.to_string(),
             status: Cell::new(0),
@@ -339,7 +179,7 @@ impl Trace {
         self.status.set(status);
     }
 
-    /// The endpoint label derived from the request line.
+    /// The endpoint the request resolved to.
     pub fn endpoint(&self) -> Endpoint {
         self.endpoint
     }
@@ -373,7 +213,10 @@ impl FinishedTrace {
         Value::object([
             ("seq".to_string(), Value::from(self.seq)),
             ("endpoint".to_string(), Value::from(self.endpoint.name())),
-            ("class".to_string(), Value::from(self.endpoint.class_name())),
+            (
+                "class".to_string(),
+                Value::from(self.endpoint.class().name()),
+            ),
             ("method".to_string(), Value::from(self.method.as_str())),
             ("target".to_string(), Value::from(self.target.as_str())),
             ("status".to_string(), Value::from(u64::from(self.status))),
@@ -728,7 +571,7 @@ impl<'a> Registry<'a> {
         for endpoint in Endpoint::ALL {
             let n = load(&t.requests[endpoint as usize]);
             if n > 0 {
-                requests.sample(endpoint.labels(), None, n);
+                requests.sample(labels(endpoint), None, n);
             }
         }
         r.counter(
@@ -890,7 +733,7 @@ impl<'a> Registry<'a> {
         for endpoint in Endpoint::ALL {
             let h = &t.e2e[endpoint as usize];
             if h.count() > 0 {
-                e2e.sample(endpoint.labels(), None, Reading::Histogram(h, 1e-9));
+                e2e.sample(labels(endpoint), None, Reading::Histogram(h, 1e-9));
             }
         }
         let stages = r.histogram(
@@ -1029,41 +872,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn endpoint_labels_cover_the_routing_table() {
-        let cases = [
-            ("GET", "/datasets", Endpoint::Datasets),
-            ("GET", "/metrics?experiment=e1", Endpoint::Metrics),
-            ("GET", "/metrics", Endpoint::Prometheus),
-            ("GET", "/diagram?experiment=e1&samples=5", Endpoint::Diagram),
-            ("GET", "/debug/traces", Endpoint::Traces),
-            ("GET", "/debug/sleep?ms=5", Endpoint::Debug),
-            ("GET", "/nope", Endpoint::Other),
-            ("POST", "/experiments?dataset=d&name=n", Endpoint::Import),
-            ("POST", "/snapshot/save", Endpoint::Snapshot),
-            ("DELETE", "/experiments/e1", Endpoint::Delete),
-            ("PATCH", "/datasets", Endpoint::Other),
-        ];
-        for (method, target, want) in cases {
-            assert_eq!(
-                Endpoint::from_request(method, target),
-                want,
-                "{method} {target}"
-            );
-        }
-        for endpoint in Endpoint::ALL {
-            assert!(!endpoint.name().is_empty());
-            assert!(matches!(
-                endpoint.class_name(),
-                "cached" | "compute" | "write"
-            ));
-        }
-    }
-
-    #[test]
     fn stage_deltas_telescope_to_total() {
         let telemetry = Telemetry::new(Arc::default());
         let t0 = Instant::now();
-        let trace = Trace::begin("GET", "/datasets", t0);
+        let trace = Trace::begin("GET", "/datasets", Endpoint::Datasets, t0);
         trace.stamp_at(Stage::HeadComplete, t0 + Duration::from_micros(10));
         trace.stamp_at(Stage::Admitted, t0 + Duration::from_micros(12));
         trace.stamp_at(Stage::CacheProbe, t0 + Duration::from_micros(40));
@@ -1098,7 +910,7 @@ mod tests {
         telemetry.configure(true, None, 4);
         for i in 0..10 {
             let t0 = Instant::now();
-            let trace = Trace::begin("GET", &format!("/stats?i={i}"), t0);
+            let trace = Trace::begin("GET", &format!("/stats?i={i}"), Endpoint::Stats, t0);
             trace.stamp_at(Stage::LastByte, t0 + Duration::from_micros(i));
             telemetry.finish(trace);
         }

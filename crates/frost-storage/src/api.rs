@@ -91,28 +91,6 @@ pub enum Request {
         /// Experiment name.
         experiment: String,
     },
-    /// Imports an experiment from CSV text (`id1,id2[,similarity]`
-    /// rows with a header, native record ids). Mutating — only
-    /// [`handle_mut`] accepts it.
-    ImportExperiment {
-        /// Dataset the experiment ran on.
-        dataset: String,
-        /// Name for the new experiment.
-        name: String,
-        /// The CSV body.
-        csv: String,
-    },
-    /// Deletes an experiment. Mutating — only [`handle_mut`] accepts
-    /// it.
-    DeleteExperiment {
-        /// Experiment name.
-        name: String,
-    },
-    /// Requests a snapshot of the current store. Mutating — only
-    /// [`handle_mut`] accepts it. At the library level this only
-    /// reports what would be persisted; the server owns the snapshot
-    /// file and performs the actual WAL compaction.
-    SaveSnapshot,
 }
 
 /// Which attribute-level ratio [`Request::GetAttributeRatios`] computes.
@@ -186,42 +164,11 @@ pub fn parse_experiment_csv(
         .map_err(|e| StoreError::InvalidInput(e.to_string()))
 }
 
-/// Handles one mutating (or read-only) request against the store.
-/// The write counterpart of [`handle`]; the read-only variants
-/// delegate. Callers that need durability (the server) sequence the
-/// WAL append themselves and use this only for replay-free embedding.
-pub fn handle_mut(store: &mut BenchmarkStore, request: Request) -> Result<Response, StoreError> {
-    match request {
-        Request::ImportExperiment { dataset, name, csv } => {
-            let experiment = parse_experiment_csv(store, &dataset, &name, &csv)?;
-            let pairs = experiment.len();
-            store.add_experiment(&dataset, experiment, None)?;
-            Ok(Response::Imported {
-                experiment: name,
-                pairs,
-            })
-        }
-        Request::DeleteExperiment { name } => {
-            store.remove_experiment(&name)?;
-            Ok(Response::Deleted { experiment: name })
-        }
-        Request::SaveSnapshot => Ok(Response::Saved {
-            datasets: store.dataset_names().len(),
-            experiments: store.experiment_names(None).len(),
-        }),
-        read_only => handle(store, read_only),
-    }
-}
-
-/// Handles one read-only request against the store. Mutating requests
-/// are refused — use [`handle_mut`].
+/// Handles one request against the store. Every request reads; writes
+/// go through the WAL protocol ([`crate::wal::WalOp`]), never through
+/// here.
 pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, StoreError> {
     match request {
-        Request::ImportExperiment { .. }
-        | Request::DeleteExperiment { .. }
-        | Request::SaveSnapshot => Err(StoreError::InvalidInput(
-            "mutating request sent to the read-only handler".into(),
-        )),
         Request::ListDatasets => Ok(Response::Names(store.dataset_names())),
         Request::ListExperiments { dataset } => {
             Ok(Response::Names(store.experiment_names(dataset.as_deref())))
@@ -615,114 +562,5 @@ mod tests {
             }
         )
         .is_err());
-    }
-
-    #[test]
-    fn import_delete_and_save_round_trip() {
-        let mut s = store();
-        let resp = handle_mut(
-            &mut s,
-            Request::ImportExperiment {
-                dataset: "d".into(),
-                name: "e3".into(),
-                csv: "id1,id2,similarity\na,b,0.9\nc,d,0.7\nb,a,0.9\n".into(),
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            resp,
-            Response::Imported {
-                experiment: "e3".into(),
-                pairs: 2, // the reversed duplicate collapses
-            }
-        );
-        assert_eq!(
-            handle(&s, Request::ListExperiments { dataset: None }).unwrap(),
-            Response::Names(vec!["e1".into(), "e2".into(), "e3".into()])
-        );
-        // The imported experiment is immediately evaluable.
-        assert!(handle(
-            &s,
-            Request::GetMetrics {
-                experiment: "e3".into()
-            }
-        )
-        .is_ok());
-        assert_eq!(
-            handle_mut(&mut s, Request::SaveSnapshot).unwrap(),
-            Response::Saved {
-                datasets: 1,
-                experiments: 3
-            }
-        );
-        assert_eq!(
-            handle_mut(&mut s, Request::DeleteExperiment { name: "e3".into() }).unwrap(),
-            Response::Deleted {
-                experiment: "e3".into()
-            }
-        );
-        assert!(handle(
-            &s,
-            Request::GetMetrics {
-                experiment: "e3".into()
-            }
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn bad_imports_are_rejected_before_mutation() {
-        let mut s = store();
-        // Duplicate name.
-        let err = handle_mut(
-            &mut s,
-            Request::ImportExperiment {
-                dataset: "d".into(),
-                name: "e1".into(),
-                csv: "id1,id2\na,b\n".into(),
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, StoreError::AlreadyExists("e1".into()));
-        // Unknown record id.
-        let err = handle_mut(
-            &mut s,
-            Request::ImportExperiment {
-                dataset: "d".into(),
-                name: "e3".into(),
-                csv: "id1,id2\na,zz\n".into(),
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, StoreError::InvalidInput(_)), "{err:?}");
-        // Unknown dataset.
-        let err = handle_mut(
-            &mut s,
-            Request::ImportExperiment {
-                dataset: "nope".into(),
-                name: "e3".into(),
-                csv: "id1,id2\na,b\n".into(),
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, StoreError::UnknownDataset("nope".into()));
-        // Nothing landed.
-        assert_eq!(
-            handle(&s, Request::ListExperiments { dataset: None }).unwrap(),
-            Response::Names(vec!["e1".into(), "e2".into()])
-        );
-    }
-
-    #[test]
-    fn read_only_handler_refuses_mutations() {
-        let s = store();
-        assert!(matches!(
-            handle(&s, Request::SaveSnapshot),
-            Err(StoreError::InvalidInput(_))
-        ));
-        assert!(matches!(
-            handle(&s, Request::DeleteExperiment { name: "e1".into() }),
-            Err(StoreError::InvalidInput(_))
-        ));
     }
 }
