@@ -160,6 +160,11 @@ impl Experiment {
         &self.pairs
     }
 
+    /// The name and the predicted matches, moved out.
+    pub fn into_parts(self) -> (String, Vec<ScoredPair>) {
+        (self.name, self.pairs)
+    }
+
     /// The set of matched [`RecordPair`]s (dropping scores and origins)
     /// as a packed, sorted [`PairSet`].
     pub fn pair_set(&self) -> PairSet {

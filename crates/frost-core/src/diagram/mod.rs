@@ -59,6 +59,17 @@ pub enum DiagramEngine {
 }
 
 impl DiagramEngine {
+    /// Every engine.
+    pub const ALL: [DiagramEngine; 2] = [DiagramEngine::Optimized, DiagramEngine::Naive];
+
+    /// The engine's query-parameter spelling (`optimized` / `naive`).
+    pub fn name(self) -> &'static str {
+        match self {
+            DiagramEngine::Optimized => "optimized",
+            DiagramEngine::Naive => "naive",
+        }
+    }
+
     /// Computes `s` confusion matrices for the experiment against the
     /// ground truth over a dataset of `n` records.
     ///

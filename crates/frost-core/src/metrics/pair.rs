@@ -79,16 +79,9 @@ impl PairMetric {
         }
     }
 
-    /// Wraps an arbitrary metric function, giving it a display name —
-    /// the extension point for user-defined metrics.
-    pub fn custom(name: &'static str, f: fn(&ConfusionMatrix) -> f64) -> CustomPairMetric {
-        CustomPairMetric { name, f }
-    }
-}
-
-impl fmt::Display for PairMetric {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The metric's display name (also its query-parameter spelling).
+    pub fn name(self) -> &'static str {
+        match self {
             PairMetric::Precision => "precision",
             PairMetric::Recall => "recall",
             PairMetric::F1 => "f1",
@@ -100,8 +93,19 @@ impl fmt::Display for PairMetric {
             PairMetric::FowlkesMallows => "Fowlkes-Mallows",
             PairMetric::ReductionRatio => "reduction ratio",
             PairMetric::PairsCompleteness => "pairs completeness",
-        };
-        f.write_str(s)
+        }
+    }
+
+    /// Wraps an arbitrary metric function, giving it a display name —
+    /// the extension point for user-defined metrics.
+    pub fn custom(name: &'static str, f: fn(&ConfusionMatrix) -> f64) -> CustomPairMetric {
+        CustomPairMetric { name, f }
+    }
+}
+
+impl fmt::Display for PairMetric {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

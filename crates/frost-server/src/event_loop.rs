@@ -1,11 +1,16 @@
 //! The readiness-based connection multiplexer: a small number of
 //! event threads own *every* connection's socket (non-blocking), and
-//! the worker pool only ever sees complete parsed requests.
+//! the worker pool only ever sees complete parsed requests that the
+//! response cache could not answer.
 //!
 //! Each event loop polls its connections with the vendored
-//! [`polling`] shim, assembles request heads incrementally with
-//! [`RequestBuffer`], and hands a complete [`ParsedRequest`] (with its
-//! absolute deadline) to the shared dispatch queue. The worker's
+//! [`polling`] shim and assembles request heads incrementally with
+//! [`RequestBuffer`]. A complete cacheable `GET` is probed once, right
+//! here ([`route::serve_hit`]): a response-tier hit is written back on
+//! the spot — no queue slot, no worker, no wake-up round trip. Every
+//! other [`ParsedRequest`] (a miss, a bad parameter, a non-GET,
+//! anything during a drain) goes with its
+//! absolute deadline to the shared dispatch queue. The worker's
 //! verdict comes back as a [`Completion`] through the loop's
 //! [`Waker`], and the loop writes the response under write-readiness
 //! — so 10k mostly-idle keep-alive connections cost file descriptors,
@@ -14,14 +19,18 @@
 //! Ordering: a connection has at most one request in flight — while
 //! it is [`Phase::Dispatched`] its socket is not polled for reads, so
 //! pipelined successors wait buffered (in the parser or the kernel)
-//! and responses go out strictly in request order.
+//! and responses go out strictly in request order. Pipelined hits are
+//! answered in a loop, each once its predecessor is in the socket.
 //!
 //! Overload semantics are the worker-pool contract, relocated:
 //!
 //! * the *parse-time* deadline check runs before anything else —
-//!   including the 405 method check — so a request past expiry is
-//!   never evaluated (and never answered per-method);
-//! * a full dispatch queue sheds with the canned queue-full `503`;
+//!   including the 405 method check and the cache probe — so a request
+//!   past expiry is never evaluated (and never answered per-method);
+//! * a hit is counted as admitted but takes no queue slot, so a full
+//!   dispatch queue never sheds it;
+//! * a full dispatch queue sheds a miss with the canned queue-full
+//!   `503`;
 //! * mid-head timers race the head timeout (`400`, a protocol fault)
 //!   against the request deadline (`503`, an overload signal), head
 //!   timeout first on ties;
@@ -509,144 +518,178 @@ fn on_readable(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
     process_buffer(conn, token, env)
 }
 
-/// Drives the parser over the buffered bytes: dispatches at most one
-/// complete request (order is preserved by the one-in-flight rule) or
-/// settles into `Reading`. Returns whether the connection survives.
+/// Drives the parser over the buffered bytes. Response-tier hits are
+/// answered inline, one after another while each drains straight into
+/// the socket (a loop, not recursion: a client may pipeline thousands
+/// of them into one read). Anything else dispatches at most one
+/// request (order is preserved by the one-in-flight rule) or settles
+/// into `Reading`. Returns whether the connection survives.
 fn process_buffer(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
-    match conn.parser.next_request() {
-        Parsed::Request(request) => {
-            conn.head_started = None;
-            conn.served += 1;
-            // Deadline clock: admission for the first request (queue
-            // wait counts), the head's first *buffered* byte for later
-            // pipelined ones — a successor that sat buffered behind
-            // its predecessor's response has been waiting all along.
-            let clock = conn
-                .first_clock
-                .take()
-                .or_else(|| conn.parser.last_arrival())
-                .unwrap_or_else(Instant::now);
-            let deadline = env.options.request_deadline.map(|limit| clock + limit);
-            // The one routing decision: the worker answers from it and
-            // the trace is labelled with it.
-            let route = route::resolve(&request.method, &request.target);
-            // The trace's `accepted` stamp is the same clock the
-            // deadline runs on, so queue wait is visible in it.
-            let trace = env.state.telemetry().enabled().then(|| {
-                let trace = Trace::begin(&request.method, &request.target, route.endpoint(), clock);
-                trace.stamp(Stage::HeadComplete);
-                trace
-            });
-            // The admission contract outranks everything, including
-            // method validation: a request past its deadline is never
-            // evaluated — not even to a 405.
-            if deadline.is_some_and(|d| Instant::now() > d) {
-                env.state.note_shed(ShedReason::Deadline);
-                if let Some(trace) = &trace {
-                    trace.set_status(503);
+    loop {
+        let hit = match conn.parser.next_request() {
+            Parsed::Request(request) => match admit(conn, token, env, request) {
+                Admitted::Hit(payload) => payload,
+                Admitted::Settled(keep) => return keep,
+            },
+            Parsed::Error(message) => {
+                // One diagnostic, then close: the byte stream is not
+                // trustworthy beyond this point.
+                if env.state.telemetry().enabled() {
+                    let trace = Trace::begin("", "", Endpoint::Other, Instant::now());
+                    trace.set_status(400);
+                    conn.trace = Some(trace);
                 }
-                conn.trace = trace;
-                return start_canned(
-                    conn,
-                    token,
-                    env,
-                    shed_response_bytes(ShedReason::Deadline),
-                    After::Close,
-                );
-            }
-            if !matches!(request.method.as_str(), "GET" | "POST" | "DELETE") {
-                env.state.overload().note_method_not_allowed();
-                if let Some(trace) = &trace {
-                    trace.set_status(405);
-                }
-                conn.trace = trace;
-                let payload = error_response(405, "only GET, POST and DELETE are supported");
+                let payload = error_response(400, message);
                 return start_response(conn, token, env, &payload, After::Close);
             }
-            conn.pending_close = !request.keep_alive
-                || conn.served >= env.options.max_requests
-                || env.state.is_draining();
-            if let Some(trace) = &trace {
-                trace.stamp(Stage::Admitted);
-            }
-            // Reserve the queue slot and count the admission before the
-            // hand-off: a worker may dequeue and answer (even a `/stats`
-            // reporting the count) before `try_send` returns here.
-            let work = Work {
-                request,
-                route,
-                deadline,
-                loop_id: env.loop_id,
-                token,
-                generation: conn.generation,
-                trace,
-            };
-            let sent = if env.state.overload().try_enqueue(env.options.max_queued) {
-                env.state.note_admitted();
-                let sent = env.tx.try_send(work);
-                if sent.is_err() {
-                    env.state.overload().queue_dequeued();
-                    env.state.withdraw_admitted();
-                }
-                sent
-            } else {
-                Err(TrySendError::Full(work))
-            };
-            match sent {
-                Ok(()) => {
-                    conn.phase = Phase::Dispatched;
-                    true
-                }
-                Err(TrySendError::Full(work)) => {
-                    env.state.note_shed(ShedReason::QueueFull);
-                    if let Some(trace) = work.trace {
-                        trace.set_status(503);
-                        conn.trace = Some(trace);
+            Parsed::Incomplete => {
+                if conn.parser.pending() > 0 {
+                    if conn.eof {
+                        return false; // half-closed mid-head: unfinishable
                     }
-                    start_canned(
-                        conn,
-                        token,
-                        env,
-                        shed_response_bytes(ShedReason::QueueFull),
-                        After::Linger,
-                    )
+                    if conn.head_started.is_none() {
+                        conn.head_started = conn
+                            .parser
+                            .pending_arrival()
+                            .or_else(|| Some(Instant::now()));
+                    }
+                } else {
+                    conn.head_started = None;
+                    conn.idle_since = Instant::now();
+                    if conn.eof {
+                        return false; // clean close between requests
+                    }
                 }
-                Err(TrySendError::Disconnected(_)) => false,
+                conn.phase = Phase::Reading;
+                return true;
             }
-        }
-        Parsed::Error(message) => {
-            // One diagnostic, then close: the byte stream is not
-            // trustworthy beyond this point.
-            if env.state.telemetry().enabled() {
-                let trace = Trace::begin("", "", Endpoint::Other, Instant::now());
-                trace.set_status(400);
-                conn.trace = Some(trace);
-            }
-            let payload = error_response(400, message);
-            start_response(conn, token, env, &payload, After::Close)
-        }
-        Parsed::Incomplete => {
-            if conn.parser.pending() > 0 {
-                if conn.eof {
-                    return false; // half-closed mid-head: unfinishable
-                }
-                if conn.head_started.is_none() {
-                    conn.head_started = conn
-                        .parser
-                        .pending_arrival()
-                        .or_else(|| Some(Instant::now()));
-                }
-            } else {
-                conn.head_started = None;
-                conn.idle_since = Instant::now();
-                if conn.eof {
-                    return false; // clean close between requests
-                }
-            }
-            conn.phase = Phase::Reading;
-            true
+        };
+        let after = if conn.pending_close {
+            After::Close
+        } else {
+            After::KeepAlive
+        };
+        queue_write(conn, response_out(&hit, after), after);
+        match flush(conn, env) {
+            Flushed::Idle => continue,
+            Flushed::Blocked => return true,
+            Flushed::Closed => return false,
         }
     }
+}
+
+/// What [`admit`] made of one parsed request.
+enum Admitted {
+    /// A response-tier hit, for the caller to write.
+    Hit(CachedResponse),
+    /// Answered, shed or dispatched: whether the connection survives.
+    Settled(bool),
+}
+
+/// Admits one parsed request: the deadline and method checks, then the
+/// response-tier probe, and on a miss the hand-off to the workers.
+fn admit(conn: &mut Conn, token: usize, env: &LoopEnv, request: ParsedRequest) -> Admitted {
+    conn.head_started = None;
+    conn.served += 1;
+    // Deadline clock: admission for the first request (queue wait
+    // counts), the head's first *buffered* byte for later pipelined
+    // ones — a successor that sat buffered behind its predecessor's
+    // response has been waiting all along.
+    let clock = conn
+        .first_clock
+        .take()
+        .or_else(|| conn.parser.last_arrival())
+        .unwrap_or_else(Instant::now);
+    let deadline = env.options.request_deadline.map(|limit| clock + limit);
+    // The one routing decision: the probe and the worker answer from
+    // it and the trace is labelled with it.
+    let route = route::resolve(&request.method, &request.target);
+    // The trace's `accepted` stamp is the same clock the deadline runs
+    // on, so queue wait is visible in it.
+    let trace = env.state.telemetry().enabled().then(|| {
+        let trace = Trace::begin(&request.method, &request.target, route.endpoint(), clock);
+        trace.stamp(Stage::HeadComplete);
+        trace
+    });
+    // The admission contract outranks everything, including method
+    // validation: a request past its deadline is never evaluated — not
+    // even to a 405.
+    if deadline.is_some_and(|d| Instant::now() > d) {
+        env.state.note_shed(ShedReason::Deadline);
+        if let Some(trace) = &trace {
+            trace.set_status(503);
+        }
+        conn.trace = trace;
+        return Admitted::Settled(start_canned(
+            conn,
+            token,
+            env,
+            shed_response_bytes(ShedReason::Deadline),
+            After::Close,
+        ));
+    }
+    if !matches!(request.method.as_str(), "GET" | "POST" | "DELETE") {
+        env.state.overload().note_method_not_allowed();
+        if let Some(trace) = &trace {
+            trace.set_status(405);
+        }
+        conn.trace = trace;
+        let payload = error_response(405, "only GET, POST and DELETE are supported");
+        return Admitted::Settled(start_response(conn, token, env, &payload, After::Close));
+    }
+    conn.pending_close =
+        !request.keep_alive || conn.served >= env.options.max_requests || env.state.is_draining();
+    if let Some(trace) = &trace {
+        trace.stamp(Stage::Admitted);
+    }
+    if let Some(hit) = route::serve_hit(&route, &request, env.state, trace.as_deref()) {
+        conn.trace = trace;
+        return Admitted::Hit(hit);
+    }
+    // Reserve the queue slot and count the admission before the
+    // hand-off: a worker may dequeue and answer (even a `/stats`
+    // reporting the count) before `try_send` returns here.
+    let work = Work {
+        request,
+        route,
+        deadline,
+        loop_id: env.loop_id,
+        token,
+        generation: conn.generation,
+        trace,
+    };
+    let sent = if env.state.overload().try_enqueue(env.options.max_queued) {
+        env.state.note_admitted();
+        let sent = env.tx.try_send(work);
+        if sent.is_err() {
+            env.state.overload().queue_dequeued();
+            env.state.withdraw_admitted();
+        }
+        sent
+    } else {
+        Err(TrySendError::Full(work))
+    };
+    Admitted::Settled(match sent {
+        Ok(()) => {
+            conn.phase = Phase::Dispatched;
+            true
+        }
+        Err(TrySendError::Full(work)) => {
+            env.state.note_shed(ShedReason::QueueFull);
+            if let Some(trace) = work.trace {
+                trace.set_status(503);
+                conn.trace = Some(trace);
+            }
+            start_canned(
+                conn,
+                token,
+                env,
+                shed_response_bytes(ShedReason::QueueFull),
+                After::Linger,
+            )
+        }
+        Err(TrySendError::Disconnected(_)) => false,
+    })
 }
 
 /// A worker verdict lands: write the response (or the shed) back.
@@ -676,10 +719,9 @@ fn error_response(status: u16, message: &str) -> CachedResponse {
     encode(status, error_body(message), CONTENT_TYPE_JSON, None, None)
 }
 
-/// Queues `payload` for writing: the keep-alive form shares the
-/// cached bytes, the closing form re-frames the head (keeping the
-/// `ETag`). Attempts the write immediately — the common case drains
-/// the whole response into the socket buffer without another poll.
+/// Queues `payload` for writing and attempts the write immediately —
+/// the common case drains the whole response into the socket buffer
+/// without another poll.
 fn start_response(
     conn: &mut Conn,
     token: usize,
@@ -687,11 +729,18 @@ fn start_response(
     payload: &CachedResponse,
     after: After,
 ) -> bool {
-    let out = match after {
+    queue_write(conn, response_out(payload, after), after);
+    drive_write(conn, token, env)
+}
+
+/// The bytes `payload` goes out as: the keep-alive form shares the
+/// cached bytes, the closing form re-frames the head (keeping the
+/// `ETag`).
+fn response_out(payload: &CachedResponse, after: After) -> OutBuf {
+    match after {
         After::KeepAlive => OutBuf::Shared(payload.shared_bytes()),
         After::Close | After::Linger => OutBuf::Owned(close_variant_bytes(payload)),
-    };
-    start_write(conn, token, env, out, after)
+    }
 }
 
 /// [`start_response`] for the pre-serialized canned sheds.
@@ -702,24 +751,46 @@ fn start_canned(
     payload: &'static [u8],
     after: After,
 ) -> bool {
-    start_write(conn, token, env, OutBuf::Canned(payload), after)
+    queue_write(conn, OutBuf::Canned(payload), after);
+    drive_write(conn, token, env)
 }
 
-fn start_write(conn: &mut Conn, token: usize, env: &LoopEnv, out: OutBuf, after: After) -> bool {
+fn queue_write(conn: &mut Conn, out: OutBuf, after: After) {
     conn.out = out;
     conn.out_pos = 0;
     conn.write_since = Instant::now();
     conn.phase = Phase::Writing(after);
-    drive_write(conn, token, env)
+}
+
+/// Where a [`flush`] left the connection.
+enum Flushed {
+    /// The socket is full (or the response lingers): wait for a poll.
+    Blocked,
+    /// Keep-alive response written: back to `Reading`, and the parser
+    /// may already hold the next request.
+    Idle,
+    /// Closed, or the socket failed.
+    Closed,
+}
+
+/// Writes as much of `out` as the socket accepts, then resumes
+/// reading: keep-alive re-enters the parser (a buffered pipelined
+/// successor is served without waiting for another poll). Returns
+/// whether the connection survives.
+fn drive_write(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
+    match flush(conn, env) {
+        Flushed::Blocked => true,
+        Flushed::Idle => process_buffer(conn, token, env),
+        Flushed::Closed => false,
+    }
 }
 
 /// Writes as much of `out` as the socket accepts. On completion the
-/// `After` decides: keep-alive re-enters the parser (a buffered
-/// pipelined successor is served without waiting for another poll),
-/// close drops the socket, linger half-closes and drains.
-fn drive_write(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
+/// `After` decides: keep-alive goes back to `Reading`, close drops the
+/// socket, linger half-closes and drains.
+fn flush(conn: &mut Conn, env: &LoopEnv) -> Flushed {
     let Phase::Writing(after) = conn.phase else {
-        return true;
+        return Flushed::Blocked;
     };
     loop {
         let len = conn.out.as_slice().len();
@@ -731,7 +802,7 @@ fn drive_write(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
             conn.stream.write(&buf[conn.out_pos..])
         };
         match n {
-            Ok(0) => return false,
+            Ok(0) => return Flushed::Closed,
             Ok(n) => {
                 if conn.out_pos == 0 {
                     if let Some(trace) = &conn.trace {
@@ -741,9 +812,9 @@ fn drive_write(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
                 conn.out_pos += n;
                 conn.write_since = Instant::now();
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Flushed::Blocked,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
+            Err(_) => return Flushed::Closed,
         }
     }
     conn.out = OutBuf::Empty;
@@ -761,13 +832,13 @@ fn drive_write(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
         After::KeepAlive => {
             conn.phase = Phase::Reading;
             conn.idle_since = Instant::now();
-            process_buffer(conn, token, env)
+            Flushed::Idle
         }
-        After::Close => false,
+        After::Close => Flushed::Closed,
         After::Linger => {
             let _ = conn.stream.shutdown(std::net::Shutdown::Write);
             conn.phase = Phase::Lingering(Instant::now() + Duration::from_millis(LINGER_MS));
-            true
+            Flushed::Blocked
         }
     }
 }

@@ -39,10 +39,12 @@
 //! reads and parses heads out of a per-connection [`RequestBuffer`]:
 //! reads may split a request head at any byte boundary, and one read
 //! may carry several pipelined requests back-to-back — both are
-//! handled by buffering and re-scanning incrementally. Only *complete*
-//! request heads are dispatched to the worker pool (via [`execute`]);
-//! the finished response is queued back to the event thread, which
-//! writes it out under write-readiness. One request per connection is
+//! handled by buffering and re-scanning incrementally. A complete
+//! cacheable `GET` is probed against the response cache on the event
+//! thread, and a hit is written right there. Only misses and uncached
+//! requests are dispatched to the worker pool (via [`execute`]); the
+//! finished response is queued back to the event thread, which writes
+//! it out under write-readiness. One request per connection is
 //! in flight at a time, so pipelined responses go out in request order
 //! with no reordering. A connection closes when the client asks
 //! (`Connection: close`, or HTTP/1.0), when it has been idle longer
@@ -55,11 +57,14 @@
 //!
 //! One result cache holds fully serialized HTTP **response bytes**
 //! ([`ShardedCache<CachedResponse>`]), bounded by `--cache-budget-mb`.
-//! A hit is written with one buffered `write_all` of a shared
-//! `Arc<[u8]>`: no store computation, no JSON rendering and no
-//! response-building allocation on the hot path (the remaining
-//! per-request work is parsing the head and routing the target). The
-//! store itself memoizes nothing. Entries are generation-stamped: any
+//! A hit is answered by the event thread that parsed it and written
+//! from a shared `Arc<[u8]>`: no worker hand-off, no store
+//! computation, no JSON rendering and no response-building allocation
+//! (the remaining per-request work is parsing the head, routing the
+//! target and building the cache key; the API request and its
+//! invalidation scopes are built only on a miss, by the worker). Each
+//! request makes at most one counted lookup. The store itself
+//! memoizes nothing. Entries are generation-stamped: any
 //! mutation through [`ServerState::with_store_mut`] bumps the
 //! generation and logically evicts every entry at once. Cached
 //! responses carry a content-derived strong `ETag`; a request
@@ -791,7 +796,7 @@ impl ServerState {
         self.apply_write(|store| {
             let experiment = api::parse_experiment_csv(store, dataset, name, csv)?;
             pairs = experiment.len();
-            Ok(WalOp::add_experiment(dataset, &experiment, None))
+            Ok(WalOp::add_owned_experiment(dataset, experiment, None))
         })
         .map_err(WriteError::http)?;
         Ok(api::Response::Imported {
@@ -1651,8 +1656,8 @@ fn parse_head(head: &[u8]) -> Parsed {
 // ---------------------------------------------------------------------
 
 /// Evaluates one dispatched request on a pool worker. Everything
-/// socket-shaped already happened in the event loop; this is pure
-/// request → verdict.
+/// socket-shaped — and the response-cache probe of a cacheable read —
+/// already happened in the event loop; this is pure request → verdict.
 fn execute(
     work: &event_loop::Work,
     state: &ServerState,
@@ -2017,6 +2022,17 @@ impl ServerState {
         wait_ms: u64,
         snap: Option<SnapshotId>,
     ) -> Result<CachedResponse, (u16, String)> {
+        let volatile = || {
+            (
+                400,
+                error_body("store is volatile (no WAL): replication unavailable"),
+            )
+        };
+        // A volatile store has no WAL to wait on: answer before the
+        // long-poll instead of holding a worker for `wait_ms`.
+        if !self.is_durable() {
+            return Err(volatile());
+        }
         let hub = &self.hub;
         let (current_snap, _, _) = hub.position();
         let snap = snap.unwrap_or(current_snap);
@@ -2026,12 +2042,7 @@ impl ServerState {
         // Serve under the writer lock so position and file bytes stay
         // consistent — no append or compaction can race the read.
         let writer = self.writer.lock();
-        let Some(d) = writer.as_ref() else {
-            return Err((
-                400,
-                error_body("store is volatile (no WAL): replication unavailable"),
-            ));
-        };
+        let d = writer.as_ref().ok_or_else(volatile)?;
         let snapshot_id = d.snapshot_id();
         let wal_len = d.wal_len();
         let records = d.wal_records();

@@ -181,25 +181,17 @@ pub fn response_to_json(response: &Response) -> Value {
 /// Parses a metric query value by its display name (`precision`,
 /// `recall`, `f1`, `f*`, …).
 pub fn parse_metric(s: &str) -> Option<PairMetric> {
-    PairMetric::ALL.iter().copied().find(|m| m.to_string() == s)
+    PairMetric::ALL.iter().copied().find(|m| m.name() == s)
 }
 
 /// Parses a diagram engine query value (`optimized` / `naive`).
 pub fn parse_engine(s: &str) -> Option<DiagramEngine> {
-    match s {
-        "optimized" => Some(DiagramEngine::Optimized),
-        "naive" => Some(DiagramEngine::Naive),
-        _ => None,
-    }
+    DiagramEngine::ALL.into_iter().find(|e| e.name() == s)
 }
 
 /// Parses a ratio kind query value (`null` / `equal`).
 pub fn parse_ratio_kind(s: &str) -> Option<RatioKind> {
-    match s {
-        "null" => Some(RatioKind::Null),
-        "equal" => Some(RatioKind::Equal),
-        _ => None,
-    }
+    RatioKind::ALL.into_iter().find(|k| k.name() == s)
 }
 
 #[cfg(test)]

@@ -4,11 +4,14 @@
 //! whether a write appends to the WAL.
 //!
 //! The event loop calls [`resolve`] once, when a request head
-//! completes. The resulting [`Route`] rides the dispatch queue to a
-//! worker, and the request's trace carries its [`Endpoint`] as the
+//! completes, and the request's trace carries its [`Endpoint`] as the
 //! `endpoint`/`class` label pair of `/metrics` and `/debug/traces`.
-//! The worker answers with [`route`], which does no transport work:
-//! a resolved request in, a serialized response (or a shed) out.
+//! A cacheable read is then probed once, on the event thread, by
+//! [`serve_hit`]: a hit is answered there, with only the cache key
+//! built. Everything else — a miss, a bad parameter, a non-read —
+//! rides the dispatch queue to a worker, which answers with [`route`]
+//! and never probes the response tier itself. Neither does transport work: a resolved request in,
+//! a serialized response (or a shed) out.
 //!
 //! # Endpoints
 //!
@@ -22,17 +25,19 @@
 //! of their class gate, and only on a cache miss.
 
 use crate::http::{
-    encode, error_body, CachedResponse, GaugeGuard, ParsedRequest, RequestContext, ServerState,
-    ShedReason, CONTENT_TYPE_JSON, CONTENT_TYPE_PROMETHEUS,
+    encode, error_body, revalidate, CachedResponse, GaugeGuard, ParsedRequest, RequestContext,
+    ServerState, ShedReason, CONTENT_TYPE_JSON, CONTENT_TYPE_PROMETHEUS,
 };
 use crate::json;
 use crate::replication;
-use crate::telemetry::{Registry, Stage};
+use crate::telemetry::{Registry, Stage, Trace};
 use frost_core::diagram::{DiagramEngine, MAX_DIAGRAM_SAMPLES, MAX_NAIVE_DIAGRAM_SAMPLES};
-use frost_storage::api::{self, Request};
+use frost_core::metrics::PairMetric;
+use frost_storage::api::{self, RatioKind, Request};
 use frost_storage::store::StoreError;
 use frost_storage::wal::SnapshotId;
 use serde_json::Value;
+use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// How long a semi-sync (`--sync-replication`) write waits for a
@@ -223,6 +228,26 @@ impl Endpoint {
         matches!(self, Endpoint::Import | Endpoint::Delete)
     }
 
+    /// Whether this is a cacheable API read: answered from the
+    /// response tier when its key is there.
+    fn is_read(self) -> bool {
+        matches!(
+            self,
+            Endpoint::Datasets
+                | Endpoint::Experiments
+                | Endpoint::Profile
+                | Endpoint::Matrix
+                | Endpoint::Metrics
+                | Endpoint::Diagram
+                | Endpoint::Compare
+                | Endpoint::Venn
+                | Endpoint::ClusterMetrics
+                | Endpoint::Ratios
+                | Endpoint::Errors
+                | Endpoint::Quality
+        )
+    }
+
     /// Whether this endpoint serves `method` on the decoded `path`.
     fn serves(self, method: &str, path: &str) -> bool {
         let row = self.row();
@@ -407,19 +432,19 @@ fn json_response(status: u16, body: String) -> CachedResponse {
 /// Answers one resolved request with its serialized response, or sheds
 /// it.
 ///
-/// Cacheable reads probe the response cache (a hit is the shared
-/// serialized bytes, no allocation); a miss computes, renders and
-/// fills the cache, the entry stamped with the invalidation scopes it
-/// read. Writes take the durable
+/// A cacheable read reaches here only after [`serve_hit`] missed on
+/// the event thread, so it does not probe again: it builds its API
+/// request, computes, renders and fills the cache, the entry stamped
+/// with the invalidation scopes it read. Writes take the durable
 /// [write sequence](ServerState::apply_write) and bump only the scopes
 /// they touched.
 ///
-/// Overload discipline: the cache probe runs *before* the class gate,
-/// so a hot GET on a saturated compute class degrades to its cached
-/// response instead of shedding; only the expensive part runs in
-/// [`RequestContext::evaluate`], under a permit and after a deadline
-/// re-check — queue wait and gate wait never leak into evaluation
-/// time.
+/// Overload discipline: the cache probe runs *before* the class gate
+/// (on the event thread), so a hot GET on a saturated compute class
+/// degrades to its cached response instead of shedding; only the
+/// expensive part runs in [`RequestContext::evaluate`], under a permit
+/// and after a deadline re-check — queue wait and gate wait never leak
+/// into evaluation time.
 pub(crate) fn route(
     route: &Route,
     request: &ParsedRequest,
@@ -434,18 +459,7 @@ pub(crate) fn route(
         return Ok(state.replica_rejection());
     }
     let handled = match endpoint {
-        Endpoint::Datasets
-        | Endpoint::Experiments
-        | Endpoint::Profile
-        | Endpoint::Matrix
-        | Endpoint::Metrics
-        | Endpoint::Diagram
-        | Endpoint::Compare
-        | Endpoint::Venn
-        | Endpoint::ClusterMetrics
-        | Endpoint::Ratios
-        | Endpoint::Errors
-        | Endpoint::Quality => read(route, state, ctx),
+        _ if endpoint.is_read() => read(route, state, ctx),
         Endpoint::Import | Endpoint::Delete | Endpoint::Snapshot => {
             write(route, &request.body, state, ctx)
         }
@@ -472,7 +486,8 @@ pub(crate) fn route(
         Endpoint::Readyz => Ok(state.readyz_response(ctx.options)),
         Endpoint::ReplicationWal => replication_wal(route, state),
         Endpoint::ReplicationSnapshot => state.replication_snapshot_response().map_err(Stop::from),
-        Endpoint::Other => Err(unrouted(route, &request.method).into()),
+        // `Other`; every read was taken by the first arm.
+        _ => Err(unrouted(route, &request.method).into()),
     };
     match handled {
         Ok(response) => Ok(response),
@@ -503,18 +518,48 @@ fn not_found(route: &Route) -> (u16, String) {
     )
 }
 
-/// A cacheable API read: probe, and on a miss evaluate under the
-/// class gate, render, and fill the cache.
-fn read(route: &Route, state: &ServerState, ctx: &RequestContext) -> Handled {
-    let (request, key, scopes) = api_request(route)?;
-    let cache = state.response_cache();
-    let probed = cache.get(&key);
-    if let Some(trace) = ctx.trace {
+/// Answers a cacheable `GET` from the response tier on the event
+/// thread, before any hand-off: the request's one probe. A hit is
+/// counted as admitted (it takes no queue slot), revalidated against
+/// `If-None-Match`, and stamped `serialized`; the caller only writes
+/// it. `None` sends the request to a worker: not a cacheable read, a
+/// bad parameter (the worker's `400`), a drain, or a miss — which the
+/// worker evaluates without a second lookup.
+///
+/// Runs outside the workers' `catch_unwind`, so nothing here may
+/// panic.
+pub(crate) fn serve_hit(
+    route: &Route,
+    request: &ParsedRequest,
+    state: &ServerState,
+    trace: Option<&Trace>,
+) -> Option<CachedResponse> {
+    if !route.endpoint.is_read() || state.is_draining() {
+        return None;
+    }
+    let _inflight = GaugeGuard::new(state.overload().gauge(Class::Cached));
+    let key = Read::parse(route).ok()?.key();
+    let probed = state.response_cache().get(&key);
+    if let Some(trace) = trace {
         trace.stamp(Stage::CacheProbe);
     }
-    if let Some(hit) = probed {
-        return Ok(hit);
+    let hit = probed?;
+    state.note_admitted();
+    let payload = revalidate(hit, request);
+    if let Some(trace) = trace {
+        trace.stamp(Stage::Serialized);
+        trace.set_status(payload.status());
     }
+    Some(payload)
+}
+
+/// A cacheable API read that [`serve_hit`] missed: evaluate under the
+/// class gate, render, and fill the cache.
+fn read(route: &Route, state: &ServerState, ctx: &RequestContext) -> Handled {
+    let read = Read::parse(route)?;
+    let key = read.key();
+    let (request, scopes) = read.request();
+    let cache = state.response_cache();
     let observed = cache.begin_scoped(scopes.iter().map(String::as_str));
     let response = ctx
         .evaluate(|| state.with_store(|s| api::handle(s, request)))?
@@ -526,131 +571,226 @@ fn read(route: &Route, state: &ServerState, ctx: &RequestContext) -> Handled {
     Ok(payload)
 }
 
-/// The API request a read endpoint evaluates, its cache key, and the
-/// invalidation scopes its response depends on.
-fn api_request(route: &Route) -> Result<(Request, String, Vec<String>), (u16, String)> {
-    let endpoint = route.endpoint;
-    let params = &route.target;
-    let exp_scope = |e: &str| format!("exp:{e}");
-    Ok(match endpoint {
-        Endpoint::Datasets => (
-            Request::ListDatasets,
-            cache_key(endpoint, &[]),
-            vec!["sys:datasets".to_string()],
-        ),
-        Endpoint::Experiments => {
-            let dataset = params.get("dataset").map(str::to_string);
-            let key = cache_key(endpoint, &[dataset.as_deref().unwrap_or("")]);
-            let scopes = vec!["sys:experiments".to_string()];
-            (Request::ListExperiments { dataset }, key, scopes)
-        }
-        Endpoint::Profile => {
-            let dataset = params.required("dataset")?.to_string();
-            let key = cache_key(endpoint, &[&dataset]);
-            let scopes = vec![format!("ds:{dataset}")];
-            (Request::ProfileDataset { dataset }, key, scopes)
-        }
-        Endpoint::Diagram => {
-            let experiment = params.required("experiment")?.to_string();
-            let x = params.parse("x", "recall", json::parse_metric)?;
-            let y = params.parse("y", "precision", json::parse_metric)?;
-            let engine = params.parse("engine", "optimized", json::parse_engine)?;
-            let samples = params.parse("samples", "20", |s| s.parse::<usize>().ok())?;
-            if samples < 2 {
-                return Err((400, error_body("samples must be at least 2")));
+/// A cacheable read's parameters, validated and borrowed from the
+/// decoded target: the cache key is built from it on every request,
+/// the API request and its scopes only on a miss.
+enum Read<'a> {
+    Datasets,
+    Experiments {
+        dataset: Option<&'a str>,
+    },
+    Profile {
+        dataset: &'a str,
+    },
+    Diagram {
+        experiment: &'a str,
+        x: PairMetric,
+        y: PairMetric,
+        engine: DiagramEngine,
+        samples: usize,
+    },
+    /// `/compare` and `/venn`: a comma-separated list with at least one
+    /// name.
+    Group {
+        list: &'a str,
+        include_gold: bool,
+    },
+    Ratios {
+        experiment: &'a str,
+        kind: RatioKind,
+    },
+    /// The per-experiment views: one required `experiment`, nothing
+    /// else in the key.
+    View {
+        endpoint: Endpoint,
+        experiment: &'a str,
+    },
+}
+
+impl<'a> Read<'a> {
+    /// Parses a read endpoint's parameters (`route.endpoint` is one of
+    /// [`Endpoint::is_read`]); a bad one is the `400` to answer.
+    fn parse(route: &'a Route) -> Result<Read<'a>, (u16, String)> {
+        let endpoint = route.endpoint;
+        let params = &route.target;
+        Ok(match endpoint {
+            Endpoint::Datasets => Read::Datasets,
+            Endpoint::Experiments => Read::Experiments {
+                dataset: params.get("dataset"),
+            },
+            Endpoint::Profile => Read::Profile {
+                dataset: params.required("dataset")?,
+            },
+            Endpoint::Diagram => {
+                let experiment = params.required("experiment")?;
+                let x = params.parse("x", PairMetric::Recall.name(), json::parse_metric)?;
+                let y = params.parse("y", PairMetric::Precision.name(), json::parse_metric)?;
+                let engine = params.parse(
+                    "engine",
+                    DiagramEngine::Optimized.name(),
+                    json::parse_engine,
+                )?;
+                let samples = params.parse("samples", "20", |s| s.parse::<usize>().ok())?;
+                if samples < 2 {
+                    return Err((400, error_body("samples must be at least 2")));
+                }
+                if samples > MAX_DIAGRAM_SAMPLES {
+                    return Err((
+                        400,
+                        error_body(&format!("samples must be at most {MAX_DIAGRAM_SAMPLES}")),
+                    ));
+                }
+                if engine == DiagramEngine::Naive && samples > MAX_NAIVE_DIAGRAM_SAMPLES {
+                    return Err((
+                        400,
+                        error_body(&format!(
+                            "samples must be at most {MAX_NAIVE_DIAGRAM_SAMPLES} with engine=naive"
+                        )),
+                    ));
+                }
+                Read::Diagram {
+                    experiment,
+                    x,
+                    y,
+                    engine,
+                    samples,
+                }
             }
-            if samples > MAX_DIAGRAM_SAMPLES {
-                return Err((
-                    400,
-                    error_body(&format!("samples must be at most {MAX_DIAGRAM_SAMPLES}")),
-                ));
+            Endpoint::Compare | Endpoint::Venn => {
+                let list = params.required("experiments")?;
+                if list.split(',').all(str::is_empty) {
+                    return Err((400, error_body("experiments list is empty")));
+                }
+                // /venn is the N-Intersection view including the ground
+                // truth; /compare defaults to experiments only.
+                let include_gold = match params.get("gold") {
+                    None => endpoint == Endpoint::Venn,
+                    Some("true") => true,
+                    Some("false") => false,
+                    Some(other) => {
+                        return Err((400, error_body(&format!("bad gold flag {other:?}"))))
+                    }
+                };
+                Read::Group { list, include_gold }
             }
-            if engine == DiagramEngine::Naive && samples > MAX_NAIVE_DIAGRAM_SAMPLES {
-                return Err((
-                    400,
-                    error_body(&format!(
-                        "samples must be at most {MAX_NAIVE_DIAGRAM_SAMPLES} with engine=naive"
-                    )),
-                ));
-            }
-            let key = cache_key(
+            Endpoint::Ratios => Read::Ratios {
+                experiment: params.required("experiment")?,
+                kind: params.parse("kind", RatioKind::Null.name(), json::parse_ratio_kind)?,
+            },
+            _ => Read::View {
                 endpoint,
-                &[
-                    &experiment,
-                    &x.to_string(),
-                    &y.to_string(),
-                    &format!("{engine:?}"),
-                    &samples.to_string(),
-                ],
-            );
-            let scopes = vec![exp_scope(&experiment)];
-            let request = Request::GetDiagram {
+                experiment: params.required("experiment")?,
+            },
+        })
+    }
+
+    /// The names of a [`Read::Group`], in request order.
+    fn group(list: &str) -> impl Iterator<Item = &str> + Clone {
+        list.split(',').filter(|s| !s.is_empty())
+    }
+
+    /// The response-tier key.
+    fn key(&self) -> String {
+        match *self {
+            Read::Datasets => cache_key(Endpoint::Datasets, []),
+            Read::Experiments { dataset } => {
+                cache_key(Endpoint::Experiments, [dataset.unwrap_or("")])
+            }
+            Read::Profile { dataset } => cache_key(Endpoint::Profile, [dataset]),
+            Read::Diagram {
                 experiment,
                 x,
                 y,
                 engine,
                 samples,
-            };
-            (request, key, scopes)
-        }
-        Endpoint::Compare | Endpoint::Venn => {
-            let list = params.required("experiments")?;
-            let experiments: Vec<String> = list
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect();
-            if experiments.is_empty() {
-                return Err((400, error_body("experiments list is empty")));
+            } => {
+                let samples = samples.to_string();
+                cache_key(
+                    Endpoint::Diagram,
+                    [experiment, x.name(), y.name(), engine.name(), &samples],
+                )
             }
-            // /venn is the N-Intersection view including the ground
-            // truth; /compare defaults to experiments only.
-            let include_gold = match params.get("gold") {
-                None => endpoint == Endpoint::Venn,
-                Some("true") => true,
-                Some("false") => false,
-                Some(other) => return Err((400, error_body(&format!("bad gold flag {other:?}")))),
-            };
-            let mut key_parts: Vec<&str> = experiments.iter().map(String::as_str).collect();
-            let gold_part = include_gold.to_string();
-            key_parts.push(&gold_part);
             // The key carries the gold flag, so `/compare` and `/venn`
             // share one entry per distinct request.
-            let key = cache_key(Endpoint::Venn, &key_parts);
-            let scopes = experiments.iter().map(|e| exp_scope(e)).collect();
-            let request = Request::CompareExperiments {
-                experiments,
-                include_gold,
-            };
-            (request, key, scopes)
+            Read::Group { list, include_gold } => {
+                let gold = if include_gold { "true" } else { "false" };
+                cache_key(Endpoint::Venn, Read::group(list).chain([gold]))
+            }
+            Read::Ratios { experiment, kind } => {
+                cache_key(Endpoint::Ratios, [experiment, kind.name()])
+            }
+            Read::View {
+                endpoint,
+                experiment,
+            } => cache_key(endpoint, [experiment]),
         }
-        Endpoint::Ratios => {
-            let experiment = params.required("experiment")?.to_string();
-            let kind = params.parse("kind", "null", json::parse_ratio_kind)?;
-            let key = cache_key(endpoint, &[&experiment, &format!("{kind:?}")]);
-            let scopes = vec![exp_scope(&experiment)];
-            (
-                Request::GetAttributeRatios { experiment, kind },
-                key,
-                scopes,
-            )
+    }
+
+    /// The API request a miss evaluates, and the invalidation scopes
+    /// its response depends on.
+    fn request(&self) -> (Request, Vec<String>) {
+        let exp_scope = |e: &str| format!("exp:{e}");
+        match *self {
+            Read::Datasets => (Request::ListDatasets, vec!["sys:datasets".to_string()]),
+            Read::Experiments { dataset } => (
+                Request::ListExperiments {
+                    dataset: dataset.map(str::to_string),
+                },
+                vec!["sys:experiments".to_string()],
+            ),
+            Read::Profile { dataset } => (
+                Request::ProfileDataset {
+                    dataset: dataset.to_string(),
+                },
+                vec![format!("ds:{dataset}")],
+            ),
+            Read::Diagram {
+                experiment,
+                x,
+                y,
+                engine,
+                samples,
+            } => (
+                Request::GetDiagram {
+                    experiment: experiment.to_string(),
+                    x,
+                    y,
+                    engine,
+                    samples,
+                },
+                vec![exp_scope(experiment)],
+            ),
+            Read::Group { list, include_gold } => (
+                Request::CompareExperiments {
+                    experiments: Read::group(list).map(str::to_string).collect(),
+                    include_gold,
+                },
+                Read::group(list).map(exp_scope).collect(),
+            ),
+            Read::Ratios { experiment, kind } => (
+                Request::GetAttributeRatios {
+                    experiment: experiment.to_string(),
+                    kind,
+                },
+                vec![exp_scope(experiment)],
+            ),
+            Read::View {
+                endpoint,
+                experiment,
+            } => {
+                let scopes = vec![exp_scope(experiment)];
+                let experiment = experiment.to_string();
+                let request = match endpoint {
+                    Endpoint::Matrix => Request::GetConfusionMatrix { experiment },
+                    Endpoint::Metrics => Request::GetMetrics { experiment },
+                    Endpoint::ClusterMetrics => Request::GetClusterMetrics { experiment },
+                    Endpoint::Errors => Request::GetErrorProfile { experiment },
+                    _ => Request::GetQualitySignals { experiment },
+                };
+                (request, scopes)
+            }
         }
-        // The per-experiment views: one required `experiment`, nothing
-        // else in the key.
-        _ => {
-            let experiment = params.required("experiment")?.to_string();
-            let key = cache_key(endpoint, &[&experiment]);
-            let scopes = vec![exp_scope(&experiment)];
-            let request = match endpoint {
-                Endpoint::Matrix => Request::GetConfusionMatrix { experiment },
-                Endpoint::Metrics => Request::GetMetrics { experiment },
-                Endpoint::ClusterMetrics => Request::GetClusterMetrics { experiment },
-                Endpoint::Errors => Request::GetErrorProfile { experiment },
-                _ => Request::GetQualitySignals { experiment },
-            };
-            (request, key, scopes)
-        }
-    })
+    }
 }
 
 /// `POST /experiments` (CSV import), `DELETE /experiments/<name>` and
@@ -753,16 +893,18 @@ fn replication_wal(route: &Route, state: &ServerState) -> Handled {
 /// length-prefixed, so user-controlled names (which may contain any
 /// byte, including the separators) cannot alias another request's
 /// key.
-fn cache_key(endpoint: Endpoint, parts: &[&str]) -> String {
+fn cache_key<'a, I>(endpoint: Endpoint, parts: I) -> String
+where
+    I: IntoIterator<Item = &'a str>,
+    I::IntoIter: Clone,
+{
+    let parts = parts.into_iter();
     let kind = endpoint.name();
     let mut key =
-        String::with_capacity(kind.len() + parts.iter().map(|p| p.len() + 8).sum::<usize>());
+        String::with_capacity(kind.len() + parts.clone().map(|p| p.len() + 8).sum::<usize>());
     key.push_str(kind);
     for p in parts {
-        key.push('\u{1}');
-        key.push_str(&p.len().to_string());
-        key.push(':');
-        key.push_str(p);
+        let _ = write!(key, "\u{1}{}:{p}", p.len());
     }
     key
 }
@@ -780,12 +922,13 @@ pub(crate) fn store_error(e: StoreError) -> (u16, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{revalidate, ClassGates, CONTENT_TYPE_BINARY};
+    use crate::http::{close_variant_bytes, ClassGates, CONTENT_TYPE_BINARY};
     use crate::ServeOptions;
     use frost_core::clustering::Clustering;
     use frost_core::dataset::{Dataset, Experiment, Schema};
     use frost_storage::BenchmarkStore;
     use proptest::prelude::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn target_parsing_decodes_queries() {
@@ -866,6 +1009,73 @@ mod tests {
             store.add_experiment("people", experiment, None).unwrap();
         }
         ServerState::new(store)
+    }
+
+    fn get(target: &str, if_none_match: Option<&str>) -> ParsedRequest {
+        ParsedRequest {
+            method: "GET".to_string(),
+            target: target.to_string(),
+            keep_alive: true,
+            content_length: 0,
+            if_none_match: if_none_match.map(str::to_string),
+            body: Vec::new(),
+        }
+    }
+
+    /// The event-thread path on its own: a cold key is one counted miss
+    /// that the worker fills without a second lookup, a warm key one
+    /// counted hit with the worker's bytes (or its `304`), and a bad
+    /// parameter, a non-read or a drain makes no lookup at all.
+    #[test]
+    fn serve_hit_makes_the_one_lookup() {
+        let state = state();
+        let options = ServeOptions::default();
+        let gates = ClassGates::for_options(&options);
+        let cache = state.response_cache();
+        let lookups = || cache.hits() + cache.misses();
+        let target = "/diagram?experiment=e1&samples=5";
+        let request = get(target, None);
+
+        let cold = resolve("GET", target);
+        assert!(serve_hit(&cold, &request, &state, None).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        let ctx = RequestContext {
+            options: &options,
+            gates: &gates,
+            class: cold.endpoint.class(),
+            deadline: None,
+            trace: None,
+        };
+        let filled = super::route(&cold, &request, &state, &ctx).unwrap();
+        assert_eq!(filled.status(), 200);
+        assert_eq!(lookups(), 1, "the worker did not probe again");
+
+        let admitted = state.overload().admitted.load(Ordering::Relaxed);
+        let warm = resolve("GET", target);
+        let hit = serve_hit(&warm, &request, &state, None).expect("warm key hits");
+        assert_eq!(hit.bytes(), filled.bytes());
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(
+            state.overload().admitted.load(Ordering::Relaxed),
+            admitted + 1,
+            "a hit is counted as admitted"
+        );
+        let etag = filled.etag().unwrap().to_string();
+        let revalidated = get(target, Some(&etag));
+        let not_modified = serve_hit(&resolve("GET", target), &revalidated, &state, None);
+        assert_eq!(not_modified.map(|r| r.status()), Some(304));
+
+        for quiet in ["/diagram?experiment=e1&samples=1", "/stats", "/nope"] {
+            let route = resolve("GET", quiet);
+            assert!(serve_hit(&route, &get(quiet, None), &state, None).is_none());
+        }
+        state.begin_drain();
+        assert!(serve_hit(&resolve("GET", target), &request, &state, None).is_none());
+        assert_eq!(
+            lookups(),
+            3,
+            "no lookup for a bad parameter, a non-read or a drain"
+        );
     }
 
     const METHODS: [&str; 3] = ["GET", "POST", "DELETE"];
@@ -1023,6 +1233,32 @@ mod tests {
             )
     }
 
+    /// Answers `request` the way the server does: [`serve_hit`] on the
+    /// event thread, and on a miss the worker's [`route`](super::route)
+    /// plus its revalidation.
+    fn answer(
+        route: &Route,
+        request: &ParsedRequest,
+        state: &ServerState,
+        options: &ServeOptions,
+        gates: &ClassGates,
+        trace: Option<&Trace>,
+    ) -> CachedResponse {
+        if let Some(hit) = serve_hit(route, request, state, trace) {
+            return hit;
+        }
+        let ctx = RequestContext {
+            options,
+            gates,
+            class: route.endpoint.class(),
+            deadline: None,
+            trace,
+        };
+        let answer = super::route(route, request, state, &ctx)
+            .unwrap_or_else(|shed| panic!("{:?} shed: {shed:?}", request.target));
+        revalidate(answer, request)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1000))]
 
@@ -1030,7 +1266,10 @@ mod tests {
         /// answered without a panic, with a status from the served set,
         /// a parseable body whenever it claims JSON, and the label of
         /// the endpoint the resolver chose — escaping the path and keys
-        /// never changes that choice.
+        /// never changes that choice. Every `GET` is then replayed the
+        /// way the event loop serves it ([`serve_hit`], then the worker
+        /// on a miss): the same bytes in both framings, and exactly one
+        /// response-tier lookup per cacheable read on either path.
         #[test]
         fn arbitrary_requests_route_to_their_label(c in case()) {
             thread_local! {
@@ -1053,22 +1292,18 @@ mod tests {
                 body: c.body.as_bytes().to_vec(),
             };
             STATE.with(|state| {
+                let cache = state.response_cache();
+                let lookups = || cache.hits() + cache.misses();
+                let cacheable = route.endpoint.is_read() && Read::parse(&route).is_ok();
+                let before = lookups();
                 let trace = crate::telemetry::Trace::begin(
                     c.method,
                     &c.escaped,
                     route.endpoint,
                     Instant::now(),
                 );
-                let ctx = RequestContext {
-                    options: &options,
-                    gates: &gates,
-                    class: route.endpoint.class(),
-                    deadline: None,
-                    trace: Some(&*trace),
-                };
-                let payload = super::route(&route, &request, state, &ctx)
-                    .unwrap_or_else(|shed| panic!("{c:?} shed: {shed:?}"));
-                let payload = revalidate(payload, &request);
+                let payload = answer(&route, &request, state, &options, &gates, Some(&*trace));
+                prop_assert_eq!(lookups() - before, u64::from(cacheable), "{:?}", c);
                 let status = payload.status();
                 prop_assert!(
                     [200, 304, 400, 404, 405, 503].contains(&status),
@@ -1102,6 +1337,28 @@ mod tests {
                     newest.get("class"),
                     Some(&Value::from(route.endpoint.class().name()))
                 );
+                if c.method == "GET" {
+                    // The first answer filled the key (or found it
+                    // filled), so a cacheable replay is a hit.
+                    let replay = resolve(c.method, &c.escaped);
+                    let (before, hits) = (lookups(), cache.hits());
+                    let again = answer(&replay, &request, state, &options, &gates, None);
+                    prop_assert_eq!(lookups() - before, u64::from(cacheable), "{:?}", c);
+                    if cacheable && [200, 304].contains(&status) {
+                        prop_assert_eq!(cache.hits() - hits, 1, "{:?}: a filled key missed", c);
+                    }
+                    // Reads answer the same bytes twice; the live views
+                    // (`/stats`, `/metrics`, traces) move between calls.
+                    if replay.endpoint.is_read() {
+                        prop_assert_eq!(again.bytes(), payload.bytes(), "{:?}", c);
+                        prop_assert_eq!(
+                            close_variant_bytes(&again),
+                            close_variant_bytes(&payload),
+                            "{:?}",
+                            c
+                        );
+                    }
+                }
             });
         }
     }

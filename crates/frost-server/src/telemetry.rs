@@ -591,7 +591,7 @@ impl<'a> Registry<'a> {
         .sample("", Some("open_connections"), t.open_connections() as u64);
         r.counter(
             "frost_admitted_total",
-            "Requests admitted to the dispatch queue.",
+            "Requests admitted: response-cache hits served on the event loop plus requests queued for a worker.",
         )
         .sample("", Some("admitted"), load(&ov.admitted));
         let shed = r.counter("frost_shed_total", "Requests shed with 503, by reason.");

@@ -190,6 +190,24 @@ fn volatile_store_accepts_writes_but_refuses_snapshot_save() {
     handle.shutdown();
 }
 
+/// A volatile store has no WAL to stream: the replication long-poll is
+/// refused at once, not after waiting out `wait_ms` on a worker.
+#[test]
+fn volatile_store_refuses_the_wal_long_poll_without_waiting() {
+    let handle = start_volatile(ServeOptions::default());
+    let mut conn = Connection::open(&handle.addr().to_string()).unwrap();
+    let started = std::time::Instant::now();
+    let (status, body) = conn.get("/replication/wal?from=0&wait_ms=10000").unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("volatile"), "{body}");
+    assert!(
+        elapsed < std::time::Duration::from_millis(500),
+        "the refusal waited {elapsed:?}"
+    );
+    handle.shutdown();
+}
+
 /// The scoped-invalidation pin: importing experiment A must not evict
 /// the cached `/datasets` body nor another experiment's metrics — both
 /// keep serving with **zero** additional JSON renders — while the

@@ -102,6 +102,19 @@ pub enum RatioKind {
     Equal,
 }
 
+impl RatioKind {
+    /// Every ratio kind.
+    pub const ALL: [RatioKind; 2] = [RatioKind::Null, RatioKind::Equal];
+
+    /// The kind's query-parameter spelling (`null` / `equal`).
+    pub fn name(self) -> &'static str {
+        match self {
+            RatioKind::Null => "null",
+            RatioKind::Equal => "equal",
+        }
+    }
+}
+
 /// An API response.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {

@@ -181,17 +181,30 @@ const OP_ADD_EXPERIMENT: u8 = 1;
 const OP_DELETE_EXPERIMENT: u8 = 2;
 
 impl WalOp {
-    /// Builds the add-op from an experiment about to be inserted.
+    /// Builds the add-op from an experiment about to be inserted,
+    /// copying its pairs.
     pub fn add_experiment(
         dataset: &str,
         experiment: &Experiment,
         kpis: Option<&ExperimentKpis>,
     ) -> Self {
+        Self::add_owned_experiment(dataset, experiment.clone(), kpis.cloned())
+    }
+
+    /// [`add_experiment`](Self::add_experiment) for an experiment the
+    /// caller is done with (a parsed upload): its pairs move into the
+    /// op instead of being copied.
+    pub fn add_owned_experiment(
+        dataset: &str,
+        experiment: Experiment,
+        kpis: Option<ExperimentKpis>,
+    ) -> Self {
+        let (name, pairs) = experiment.into_parts();
         WalOp::AddExperiment {
             dataset: dataset.to_string(),
-            name: experiment.name().to_string(),
-            pairs: experiment.pairs().to_vec(),
-            kpis: kpis.cloned(),
+            name,
+            pairs,
+            kpis,
         }
     }
 
