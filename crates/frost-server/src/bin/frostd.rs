@@ -77,10 +77,6 @@ const USAGE: &str = "usage: frostd <store.frostb | store-dir> [--port N] [--addr
 [--slow-request-ms N] [--trace-ring N] [--no-telemetry] \
 [--replica-of HOST:PORT] [--max-replica-lag MS] [--sync-replication]";
 
-/// Default `--cache-budget-mb`: generous for a query daemon, small
-/// enough that cache growth can never OOM a modest host.
-const DEFAULT_CACHE_BUDGET_MB: usize = 256;
-
 struct Args {
     store: String,
     addr: String,
@@ -93,10 +89,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut store = None;
     let mut addr = "127.0.0.1".to_string();
     let mut port = 7878u16;
-    let mut options = ServeOptions {
-        cache_budget: Some(DEFAULT_CACHE_BUDGET_MB * 1024 * 1024),
-        ..ServeOptions::default()
-    };
+    let mut options = ServeOptions::default();
     let mut fsync = FsyncPolicy::Always;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -162,7 +155,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 if mb == 0 {
                     return Err("cache budget must be positive".into());
                 }
-                options.cache_budget = Some(mb * 1024 * 1024);
+                options.cache_budget = mb * 1024 * 1024;
             }
             "--fsync" => {
                 let v = it.next().ok_or("--fsync needs a value")?;

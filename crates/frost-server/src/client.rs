@@ -5,12 +5,14 @@
 //! [`Connection`] holds one keep-alive socket and frames responses by
 //! `Content-Length`, so a sequence of requests to the same authority
 //! reuses a single TCP connection (the serving path this crate's
-//! benchmarks measure). [`http_get`] is the one-shot form: it opens a
+//! benchmarks measure). [`get_once`] is the one-shot form: it opens a
 //! fresh connection, sends `Connection: close`, and tears everything
-//! down — the per-request cost keep-alive exists to avoid.
+//! down — the per-request cost keep-alive exists to avoid. It returns
+//! the body's exact bytes (the replica's WAL polls and snapshot
+//! fetches ride on it); [`http_get`] is its text form.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Bounded exponential backoff for connection establishment, plus a
@@ -115,6 +117,11 @@ impl Jitter {
         delay.mul_f64(0.5 + r)
     }
 }
+
+/// How long [`get_once`] waits for a connection to be established, so
+/// a caller polling a downed server (the replica loop, and shutdown
+/// joins behind it) stays responsive.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Splits a plain `http://host:port/path` URL into
 /// `(authority, target)`.
@@ -540,14 +547,14 @@ impl Connection {
         } else {
             self.note_success();
         }
-        Ok((response.status, response.body))
+        Ok((response.status, response.text()))
     }
 }
 
 struct Response {
     status: u16,
     head: String,
-    body: String,
+    body: Vec<u8>,
     close: bool,
     /// Parsed `Retry-After` seconds, when the server sent one.
     retry_after: Option<u64>,
@@ -558,6 +565,14 @@ struct Response {
     /// first socket read progressed, or entry time when the read-ahead
     /// buffer already held spill from a pipelined predecessor.
     first_byte: Option<Instant>,
+}
+
+impl Response {
+    /// The body as text (invalid UTF-8 replaced), for the text
+    /// surfaces.
+    fn text(&self) -> String {
+        String::from_utf8_lossy(&self.body).into_owned()
+    }
 }
 
 /// Reads one `Content-Length`-framed response from a raw socket and
@@ -571,7 +586,8 @@ pub fn read_raw_response(
     buf: &mut Vec<u8>,
 ) -> Result<(u16, String, String), String> {
     let response = read_response(stream, buf, false)?;
-    Ok((response.status, response.head, response.body))
+    let body = response.text();
+    Ok((response.status, response.head, body))
 }
 
 /// See [`read_raw_response`]; additionally derives the `close` flag.
@@ -649,7 +665,7 @@ fn read_response(
             Err(e) => return Err(format!("receive: {e}")),
         }
     }
-    let body = String::from_utf8_lossy(&buf[head_end..head_end + length]).into_owned();
+    let body = buf[head_end..head_end + length].to_vec();
     buf.drain(..head_end + length);
     Ok(Response {
         status,
@@ -679,13 +695,38 @@ fn find_terminator(buf: &[u8]) -> Option<usize> {
 }
 
 /// Fetches `url` (plain `http://host:port/path` only) over a one-shot
-/// connection (`Connection: close`) and returns `(status, body)`.
+/// connection and returns `(status, body)` with the body as text. See
+/// [`get_once`].
 pub fn http_get(url: &str) -> Result<(u16, String), String> {
     let (authority, target) = split_url(url)?;
-    let mut stream =
-        TcpStream::connect(authority).map_err(|e| format!("connect {authority}: {e}"))?;
+    let (status, body) = get_once(authority, target, Duration::from_secs(30))?;
+    Ok((status, String::from_utf8_lossy(&body).into_owned()))
+}
+
+/// `GET target` from `authority` (`host:port`) over a one-shot
+/// connection (`Connection: close`) and returns `(status, body)` with
+/// the body's exact bytes. Connecting gives up after 5 s per resolved
+/// address; each read and write after `timeout`. A response without
+/// `Content-Length` is read to EOF (close-delimited), as generic
+/// servers may send it.
+pub fn get_once(
+    authority: &str,
+    target: &str,
+    timeout: Duration,
+) -> Result<(u16, Vec<u8>), String> {
+    let mut last = format!("cannot resolve {authority}");
+    let stream = authority
+        .to_socket_addrs()
+        .map_err(|e| format!("resolve {authority}: {e}"))?
+        .find_map(|addr| {
+            TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)
+                .map_err(|e| last = format!("connect {authority}: {e}"))
+                .ok()
+        });
+    let mut stream = stream.ok_or(last)?;
     stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
+        .set_read_timeout(Some(timeout))
+        .and_then(|()| stream.set_write_timeout(Some(timeout)))
         .map_err(|e| e.to_string())?;
     let request =
         format!("GET {target} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n\r\n");
@@ -693,8 +734,6 @@ pub fn http_get(url: &str) -> Result<(u16, String), String> {
         .write_all(request.as_bytes())
         .map_err(|e| format!("send: {e}"))?;
     let mut buf = Vec::new();
-    // One-shot close semantics: a missing Content-Length falls back to
-    // the close-delimited body generic servers send.
     let response = read_response(&mut stream, &mut buf, true)?;
     Ok((response.status, response.body))
 }
@@ -853,6 +892,58 @@ mod tests {
             breaker_cooldown: Duration::from_millis(cooldown_ms),
             ..RetryPolicy::NONE
         }
+    }
+
+    /// A one-connection server that answers its one request with the
+    /// raw bytes `response`, then closes.
+    fn raw_server(response: Vec<u8>) -> (String, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let authority = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            let Ok((mut stream, _)) = listener.accept() else {
+                return;
+            };
+            let mut buf = [0u8; 1024];
+            let _ = stream.read(&mut buf);
+            let _ = stream.write_all(&response);
+        });
+        (authority, handle)
+    }
+
+    /// Every byte value, up then down: not UTF-8.
+    fn binary_body() -> Vec<u8> {
+        (0..=255u8).chain((0..=255u8).rev()).collect()
+    }
+
+    #[test]
+    fn a_content_length_body_comes_through_byte_exact() {
+        let body = binary_body();
+        let mut response = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\
+             Content-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        response.extend_from_slice(&body);
+        // Trailing bytes past Content-Length are not body.
+        response.extend_from_slice(b"junk");
+        let (authority, server) = raw_server(response);
+        let (status, got) = get_once(&authority, "/bin", Duration::from_secs(5)).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(got, body);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_close_delimited_body_comes_through_byte_exact() {
+        let body = binary_body();
+        let mut response = b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n".to_vec();
+        response.extend_from_slice(&body);
+        let (authority, server) = raw_server(response);
+        let (status, got) = get_once(&authority, "/bin", Duration::from_secs(5)).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(got, body);
+        server.join().unwrap();
     }
 
     #[test]

@@ -37,6 +37,15 @@
 //! * sheds written before the request bytes were drained half-close
 //!   and linger (`Phase::Lingering`) so the `503` survives the unread
 //!   bytes instead of being RST-destroyed.
+//!
+//! Loop 0 also owns the listening socket: it polls it beside its
+//! waker, accepts a bounded batch per readiness event, and deals the
+//! connections round-robin through every loop's mailbox (its own
+//! included). Adoption is the admission pre-screen: while the server
+//! drains, or while the dispatch queue is full, a new connection is
+//! answered with the canned `503` and lingers before a byte of it is
+//! read — the same non-blocking path as every other shed, so a client
+//! that never reads its reject stalls nobody.
 
 use crate::http::{
     close_variant_bytes, encode, error_body, shed_response_bytes, CachedResponse, Parsed,
@@ -46,16 +55,22 @@ use crate::route::{self, Endpoint, Route};
 use crate::telemetry::{OpenConnGuard, Stage, Trace};
 use polling::{PollFd, Source, Waker, POLLIN, POLLOUT};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{SyncSender, TrySendError};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How long a lingering (half-closed) shed connection is drained
-/// before the socket is dropped — the event-loop rendering of
-/// `write_shed_unread`'s ~150 ms bound.
+/// before the socket is dropped: a well-behaved client reads its `503`
+/// and closes within a round trip, and one that never does costs a
+/// poll slot for this long, not a stalled loop.
 const LINGER_MS: u64 = 150;
+
+/// Connections loop 0 accepts per listener readiness event; the rest
+/// wait in the kernel backlog for the next poll round (level-triggered
+/// poll re-fires), so an accept flood cannot starve live connections.
+const ACCEPT_BATCH: usize = 64;
 
 /// Per-readiness-event read budget: one ready connection may consume
 /// at most this many bytes per poll round, so a flooding client
@@ -98,9 +113,9 @@ pub(crate) struct Completion {
     pub trace: Option<Box<Trace>>,
 }
 
-/// The mailbox half of one event loop: the accept thread pushes fresh
-/// connections, workers push completions, shutdown pushes flags —
-/// every push wakes the loop out of its poll.
+/// The mailbox half of one event loop: loop 0 pushes the connections
+/// it accepts (into its own mailbox too), workers push completions,
+/// shutdown pushes flags — every push wakes the loop out of its poll.
 pub(crate) struct LoopShared {
     incoming: Mutex<Vec<(TcpStream, Instant)>>,
     completions: Mutex<Vec<Completion>>,
@@ -139,7 +154,8 @@ impl LoopShared {
     }
 
     /// Graceful: finish in-flight requests, close idle connections,
-    /// then exit (dropping the loop's queue sender).
+    /// then exit (dropping the loop's queue sender). Sent to loop 0,
+    /// which drops its listener and passes the drain on to every loop.
     pub fn begin_drain(&self) {
         self.drain.store(true, Ordering::Release);
         self.waker.wake();
@@ -149,6 +165,33 @@ impl LoopShared {
     pub fn kill(&self) {
         self.kill.store(true, Ordering::Release);
         self.waker.wake();
+    }
+}
+
+/// Loop 0's listening socket (non-blocking) and the loops it deals
+/// new connections to.
+pub(crate) struct Acceptor {
+    pub listener: TcpListener,
+    pub loops: Arc<[Arc<LoopShared>]>,
+    /// The round-robin cursor.
+    pub next: usize,
+}
+
+impl Acceptor {
+    /// Accepts up to [`ACCEPT_BATCH`] pending connections, counts each,
+    /// and hands them round-robin to the loops' mailboxes.
+    fn accept_batch(&mut self, state: &ServerState) {
+        for _ in 0..ACCEPT_BATCH {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    state.note_connection();
+                    self.loops[self.next % self.loops.len()].adopt(stream, Instant::now());
+                    self.next = self.next.wrapping_add(1);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return, // backlog empty (or a transient accept error)
+            }
+        }
     }
 }
 
@@ -253,17 +296,18 @@ impl Conn {
 /// Everything the per-connection state machine needs from its loop.
 struct LoopEnv<'a> {
     loop_id: usize,
-    tx: &'a SyncSender<Work>,
+    tx: &'a Sender<Work>,
     state: &'a ServerState,
     options: &'a ServeOptions,
 }
 
 /// The event loop body: one per `--event-threads`, run on its own
-/// thread by `serve_with` until shut down.
+/// thread by `serve_with` until shut down. Loop 0 gets the `acceptor`.
 pub(crate) fn run(
     loop_id: usize,
     shared: Arc<LoopShared>,
-    tx: SyncSender<Work>,
+    mut acceptor: Option<Acceptor>,
+    tx: Sender<Work>,
     state: Arc<ServerState>,
     options: ServeOptions,
 ) {
@@ -306,7 +350,24 @@ pub(crate) fn run(
             };
             generation += 1;
             let open = OpenConnGuard::new(state.telemetry());
-            conns[token] = Some(Conn::new(stream, generation, admitted, open));
+            let mut conn = Conn::new(stream, generation, admitted, open);
+            // The admission pre-screen, before any byte is read: a
+            // draining server or a full dispatch queue answers the
+            // canned 503 — no parsing, no evaluation, no worker time.
+            let shed = if state.is_draining() {
+                Some(ShedReason::Draining)
+            } else {
+                let full = state.overload().queue_depth() >= options.max_queued.max(1) as u64;
+                full.then_some(ShedReason::QueueFull)
+            };
+            if let Some(reason) = shed {
+                state.note_shed(reason);
+                let payload = shed_response_bytes(reason);
+                if !start_canned(&mut conn, token, &env, payload, After::Linger) {
+                    continue;
+                }
+            }
+            conns[token] = Some(conn);
         }
         // Apply worker verdicts.
         let done: Vec<Completion> = {
@@ -334,6 +395,14 @@ pub(crate) fn run(
         // writing ones finish (workers stay alive until every loop
         // has exited, so their completions still arrive).
         if shared.drain.load(Ordering::Acquire) {
+            // Stop accepting, then pass the drain on: every connection
+            // loop 0 accepted is in a mailbox by now, so no loop exits
+            // with one unadopted.
+            if let Some(acceptor) = acceptor.take() {
+                for other in acceptor.loops.iter() {
+                    other.begin_drain();
+                }
+            }
             let now = Instant::now();
             let since = *drain_since.get_or_insert(now);
             for slot in conns.iter_mut() {
@@ -353,6 +422,10 @@ pub(crate) fn run(
         tokens.clear();
         fds.push(PollFd::new(shared.waker.fd(), POLLIN));
         tokens.push(usize::MAX);
+        if let Some(acceptor) = &acceptor {
+            fds.push(PollFd::new(acceptor.listener.raw_fd(), POLLIN));
+            tokens.push(usize::MAX);
+        }
         let mut next_deadline: Option<Instant> = None;
         for (token, slot) in conns.iter().enumerate() {
             let Some(conn) = slot else { continue };
@@ -387,6 +460,13 @@ pub(crate) fn run(
             std::thread::sleep(Duration::from_millis(1));
         }
         shared.waker.drain();
+        // Accept: the connections land in the mailboxes and are adopted
+        // (and counted in the batch) on the next wake.
+        if let Some(acceptor) = acceptor.as_mut() {
+            if all_ready || fds[1].readable() {
+                acceptor.accept_batch(&state);
+            }
+        }
         // Serve readiness.
         for (i, fd) in fds.iter().enumerate().skip(1) {
             let token = tokens[i];
@@ -648,8 +728,27 @@ fn admit(conn: &mut Conn, token: usize, env: &LoopEnv, request: ParsedRequest) -
     }
     // Reserve the queue slot and count the admission before the
     // hand-off: a worker may dequeue and answer (even a `/stats`
-    // reporting the count) before `try_send` returns here.
-    let work = Work {
+    // reporting the count) before `send` returns here. The reservation
+    // is the queue's one bound; the channel itself is unbounded.
+    if !env.state.overload().try_enqueue(env.options.max_queued) {
+        env.state.note_shed(ShedReason::QueueFull);
+        if let Some(trace) = &trace {
+            trace.set_status(503);
+        }
+        conn.trace = trace;
+        return Admitted::Settled(start_canned(
+            conn,
+            token,
+            env,
+            shed_response_bytes(ShedReason::QueueFull),
+            After::Linger,
+        ));
+    }
+    env.state.note_admitted();
+    conn.phase = Phase::Dispatched;
+    // Workers exit only after every loop has dropped its sender, so
+    // this cannot fail while the loop runs.
+    let sent = env.tx.send(Work {
         request,
         route,
         deadline,
@@ -657,39 +756,8 @@ fn admit(conn: &mut Conn, token: usize, env: &LoopEnv, request: ParsedRequest) -
         token,
         generation: conn.generation,
         trace,
-    };
-    let sent = if env.state.overload().try_enqueue(env.options.max_queued) {
-        env.state.note_admitted();
-        let sent = env.tx.try_send(work);
-        if sent.is_err() {
-            env.state.overload().queue_dequeued();
-            env.state.withdraw_admitted();
-        }
-        sent
-    } else {
-        Err(TrySendError::Full(work))
-    };
-    Admitted::Settled(match sent {
-        Ok(()) => {
-            conn.phase = Phase::Dispatched;
-            true
-        }
-        Err(TrySendError::Full(work)) => {
-            env.state.note_shed(ShedReason::QueueFull);
-            if let Some(trace) = work.trace {
-                trace.set_status(503);
-                conn.trace = Some(trace);
-            }
-            start_canned(
-                conn,
-                token,
-                env,
-                shed_response_bytes(ShedReason::QueueFull),
-                After::Linger,
-            )
-        }
-        Err(TrySendError::Disconnected(_)) => false,
-    })
+    });
+    Admitted::Settled(sent.is_ok())
 }
 
 /// A worker verdict lands: write the response (or the shed) back.

@@ -32,11 +32,13 @@
 //! # Connection model
 //!
 //! Connections are owned by [`crate::event_loop`]'s poll threads
-//! (`--event-threads`), not by workers: sockets are non-blocking, and
-//! each event thread multiplexes its share of connections over a
-//! vendored `poll(2)` shim — an idle keep-alive connection costs a
-//! descriptor and a poll slot, not a thread. The event thread does the
-//! reads and parses heads out of a per-connection [`RequestBuffer`]:
+//! (`--event-threads`) from `accept` to close, not by workers: the
+//! first loop accepts and deals connections round-robin, sockets are
+//! non-blocking, and each event thread multiplexes its share of
+//! connections over a vendored `poll(2)` shim — an idle keep-alive
+//! connection costs a descriptor and a poll slot, not a thread. The
+//! event thread does the reads and parses heads out of a
+//! per-connection [`RequestBuffer`]:
 //! reads may split a request head at any byte boundary, and one read
 //! may carry several pipelined requests back-to-back — both are
 //! handled by buffering and re-scanning incrementally. A complete
@@ -98,8 +100,8 @@ use frost_storage::BenchmarkStore;
 use parking_lot::RwLock;
 use serde_json::Value;
 use std::borrow::Borrow;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -124,6 +126,10 @@ pub const DEFAULT_MAX_REQUESTS: usize = 10_000;
 /// Default for [`ServeOptions::max_queued`].
 pub const DEFAULT_MAX_QUEUED: usize = 256;
 
+/// Default for [`ServeOptions::cache_budget`]: generous for a query
+/// daemon, small enough that cache growth can never OOM a modest host.
+pub const DEFAULT_CACHE_BUDGET: usize = 256 * 1024 * 1024;
+
 /// Default for [`ServeOptions::event_threads`]. One loop comfortably
 /// multiplexes thousands of mostly-idle connections; add more only
 /// when parse/write CPU in the loop itself becomes the bottleneck.
@@ -140,6 +146,11 @@ const SHED_WINDOW_SECS: u64 = 8;
 /// unready.
 const READY_MIN_WINDOW_EVENTS: u64 = 16;
 
+/// `/readyz` flips to not-ready when the recent shed rate (sheds /
+/// admission events over the last [`SHED_WINDOW_SECS`] seconds)
+/// exceeds this.
+const SHED_READY_THRESHOLD: f64 = 0.9;
+
 /// Longest a `/replication/wal` long poll is held open waiting for new
 /// frames (the `wait_ms` parameter is clamped to this).
 const MAX_POLL_WAIT_MS: u64 = 10_000;
@@ -155,22 +166,26 @@ pub struct ServeOptions {
     /// suffice for thousands of mostly-idle keep-alive connections —
     /// connections cost file descriptors, not threads.
     pub event_threads: usize,
-    /// How long a keep-alive connection may sit between reads before
-    /// the worker closes it and returns to the pool. The same bound
-    /// applies to writes (a client that stops reading cannot pin a
-    /// worker in `write_all`) and, as a whole-head deadline, to a
-    /// trickled (slow-loris) request head: a head that has not
+    /// How long a keep-alive connection may sit between requests
+    /// before its event loop closes it. The same bound applies to
+    /// writes (a client that stops reading is cut once a write has
+    /// made no progress for this long) and, as a whole-head deadline,
+    /// to a trickled (slow-loris) request head: a head that has not
     /// completed one `idle_timeout` after its first byte is answered
-    /// `400` and cut, even if every individual read stays fast.
+    /// `400` and cut, even if every individual read stays fast. It is
+    /// also how long a compute- or write-class request waits for its
+    /// class permit when no request deadline is set.
     pub idle_timeout: Duration,
     /// Responses served on one connection before the server closes it
     /// (advertised with `Connection: close` on the last response), so
     /// the fixed pool cannot be starved by immortal connections.
     pub max_requests: usize,
-    /// Admission queue bound: accepted connections waiting for a pool
-    /// worker. When the queue is full, new connections are answered
-    /// with a canned `503` + `Retry-After` by the accept thread — no
-    /// parsing, no evaluation, no worker time.
+    /// Dispatch queue bound: parsed requests the response cache could
+    /// not answer, waiting for a pool worker. While the queue is full,
+    /// a request that needs a worker is shed with a canned `503` +
+    /// `Retry-After`, and so is every new connection, before its
+    /// event loop reads a byte of it — no parsing, no evaluation, no
+    /// worker time. Cache hits take no slot.
     pub max_queued: usize,
     /// Per-request deadline. The first request on a connection clocks
     /// from **admission** (queue wait counts — a request that already
@@ -180,26 +195,9 @@ pub struct ServeOptions {
     /// `Retry-After`, and the remaining deadline bounds socket reads
     /// and class-gate waits. `None` disables deadlines.
     pub request_deadline: Option<Duration>,
-    /// Concurrency limit of the compute-heavy endpoint class
-    /// (`/compare`, `/diagram`, `/venn`): at most this many cache-miss
-    /// computations run at once, so expensive sweeps cannot occupy
-    /// every worker and starve cheap cached GETs. `None` = half the
-    /// worker pool (min 1). Cache *hits* on these endpoints bypass the
-    /// gate — a saturated class degrades to serving cached bodies, not
-    /// to shedding them.
-    pub compute_concurrency: Option<usize>,
-    /// Concurrency limit of the mutating class (`POST`/`DELETE`):
-    /// bounds writers waiting on the serialized write path. `None` =
-    /// a quarter of the worker pool (min 1).
-    pub write_concurrency: Option<usize>,
-    /// `/readyz` flips to not-ready when the recent shed rate
-    /// (sheds / admission events over the last [`SHED_WINDOW_SECS`]
-    /// seconds) exceeds this threshold.
-    pub shed_ready_threshold: f64,
     /// Tracked-byte budget of the response cache, enforced with
-    /// stale-first LRU eviction. `None` keeps the per-shard entry caps
-    /// as the only bound.
-    pub cache_budget: Option<usize>,
+    /// stale-first LRU eviction (default [`DEFAULT_CACHE_BUDGET`]).
+    pub cache_budget: usize,
     /// Test-only: expose `GET /debug/panic`, which panics inside the
     /// request handler — the regression hook for worker panic
     /// isolation. Never enabled by the CLI.
@@ -251,10 +249,7 @@ impl Default for ServeOptions {
             max_requests: DEFAULT_MAX_REQUESTS,
             max_queued: DEFAULT_MAX_QUEUED,
             request_deadline: None,
-            compute_concurrency: None,
-            write_concurrency: None,
-            shed_ready_threshold: 0.9,
-            cache_budget: None,
+            cache_budget: DEFAULT_CACHE_BUDGET,
             debug_panic: false,
             debug_sleep: false,
             telemetry: true,
@@ -274,8 +269,9 @@ impl Default for ServeOptions {
 /// Why a request (or connection) was shed with a `503`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The admission queue was full — rejected by the accept thread
-    /// without parsing anything.
+    /// The dispatch queue was full: a new connection, answered before
+    /// its event loop read a byte of it, or a parsed request the
+    /// response cache could not answer.
     QueueFull,
     /// The request's deadline expired before evaluation could start
     /// (queue wait, slow arrival, or a saturated class gate).
@@ -284,7 +280,8 @@ pub enum ShedReason {
     /// permit freed up within the allowed wait.
     ClassSaturated,
     /// The server is draining for shutdown; queued-but-unstarted
-    /// connections are answered instead of silently dropped.
+    /// requests and connections accepted during the drain are answered
+    /// instead of silently dropped.
     Draining,
 }
 
@@ -379,17 +376,6 @@ impl OverloadStats {
         self.slot(secs).admitted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Takes back a [`note_admitted`](Self::note_admitted) whose
-    /// hand-off failed. The window slot may have been reset since, so
-    /// it never goes below zero.
-    fn withdraw_admitted(&self, secs: u64) {
-        self.admitted.fetch_sub(1, Ordering::Relaxed);
-        let _ = self
-            .slot(secs)
-            .admitted
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
-    }
-
     fn note_shed(&self, reason: ShedReason, secs: u64) {
         let counter = match reason {
             ShedReason::QueueFull => &self.shed_queue_full,
@@ -478,17 +464,23 @@ impl Gate {
 }
 
 /// The per-class gates one `serve_with` call shares across its pool.
+/// The compute class (`/compare`, `/diagram`, `/venn` misses) gets
+/// half the workers, so expensive sweeps cannot occupy every worker
+/// and starve cheap requests; the write class (`POST`/`DELETE`) gets a
+/// quarter, bounding writers waiting on the serialized write path.
+/// Cache hits never reach a gate: a saturated class degrades to
+/// serving cached bodies, not to shedding them.
 pub(crate) struct ClassGates {
     compute: Gate,
     write: Gate,
 }
 
 impl ClassGates {
-    pub(crate) fn for_options(options: &ServeOptions) -> Self {
-        let workers = options.workers.max(1);
+    pub(crate) fn for_workers(workers: usize) -> Self {
+        let workers = workers.max(1);
         Self {
-            compute: Gate::new(options.compute_concurrency.unwrap_or((workers / 2).max(1))),
-            write: Gate::new(options.write_concurrency.unwrap_or((workers / 4).max(1))),
+            compute: Gate::new(workers / 2),
+            write: Gate::new(workers / 4),
         }
     }
 }
@@ -641,8 +633,9 @@ pub struct ServerState {
     /// writer lock first, then the store lock — never the reverse.
     writer: parking_lot::Mutex<Option<DurableStore>>,
     /// Set during graceful shutdown: responses advertise
-    /// `Connection: close` and queued-but-unstarted connections are
-    /// answered with a clean `503` instead of being served.
+    /// `Connection: close`, and queued-but-unstarted requests and
+    /// newly adopted connections are answered with a clean `503`
+    /// instead of being served.
     draining: AtomicBool,
     json_renders: AtomicU64,
     connections: AtomicU64,
@@ -707,9 +700,10 @@ impl ServerState {
     }
 
     /// Flips the server into drain mode (used by graceful shutdown):
-    /// every response from here on advertises `Connection: close`, and
-    /// workers answer queued-but-unstarted connections with a `503`
-    /// instead of serving them.
+    /// every response from here on advertises `Connection: close`,
+    /// workers answer queued-but-unstarted requests with a `503`
+    /// instead of serving them, and the event loops shed new
+    /// connections the same way.
     pub fn begin_drain(&self) {
         self.draining.store(true, Ordering::Release);
     }
@@ -951,6 +945,10 @@ impl ServerState {
         self.connections.load(Ordering::Relaxed)
     }
 
+    pub(crate) fn note_connection(&self) {
+        self.connections.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// The overload counters `/stats` and `/readyz` report.
     pub fn overload(&self) -> &OverloadStats {
         &self.overload
@@ -963,10 +961,6 @@ impl ServerState {
 
     pub(crate) fn note_admitted(&self) {
         self.overload.note_admitted(self.clock_secs());
-    }
-
-    pub(crate) fn withdraw_admitted(&self) {
-        self.overload.withdraw_admitted(self.clock_secs());
     }
 
     pub(crate) fn note_shed(&self, reason: ShedReason) {
@@ -1013,7 +1007,6 @@ pub struct ServerHandle {
     loops: Arc<[Arc<event_loop::LoopShared>]>,
     loop_threads: Vec<std::thread::JoinHandle<()>>,
     worker_threads: Vec<std::thread::JoinHandle<()>>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
     /// The replica apply loop (`--replica-of`); observes the shared
     /// shutdown flag.
     replica_thread: Option<std::thread::JoinHandle<()>>,
@@ -1037,24 +1030,19 @@ impl ServerHandle {
 
     /// The graceful variant: stops accepting, lets dispatched and
     /// mid-write requests finish, closes idle connections, then joins
-    /// everything. The ordering matters: the accept thread stops
-    /// first, then the event loops drain (their in-flight requests
-    /// need the still-live workers), and the workers exit once the
-    /// last loop drops its queue sender.
+    /// everything. The ordering matters: loop 0 drops its listener
+    /// first and then passes the drain to every loop, the loops drain
+    /// (their in-flight requests need the still-live workers), and the
+    /// workers exit once the last loop drops its queue sender.
     pub fn graceful_shutdown(mut self) {
-        if self.accept_thread.is_none() {
-            return;
-        }
         self.state.begin_drain();
+        self.loops[0].begin_drain();
+        self.join();
+    }
+
+    /// Joins the loops, then the workers, then the replica thread.
+    fn join(&mut self) {
         self.shutdown.store(true, Ordering::Release);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        for shared in self.loops.iter() {
-            shared.begin_drain();
-        }
         for t in self.loop_threads.drain(..) {
             let _ = t.join();
         }
@@ -1069,30 +1057,16 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.accept_thread.is_none() && self.loop_threads.is_empty() {
+        if self.loop_threads.is_empty() {
             return; // graceful_shutdown already ran
         }
-        self.shutdown.store(true, Ordering::Release);
-        // Hard stop: every loop drops its connections immediately (a
-        // worker mid-request finishes, but its completion lands in a
-        // dead mailbox).
+        // Hard stop: every loop drops its connections (and loop 0 its
+        // listener) immediately; a worker mid-request finishes, but its
+        // completion lands in a dead mailbox.
         for shared in self.loops.iter() {
             shared.kill();
         }
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        for t in self.loop_threads.drain(..) {
-            let _ = t.join();
-        }
-        for t in self.worker_threads.drain(..) {
-            let _ = t.join();
-        }
-        if let Some(t) = self.replica_thread.take() {
-            let _ = t.join();
-        }
+        self.join();
     }
 }
 
@@ -1127,11 +1101,10 @@ pub fn serve_with(
         ));
     }
     let listener = TcpListener::bind(addr)?;
+    listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    if let Some(budget) = options.cache_budget {
-        state.set_cache_budget(budget);
-    }
+    state.set_cache_budget(options.cache_budget);
     let replica_thread = match options.replica_of.clone() {
         Some(primary) => {
             // Role flips before any request can be served, so the
@@ -1149,15 +1122,13 @@ pub fn serve_with(
     state
         .telemetry
         .configure(options.telemetry, options.slow_request, options.trace_ring);
-    // The bounded admission queue now carries *complete parsed
-    // requests* (not connections): the event loops `try_send` each
-    // request they finish assembling, stamped with its absolute
-    // deadline. A full queue is the cheap-reject signal — and the
-    // accept thread pre-screens new connections against the queue
-    // depth so a flood is answered without ever entering a loop.
-    let (tx, rx) = mpsc::sync_channel::<event_loop::Work>(options.max_queued.max(1));
+    // The dispatch queue carries complete parsed requests the response
+    // cache could not answer, each stamped with its absolute deadline.
+    // Its bound is the `try_enqueue` reservation the loops make before
+    // each `send`, so the channel itself is unbounded.
+    let (tx, rx) = mpsc::channel::<event_loop::Work>();
     let rx = Arc::new(Mutex::new(rx));
-    let gates = Arc::new(ClassGates::for_options(&options));
+    let gates = Arc::new(ClassGates::for_workers(options.workers));
     let workers = options.workers.max(1);
     let event_threads = options.event_threads.max(1);
     let mut loop_mailboxes = Vec::with_capacity(event_threads);
@@ -1190,53 +1161,26 @@ pub fn serve_with(
             }
         }));
     }
+    // Loop 0 accepts; every loop adopts what loop 0 deals it.
+    let mut acceptor = Some(event_loop::Acceptor {
+        listener,
+        loops: Arc::clone(&loops),
+        next: 0,
+    });
     let mut loop_threads = Vec::with_capacity(event_threads);
     for (loop_id, shared) in loops.iter().enumerate() {
         let shared = Arc::clone(shared);
+        let acceptor = acceptor.take();
         let tx = tx.clone();
         let state = Arc::clone(&state);
         let options = options.clone();
         loop_threads.push(std::thread::spawn(move || {
-            event_loop::run(loop_id, shared, tx, state, options);
+            event_loop::run(loop_id, shared, acceptor, tx, state, options);
         }));
     }
     // Only the loops hold senders now: the last exiting loop is the
     // workers' stop signal.
     drop(tx);
-    let accept_shutdown = Arc::clone(&shutdown);
-    let accept_state = Arc::clone(&state);
-    let accept_loops = Arc::clone(&loops);
-    let max_queued = options.max_queued.max(1) as u64;
-    let accept_thread = std::thread::spawn(move || {
-        let mut next_loop = 0usize;
-        for stream in listener.incoming() {
-            if accept_shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            if let Ok(mut stream) = stream {
-                accept_state.connections.fetch_add(1, Ordering::Relaxed);
-                if accept_state.is_draining() {
-                    // Connections racing shutdown must not land in a
-                    // loop that may already have drained away.
-                    accept_state.note_shed(ShedReason::Draining);
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    write_shed_unread(&mut stream, ShedReason::Draining);
-                    continue;
-                }
-                if accept_state.overload.queue_depth() >= max_queued {
-                    // The cheap reject: the accept thread answers the
-                    // canned 503 itself — no parsing, no evaluation,
-                    // no worker time — and moves on.
-                    accept_state.note_shed(ShedReason::QueueFull);
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    write_shed_unread(&mut stream, ShedReason::QueueFull);
-                    continue;
-                }
-                accept_loops[next_loop % accept_loops.len()].adopt(stream, Instant::now());
-                next_loop = next_loop.wrapping_add(1);
-            }
-        }
-    });
     Ok(ServerHandle {
         addr: local,
         state,
@@ -1244,7 +1188,6 @@ pub fn serve_with(
         loops,
         loop_threads,
         worker_threads,
-        accept_thread: Some(accept_thread),
         replica_thread,
     })
 }
@@ -1756,46 +1699,9 @@ fn etag_matches(candidates: &str, etag: &str) -> bool {
     })
 }
 
-/// Writes the canned shed response for `reason`: a `503` with
-/// `Retry-After` and `Connection: close`, pre-serialized so the
-/// reject path allocates and formats nothing.
-fn write_shed(stream: &mut TcpStream, reason: ShedReason) {
-    let _ = stream.write_all(shed_response_bytes(reason));
-    let _ = stream.flush();
-}
-
-/// [`write_shed`] for the sites that answer *before* the request
-/// bytes were read (queue-full and draining rejects, queue-wait and
-/// mid-head deadline sheds). Closing a socket with unread data in its
-/// receive buffer makes the kernel send RST, which can destroy the
-/// in-flight `503` before the client reads it — so after writing,
-/// half-close the send side and drain until the client closes
-/// (bounded: a well-behaved client reads the response and closes
-/// within a round trip; a trickler costs at most ~200 ms).
-fn write_shed_unread(stream: &mut TcpStream, reason: ShedReason) {
-    write_shed(stream, reason);
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let deadline = Instant::now() + Duration::from_millis(150);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut scratch = [0u8; 4096];
-    while Instant::now() < deadline {
-        match stream.read(&mut scratch) {
-            Ok(0) => break,
-            Ok(_) => {}
-            // A read timeout just means the client sent nothing this
-            // tick; the drain window is the *deadline*, not one read.
-            // Breaking here cut the documented ~150 ms drain to the
-            // 50 ms read timeout.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => break,
-        }
-    }
-}
-
+/// The canned shed response for `reason`: a `503` with `Retry-After`
+/// and `Connection: close`, pre-serialized so the reject path
+/// allocates and formats nothing.
 pub(crate) fn shed_response_bytes(reason: ShedReason) -> &'static [u8] {
     static PAYLOADS: std::sync::OnceLock<[Vec<u8>; 4]> = std::sync::OnceLock::new();
     let idx = match reason {
@@ -1966,8 +1872,7 @@ impl ServerState {
             && options
                 .max_replica_lag
                 .is_some_and(|max_ms| lag.ms > max_ms);
-        let ready =
-            !poisoned && !draining && !lag_exceeded && shed_rate <= options.shed_ready_threshold;
+        let ready = !poisoned && !draining && !lag_exceeded && shed_rate <= SHED_READY_THRESHOLD;
         let (_, applied_offset, applied_records) = hub.position();
         let body = serde_json::to_string(&Value::object([
             ("ready".to_string(), Value::from(ready)),

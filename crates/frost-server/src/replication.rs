@@ -22,8 +22,7 @@
 //!
 //! [`DurableStore::append`]: frost_storage::durable::DurableStore::append
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -32,6 +31,7 @@ use std::time::{Duration, Instant};
 
 use frost_storage::wal::{self, SnapshotId};
 
+use crate::client;
 use crate::http::ServerState;
 use crate::route::Endpoint::{ReplicationSnapshot, ReplicationWal};
 
@@ -446,7 +446,7 @@ pub fn run_replica(state: &ServerState, primary: &str, shutdown: &AtomicBool) {
             snapshot.len,
             snapshot.crc
         );
-        let (status, body) = match http_get_binary(primary, &path, POLL_TIMEOUT) {
+        let (status, body) = match client::get_once(primary, &path, POLL_TIMEOUT) {
             Ok(reply) => reply,
             Err(_) => {
                 hub.set_connected(false);
@@ -521,7 +521,8 @@ pub fn run_replica(state: &ServerState, primary: &str, shutdown: &AtomicBool) {
 /// Fetches the primary's snapshot, verifies it against its preamble,
 /// and swaps it in as this node's new baseline.
 fn rebootstrap(state: &ServerState, primary: &str) -> io::Result<()> {
-    let (status, body) = http_get_binary(primary, ReplicationSnapshot.path(), SNAPSHOT_TIMEOUT)?;
+    let (status, body) = client::get_once(primary, ReplicationSnapshot.path(), SNAPSHOT_TIMEOUT)
+        .map_err(io::Error::other)?;
     if status != 200 {
         return Err(io::Error::other(format!(
             "snapshot fetch returned HTTP {status}"
@@ -559,7 +560,8 @@ pub fn bootstrap_snapshot(primary: &str, path: &Path, max_wait: Duration) -> io:
 }
 
 fn try_bootstrap(primary: &str, path: &Path) -> io::Result<()> {
-    let (status, body) = http_get_binary(primary, ReplicationSnapshot.path(), SNAPSHOT_TIMEOUT)?;
+    let (status, body) = client::get_once(primary, ReplicationSnapshot.path(), SNAPSHOT_TIMEOUT)
+        .map_err(io::Error::other)?;
     if status != 200 {
         return Err(io::Error::other(format!(
             "snapshot fetch returned HTTP {status}"
@@ -590,77 +592,6 @@ fn sleep_interruptible(shutdown: &AtomicBool, total: Duration) {
             return;
         }
         thread::sleep((deadline - now).min(Duration::from_millis(50)));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Minimal binary HTTP client
-// ---------------------------------------------------------------------
-
-/// One-shot binary-safe GET. The main [`crate::client`] keeps its text
-/// convenience surface; replication needs exact bytes, `Connection:
-/// close` framing, and nothing else.
-pub(crate) fn http_get_binary(
-    authority: &str,
-    path: &str,
-    timeout: Duration,
-) -> io::Result<(u16, Vec<u8>)> {
-    use std::net::ToSocketAddrs;
-    let addr = authority.to_socket_addrs()?.next().ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("cannot resolve {authority}"),
-        )
-    })?;
-    // A bounded connect keeps the replica loop (and shutdown joins)
-    // responsive when the primary is down.
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let _ = stream.set_nodelay(true);
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n\r\n"
-    )?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_http_response(&raw)
-}
-
-fn parse_http_response(raw: &[u8]) -> io::Result<(u16, Vec<u8>)> {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|i| i + 4)
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "no header terminator in reply",
-            )
-        })?;
-    let head = std::str::from_utf8(&raw[..head_end])
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response head"))?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed status line"))?;
-    let mut content_length: Option<usize> = None;
-    for line in head.lines().skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok();
-            }
-        }
-    }
-    let body = &raw[head_end..];
-    match content_length {
-        Some(n) if body.len() >= n => Ok((status, body[..n].to_vec())),
-        Some(n) => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("body truncated: {} of {n} bytes", body.len()),
-        )),
-        None => Ok((status, body.to_vec())),
     }
 }
 

@@ -46,8 +46,8 @@ use std::time::{Duration, Instant};
 const SYNC_ACK_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Endpoint cost classes: each is gated independently so one class
-/// cannot starve another (see
-/// [`ServeOptions::compute_concurrency`](crate::ServeOptions::compute_concurrency)).
+/// cannot starve another (compute gets half the workers, writes a
+/// quarter; see `http::ClassGates`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Class {
     /// Cheap GETs (cache probes, listings, health, stats) — never
@@ -1030,7 +1030,7 @@ mod tests {
     fn serve_hit_makes_the_one_lookup() {
         let state = state();
         let options = ServeOptions::default();
-        let gates = ClassGates::for_options(&options);
+        let gates = ClassGates::for_workers(options.workers);
         let cache = state.response_cache();
         let lookups = || cache.hits() + cache.misses();
         let target = "/diagram?experiment=e1&samples=5";
@@ -1279,7 +1279,7 @@ mod tests {
                 debug_sleep: true,
                 ..ServeOptions::default()
             };
-            let gates = ClassGates::for_options(&options);
+            let gates = ClassGates::for_workers(options.workers);
             let route = resolve(c.method, &c.escaped);
             let plain = resolve(c.method, &c.raw);
             prop_assert_eq!(route.endpoint, plain.endpoint, "{:?}", c);

@@ -12,8 +12,8 @@
 //! |-----------------|----------------------------------------------------------|
 //! | `accepted`      | the deadline clock starts: connection admission for the first request, arrival of its own first byte for pipelined successors |
 //! | `head_complete` | the event loop's parser yields the complete request      |
-//! | `admitted`      | the request enters the bounded dispatch queue            |
-//! | `cache_probe`   | the worker probed the serialized-response cache tier     |
+//! | `admitted`      | the request passed the deadline and method checks        |
+//! | `cache_probe`   | the event loop's one response-cache lookup returned      |
 //! | `gate_acquired` | the worker obtained its class concurrency permit (compute/write only) |
 //! | `evaluated`     | the store computation (or write) finished                |
 //! | `serialized`    | the full response (head + body + `ETag` revalidation) is built |

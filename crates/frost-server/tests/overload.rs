@@ -2,9 +2,9 @@
 //! admission with cheap `503` + `Retry-After` rejects, per-request
 //! deadlines (queue wait included), cost-class gates with graceful
 //! cache-hit degradation, `/healthz` + `/readyz`, drain semantics for
-//! queued connections, and a ~2× soak asserting bounded queue depth,
-//! bounded cache bytes, fast sheds and byte-identical successes —
-//! PR 6's fault-injection discipline, applied to load instead of
+//! queued requests, and a ~2× soak asserting bounded queue depth,
+//! bounded cache bytes, fast sheds and byte-identical successes — the
+//! write path's fault-injection discipline, applied to load instead of
 //! disk.
 
 use frost_core::clustering::Clustering;
@@ -135,8 +135,8 @@ fn full_admission_queue_rejects_fast_with_retry_after() {
     let mut queued = send_get(&addr, "/debug/sleep?ms=1200");
     std::thread::sleep(Duration::from_millis(100));
 
-    // The next connection must be rejected by the accept thread:
-    // immediately (no waiting out either sleep), with Retry-After,
+    // The next connection must be rejected when its event loop adopts
+    // it: immediately (no waiting out either sleep), with Retry-After,
     // and with a well-formed JSON body.
     let started = Instant::now();
     let (status, head, body) = get(&addr, "/datasets");
@@ -177,6 +177,48 @@ fn full_admission_queue_rejects_fast_with_retry_after() {
     ] {
         let _ = counter(&stats, key);
     }
+    handle.shutdown();
+}
+
+#[test]
+fn shed_clients_that_never_read_do_not_delay_the_next_connection() {
+    // Regression: queue-full rejects used to be written by a blocking
+    // accept thread that drained each shed socket for up to 150 ms, so
+    // ten shed clients that neither read nor closed held every later
+    // connection back for ~1.5 s. Sheds now linger on the event loop.
+    let handle = start(ServeOptions {
+        workers: 1,
+        max_queued: 1,
+        debug_sleep: true,
+        ..ServeOptions::default()
+    });
+    let addr = handle.addr().to_string();
+
+    // Occupy the lone worker, then fill the one-slot queue.
+    let mut busy = send_get(&addr, "/debug/sleep?ms=1500");
+    std::thread::sleep(Duration::from_millis(150));
+    let mut queued = send_get(&addr, "/debug/sleep?ms=1500");
+    std::thread::sleep(Duration::from_millis(100));
+
+    // Ten shed clients: each sends its GET, then neither reads nor
+    // closes.
+    let silent: Vec<TcpStream> = (0..10).map(|_| send_get(&addr, "/datasets")).collect();
+
+    let started = Instant::now();
+    let (status, _, body) = get(&addr, "/datasets");
+    let elapsed = started.elapsed();
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("queue full"), "{body}");
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "the eleventh shed waited behind the silent ones: {elapsed:?}"
+    );
+    drop(silent);
+
+    let (status, _, body) = read_reply(&mut busy);
+    assert_eq!(status, 200, "{body}");
+    let (status, _, body) = read_reply(&mut queued);
+    assert_eq!(status, 200, "{body}");
     handle.shutdown();
 }
 
@@ -227,7 +269,6 @@ fn a_saturated_compute_class_serves_cached_bodies_and_sheds_misses() {
     let handle = start(ServeOptions {
         workers: 3,
         max_queued: 8,
-        compute_concurrency: Some(1),
         request_deadline: Some(Duration::from_millis(400)),
         debug_sleep: true,
         ..ServeOptions::default()
@@ -238,7 +279,8 @@ fn a_saturated_compute_class_serves_cached_bodies_and_sheds_misses() {
     let (status, _, warm_body) = get(&addr, "/diagram?experiment=e1");
     assert_eq!(status, 200, "{warm_body}");
 
-    // Saturate the compute class (limit 1) with a sleeper.
+    // Saturate the compute class (half of three workers: limit 1) with
+    // a sleeper.
     let mut busy = send_get(&addr, "/debug/sleep?ms=1000");
     std::thread::sleep(Duration::from_millis(150));
 
@@ -293,6 +335,16 @@ fn health_endpoints_serve_on_a_volatile_store() {
 }
 
 #[test]
+fn a_default_server_bounds_its_response_cache_at_256_mib() {
+    // Regression: the budget used to be an `Option` that only frostd's
+    // CLI filled in, so `frost serve` (and every server built from the
+    // default options) cached without a byte bound.
+    let handle = start(ServeOptions::default());
+    assert_eq!(handle.state().response_cache().budget(), 256 * 1024 * 1024);
+    handle.shutdown();
+}
+
+#[test]
 fn readyz_flips_to_not_ready_when_the_wal_is_poisoned() {
     let dir = scratch("readyz");
     let path = dir.join("store.frostb");
@@ -331,10 +383,10 @@ fn readyz_flips_to_not_ready_when_the_wal_is_poisoned() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The drain satellite: SIGTERM/SIGINT ([`run_daemon`] calls the same
-/// [`ServerHandle::graceful_shutdown`]) with a non-empty admission
+/// SIGTERM/SIGINT ([`run_daemon`] calls the same
+/// [`ServerHandle::graceful_shutdown`]) with a non-empty dispatch
 /// queue completes in-flight requests and answers queued-but-unstarted
-/// connections with a clean `503` instead of leaving them to hang.
+/// requests with a clean `503` instead of leaving them to hang.
 #[test]
 fn graceful_drain_completes_inflight_and_sheds_queued_connections() {
     let handle = start(ServeOptions {
@@ -379,9 +431,8 @@ fn soak_at_twice_capacity_stays_bounded_and_byte_identical() {
     let handle = start(ServeOptions {
         workers: 2,
         max_queued: 2,
-        compute_concurrency: Some(1),
         request_deadline: Some(Duration::from_millis(300)),
-        cache_budget: Some(CACHE_BUDGET),
+        cache_budget: CACHE_BUDGET,
         debug_sleep: true,
         ..ServeOptions::default()
     });

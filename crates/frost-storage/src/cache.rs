@@ -3,11 +3,10 @@
 //!
 //! The long-lived `frostd` server memoizes rendered results — diagram
 //! series, Venn tables, comparison views — keyed by the canonical
-//! request. The cache is generic over its value type so the server can
-//! stack *tiers* with one invalidation rule: a first tier of rendered
-//! JSON bodies (`Arc<str>`, the default) and a second tier of fully
-//! serialized HTTP response bytes (`Arc<[u8]>` behind a server-side
-//! wrapper), both stamped with the same store generation. Three
+//! request. Its one result cache holds fully serialized HTTP response
+//! bytes (a server-side wrapper around `Arc<[u8]>`); the cache is
+//! generic over its value type (`Arc<str>` by default), so other
+//! callers can cache other derived values under the same rules. Three
 //! properties matter for a shared deployment (§5.2 allows both local
 //! and hosted instances):
 //!
@@ -54,8 +53,8 @@ const MAX_SHARD_ENTRIES: usize = 512;
 const ORDER_SLACK: usize = 16;
 
 /// The tracked byte size of a cached value — the payload bytes an
-/// entry pins (keys are accounted separately). Implemented by both
-/// server tiers so the cache can enforce a byte budget.
+/// entry pins (keys are accounted separately), so the cache can
+/// enforce a byte budget.
 pub trait CacheWeight {
     /// Approximate heap bytes held by this value.
     fn weight(&self) -> usize;
