@@ -9,7 +9,7 @@
 //! Sections:
 //!
 //! 1. **Snapshot load vs CSV import** — the start-up path. The CSV
-//!    path is `persist::load`: char-level CSV parsing, id interning,
+//!    path is `persist::load`: byte-level CSV reading, id interning,
 //!    per-experiment union-find and roaring-arena construction. The
 //!    snapshot path is `snapshot::load`: one sequential read plus
 //!    varint decoding straight into the arenas. The `FROSTB` format
@@ -23,7 +23,8 @@
 //!    nothing).
 //!
 //! Results land in `BENCH_snapshot.json` (`FROST_BENCH_OUT`
-//! overrides).
+//! overrides), with the CPU count (`nproc`) and the best-of iteration
+//! counts of each section.
 
 use frost_datagen::experiments::synthetic_experiment;
 use frost_datagen::generator::generate;
@@ -183,8 +184,19 @@ fn main() {
     assert!(cache.hits() >= 1);
 
     // ---- BENCH_snapshot.json + gate ----
+    let nproc = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let doc = Value::object([
         ("scale".to_string(), Value::from(scale)),
+        ("nproc".to_string(), Value::from(nproc)),
+        (
+            "iterations".to_string(),
+            Value::object([
+                ("save_load".to_string(), Value::from(iters)),
+                ("cache".to_string(), Value::from(miss_iters)),
+            ]),
+        ),
         ("records".to_string(), Value::from(records)),
         ("experiments".to_string(), Value::from(experiments.len())),
         ("pairs".to_string(), Value::from(pairs)),

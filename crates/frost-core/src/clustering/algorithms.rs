@@ -536,7 +536,7 @@ mod tests {
         assert_eq!(a.cluster(a.cluster_of(RecordId(5))).len(), 1);
         // A different seed may produce a different (still valid) cut.
         let c = pivot_clustering(6, &pairs, 7);
-        let covered: usize = c.clusters().iter().map(Vec::len).sum();
+        let covered: usize = c.clusters().map(<[_]>::len).sum();
         assert_eq!(covered, 6);
     }
 

@@ -12,32 +12,83 @@ use std::collections::HashMap;
 /// cluster per record, or the transitively closed set of intra-cluster
 /// pairs (the *identity link network*); this type stores the first and
 /// derives the second on demand.
+///
+/// Members are stored cluster by cluster in one array with `u32` start
+/// offsets, so building a clustering allocates a fixed handful of
+/// arrays however many clusters it has.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Clustering {
     /// `assignment[r]` = dense cluster index of record `r`.
     assignment: Vec<u32>,
-    /// Members per cluster, each sorted ascending.
-    clusters: Vec<Vec<RecordId>>,
+    /// Every cluster's members back to back, each run sorted ascending.
+    members: Vec<RecordId>,
+    /// Cluster `c` is `members[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
 }
 
 impl Clustering {
     /// Builds a clustering from a per-record cluster label vector. Labels
     /// are compacted to dense indices `0..k` in order of first appearance.
     pub fn from_assignment(labels: &[u32]) -> Self {
+        let n = labels.len();
+        if labels.iter().all(|&l| (l as usize) < n) {
+            return Self::from_labels_below_n(labels);
+        }
+        // Arbitrary label values: compact through a map, so nothing is
+        // sized by a label value.
         let mut remap: HashMap<u32, u32> = HashMap::new();
-        let mut clusters: Vec<Vec<RecordId>> = Vec::new();
-        let mut assignment = Vec::with_capacity(labels.len());
-        for (i, &label) in labels.iter().enumerate() {
-            let dense = *remap.entry(label).or_insert_with(|| {
-                clusters.push(Vec::new());
-                (clusters.len() - 1) as u32
-            });
-            clusters[dense as usize].push(RecordId(i as u32));
-            assignment.push(dense);
+        let dense: Vec<u32> = labels
+            .iter()
+            .map(|&l| {
+                let next = remap.len() as u32;
+                *remap.entry(l).or_insert(next)
+            })
+            .collect();
+        Self::from_labels_below_n(&dense)
+    }
+
+    /// [`from_assignment`](Self::from_assignment) for labels `< n`
+    /// (union-find roots, stored dense assignments): compacts them
+    /// through a `Vec` indexed by label, then places each record in
+    /// its cluster's run of the member array (ids ascending, since
+    /// records are placed in id order).
+    fn from_labels_below_n(labels: &[u32]) -> Self {
+        const UNSEEN: u32 = u32::MAX;
+        let mut remap = vec![UNSEEN; labels.len()];
+        // `ends[c]` counts cluster `c`'s members, then becomes the
+        // running insert position of its run.
+        let mut ends: Vec<u32> = Vec::new();
+        let assignment: Vec<u32> = labels
+            .iter()
+            .map(|&label| {
+                let slot = &mut remap[label as usize];
+                if *slot == UNSEEN {
+                    *slot = ends.len() as u32;
+                    ends.push(0);
+                }
+                ends[*slot as usize] += 1;
+                *slot
+            })
+            .collect();
+        let mut starts = Vec::with_capacity(ends.len() + 1);
+        let mut total = 0u32;
+        starts.push(0);
+        for end in &mut ends {
+            let size = *end;
+            *end = total;
+            total += size;
+            starts.push(total);
+        }
+        let mut members = vec![RecordId(0); labels.len()];
+        for (i, &dense) in assignment.iter().enumerate() {
+            let at = &mut ends[dense as usize];
+            members[*at as usize] = RecordId(i as u32);
+            *at += 1;
         }
         Self {
             assignment,
-            clusters,
+            members,
+            starts,
         }
     }
 
@@ -65,7 +116,8 @@ impl Clustering {
     pub fn singletons(n: usize) -> Self {
         Self {
             assignment: (0..n as u32).collect(),
-            clusters: (0..n as u32).map(|i| vec![RecordId(i)]).collect(),
+            members: (0..n as u32).map(RecordId).collect(),
+            starts: (0..=n as u32).collect(),
         }
     }
 
@@ -94,7 +146,7 @@ impl Clustering {
         let roots: Vec<u32> = (0..uf.len() as u32)
             .map(|r| uf.find(RecordId(r)).0)
             .collect();
-        Self::from_assignment(&roots)
+        Self::from_labels_below_n(&roots)
     }
 
     /// Number of records.
@@ -104,7 +156,7 @@ impl Clustering {
 
     /// Number of clusters.
     pub fn num_clusters(&self) -> usize {
-        self.clusters.len()
+        self.starts.len() - 1
     }
 
     /// Dense index of the cluster containing `r`.
@@ -120,18 +172,20 @@ impl Clustering {
 
     /// Members of cluster `idx`, sorted ascending.
     pub fn cluster(&self, idx: u32) -> &[RecordId] {
-        &self.clusters[idx as usize]
+        let i = idx as usize;
+        &self.members[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
 
-    /// All clusters.
-    pub fn clusters(&self) -> &[Vec<RecordId>] {
-        &self.clusters
+    /// All clusters, in index order, each sorted ascending.
+    pub fn clusters(&self) -> impl ExactSizeIterator<Item = &[RecordId]> + '_ {
+        self.starts
+            .windows(2)
+            .map(|w| &self.members[w[0] as usize..w[1] as usize])
     }
 
     /// Number of intra-cluster pairs, `Σ s·(s−1)/2`.
     pub fn pair_count(&self) -> u64 {
-        self.clusters
-            .iter()
+        self.clusters()
             .map(|c| {
                 let s = c.len() as u64;
                 s * (s - 1) / 2
@@ -144,7 +198,7 @@ impl Clustering {
     /// Beware: quadratic in cluster size; use [`Clustering::pair_count`]
     /// when only the count is needed.
     pub fn intra_pairs(&self) -> impl Iterator<Item = RecordPair> + '_ {
-        self.clusters.iter().flat_map(|members| {
+        self.clusters().flat_map(|members| {
             members.iter().enumerate().flat_map(move |(i, &a)| {
                 members[i + 1..].iter().map(move |&b| RecordPair::new(a, b))
             })
@@ -152,16 +206,16 @@ impl Clustering {
     }
 
     /// Non-singleton clusters (actual duplicate groups).
-    pub fn duplicate_clusters(&self) -> impl Iterator<Item = &Vec<RecordId>> {
-        self.clusters.iter().filter(|c| c.len() > 1)
+    pub fn duplicate_clusters(&self) -> impl Iterator<Item = &[RecordId]> {
+        self.clusters().filter(|c| c.len() > 1)
     }
 
     /// Histogram of cluster sizes: `sizes[s]` = number of clusters with
     /// exactly `s` members (index 0 unused).
     pub fn size_histogram(&self) -> Vec<usize> {
-        let max = self.clusters.iter().map(Vec::len).max().unwrap_or(0);
+        let max = self.clusters().map(<[_]>::len).max().unwrap_or(0);
         let mut hist = vec![0usize; max + 1];
-        for c in &self.clusters {
+        for c in self.clusters() {
             hist[c.len()] += 1;
         }
         hist
@@ -202,6 +256,24 @@ mod tests {
         assert!(c.same_cluster(RecordId(2), RecordId(4)));
         assert!(!c.same_cluster(RecordId(0), RecordId(2)));
         assert_eq!(c.cluster(0), &[RecordId(0), RecordId(1), RecordId(3)]);
+    }
+
+    #[test]
+    fn small_and_huge_labels_compact_alike() {
+        // Labels below n take the dense-table path; a label of
+        // u32::MAX takes the map path and must allocate nothing sized
+        // by it. Both compact to the same first-appearance numbering.
+        let small = Clustering::from_assignment(&[2, 0, 2, 1]);
+        let huge = Clustering::from_assignment(&[u32::MAX, 0, u32::MAX, 9]);
+        assert_eq!(small, huge);
+        assert_eq!(small.cluster(0), &[RecordId(0), RecordId(2)]);
+        assert_eq!(small.cluster_of(RecordId(3)), 2);
+        let mut uf = UnionFind::new(4);
+        uf.union(RecordId(3), RecordId(1));
+        assert_eq!(
+            Clustering::from_union_find(&mut uf),
+            Clustering::from_assignment(&[0, 1, 2, 1])
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ impl Contingency {
         let key = |r| (u64::from(a.cluster_of(r)) << 32) | u64::from(b.cluster_of(r));
         let mut keys: Vec<u64> = (0..n as u32).map(|r| key(RecordId(r))).collect();
         keys.sort_unstable();
-        let sizes = |c: &Clustering| c.clusters().iter().map(|m| m.len() as u64).collect();
+        let sizes = |c: &Clustering| c.clusters().map(|m| m.len() as u64).collect();
         let mut t = Self {
             cells: Vec::new(),
             row_start: Vec::with_capacity(a.num_clusters() + 1),

@@ -161,11 +161,11 @@ mod tests {
         uf.union(RecordId(0), RecordId(3));
         uf.union(RecordId(1), RecordId(2));
         let clustering = crate::clustering::Clustering::from_union_find(&mut uf);
-        let clusters = clustering.clusters();
+        let clusters: Vec<&[RecordId]> = clustering.clusters().collect();
         assert_eq!(clusters.len(), 3);
-        assert_eq!(clusters[0], vec![RecordId(0), RecordId(3)]);
-        assert_eq!(clusters[1], vec![RecordId(1), RecordId(2)]);
-        assert_eq!(clusters[2], vec![RecordId(4)]);
+        assert_eq!(clusters[0], [RecordId(0), RecordId(3)]);
+        assert_eq!(clusters[1], [RecordId(1), RecordId(2)]);
+        assert_eq!(clusters[2], [RecordId(4)]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Experiments: the output of one matching-solution run.
 
+use super::hash::{max_load, table_size, SeededHash};
 use super::{PairSet, RecordId, RecordPair};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Where a pair in an experiment came from.
 ///
@@ -80,11 +80,9 @@ impl Experiment {
     /// Duplicate pairs are collapsed (keeping the first occurrence), since
     /// `E ⊆ [D]²` is a set.
     pub fn new(name: impl Into<String>, pairs: impl IntoIterator<Item = ScoredPair>) -> Self {
-        let mut seen = HashSet::new();
-        let pairs = pairs
-            .into_iter()
-            .filter(|sp| seen.insert(sp.pair))
-            .collect();
+        let pairs = pairs.into_iter();
+        let mut seen = PairDedup::with_capacity(pairs.size_hint().0);
+        let pairs = pairs.filter(|sp| seen.insert(sp.pair)).collect();
         Self {
             name: name.into(),
             pairs,
@@ -94,13 +92,14 @@ impl Experiment {
     /// Creates an experiment from pairs that are already deduplicated —
     /// the trusted fast path of the `FROSTB` snapshot loader, which
     /// round-trips pair lists that [`Experiment::new`] deduplicated
-    /// before they were written. Skips the `HashSet` pass; callers
-    /// must uphold the no-duplicates invariant (checked in debug
-    /// builds).
+    /// before they were written, and of the CSV importer, which
+    /// deduplicates with a [`PairDedup`] as it reads. Skips the
+    /// deduplication pass; callers must uphold the no-duplicates
+    /// invariant (checked in debug builds).
     pub fn from_deduplicated_pairs(name: impl Into<String>, pairs: Vec<ScoredPair>) -> Self {
         debug_assert!(
             {
-                let mut seen = HashSet::with_capacity(pairs.len());
+                let mut seen = PairDedup::with_capacity(pairs.len());
                 pairs.iter().all(|sp| seen.insert(sp.pair))
             },
             "from_deduplicated_pairs called with duplicate pairs"
@@ -238,6 +237,78 @@ impl Experiment {
     }
 }
 
+/// The set of pairs a deduplicating pass has seen: the rule behind
+/// [`Experiment::new`] ("keep the first occurrence"), for callers that
+/// build the pair list themselves and finish with
+/// [`Experiment::from_deduplicated_pairs`].
+///
+/// An open-addressing table of packed `(lo, hi)` keys with linear
+/// probing; a normalized pair has `hi > 0`, so the key `0` marks an
+/// empty slot. The hash is keyed per instance, so no upload can be
+/// crafted to collide.
+#[derive(Debug, Clone)]
+pub struct PairDedup {
+    slots: Vec<u64>,
+    len: usize,
+    hash: SeededHash,
+}
+
+impl PairDedup {
+    /// An empty set with room for `capacity` pairs.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            slots: vec![0; table_size(capacity)],
+            len: 0,
+            hash: SeededHash::new(),
+        }
+    }
+
+    /// Adds `pair`; `true` if it was not yet present.
+    #[inline]
+    pub fn insert(&mut self, pair: RecordPair) -> bool {
+        if max_load(self.len, self.slots.len()) {
+            self.grow();
+        }
+        let key = ((pair.lo().0 as u64) << 32) | pair.hi().0 as u64;
+        let mask = self.slots.len() - 1;
+        let mut i = self.hash.u64(key) as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => {
+                    self.slots[i] = key;
+                    self.len += 1;
+                    return true;
+                }
+                k if k == key => return false,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Number of distinct pairs seen.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no pair was seen yet.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn grow(&mut self) {
+        let grown = vec![0; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, grown);
+        let mask = self.slots.len() - 1;
+        for key in old.into_iter().filter(|&k| k != 0) {
+            let mut i = self.hash.u64(key) as usize & mask;
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = key;
+        }
+    }
+}
+
 /// Maps a similarity to a `u64` whose order is the numeric order.
 /// Unscored pairs rank with `-∞`, `-0.0` ranks with `+0.0`, and NaN,
 /// which has no place in that order, ranks with unscored pairs rather
@@ -367,6 +438,27 @@ mod tests {
         assert_eq!(PairEngine::combined([Roaring, Chunked, Packed]), Chunked);
         assert_eq!(PairEngine::combined([]), Roaring);
         assert_eq!(Chunked.to_string(), "chunked");
+    }
+
+    #[test]
+    fn pair_dedup_keeps_first_occurrences_across_growth() {
+        let mut seen = PairDedup::with_capacity(0);
+        assert!(seen.is_empty());
+        let pairs: Vec<RecordPair> = (0..3_000u32)
+            .map(|i| RecordPair::from((i % 37, 100 + i % 41)))
+            .collect();
+        let kept: Vec<RecordPair> = pairs.iter().copied().filter(|&p| seen.insert(p)).collect();
+        let mut expected = Vec::new();
+        for p in &pairs {
+            if !expected.contains(p) {
+                expected.push(*p);
+            }
+        }
+        assert_eq!(kept, expected);
+        assert_eq!(seen.len(), expected.len());
+        // Both orientations of a pair are one key.
+        assert!(!seen.insert(RecordPair::from((100u32, 0u32))));
+        assert!(seen.insert(RecordPair::from((0u32, 1u32))));
     }
 
     #[test]

@@ -9,6 +9,8 @@
 pub mod chunked;
 mod csv;
 mod experiment;
+mod hash;
+mod native;
 mod pair;
 pub mod pairset;
 mod record;
@@ -16,15 +18,15 @@ pub mod roaring;
 mod schema;
 
 pub use chunked::ChunkedPairSet;
-pub use csv::{parse_csv, write_csv, CsvError, CsvOptions};
-pub use experiment::{Experiment, PairOrigin, ScoredPair};
+pub use csv::{parse_csv, read_csv, write_csv, CsvError, CsvOptions, CsvRow};
+pub use experiment::{Experiment, PairDedup, PairOrigin, ScoredPair};
 pub use pair::RecordPair;
 pub use pairset::PairSet;
 pub use record::{Record, RecordId};
 pub use roaring::RoaringPairSet;
 pub use schema::Schema;
 
-use std::collections::HashMap;
+use native::NativeIds;
 
 /// Pair-set engine identities, for cost-model-driven selection.
 ///
@@ -336,23 +338,24 @@ impl PairAlgebra for RoaringPairSet {
 /// to records"* (§5.3). The original ("native") string identifiers remain
 /// available through [`Dataset::native_id`] and can be resolved back with
 /// [`Dataset::resolve_native`].
-#[derive(Debug, Clone)]
+///
+/// The dataset holds each native id once, outside its [`Record`]s: all
+/// ids sit back to back in one arena addressed by record id, and a
+/// keyed open-addressing table of record ids indexes that arena (see
+/// the `native` module). Resolving an id hashes it once and compares
+/// it against the arena; no per-record string is allocated.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dataset {
     name: String,
     schema: Schema,
     records: Vec<Record>,
-    native_index: HashMap<String, RecordId>,
+    native_ids: NativeIds,
 }
 
 impl Dataset {
     /// Creates an empty dataset with the given name and schema.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        Self {
-            name: name.into(),
-            schema,
-            records: Vec::new(),
-            native_index: HashMap::new(),
-        }
+        Self::with_capacity(name, schema, 0)
     }
 
     /// Creates an empty dataset, pre-allocating room for `capacity` records.
@@ -361,7 +364,7 @@ impl Dataset {
             name: name.into(),
             schema,
             records: Vec::with_capacity(capacity),
-            native_index: HashMap::with_capacity(capacity),
+            native_ids: NativeIds::with_capacity(capacity),
         }
     }
 
@@ -394,8 +397,9 @@ impl Dataset {
     /// Appends a record with all attribute values present.
     ///
     /// # Panics
-    /// Panics if the value count does not match the schema width.
-    pub fn push_record<I, S>(&mut self, native_id: impl Into<String>, values: I) -> RecordId
+    /// Panics if the value count does not match the schema width, or if the
+    /// native id was already used.
+    pub fn push_record<I, S>(&mut self, native_id: impl AsRef<str>, values: I) -> RecordId
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -411,7 +415,7 @@ impl Dataset {
     /// native id was already used.
     pub fn push_record_opt(
         &mut self,
-        native_id: impl Into<String>,
+        native_id: impl AsRef<str>,
         values: Vec<Option<String>>,
     ) -> RecordId {
         assert_eq!(
@@ -421,11 +425,8 @@ impl Dataset {
             values.len(),
             self.schema.len()
         );
-        let native_id = native_id.into();
-        let id = RecordId(u32::try_from(self.records.len()).expect("more than u32::MAX records"));
-        let prev = self.native_index.insert(native_id.clone(), id);
-        assert!(prev.is_none(), "duplicate native id {native_id:?}");
-        self.records.push(Record::new(native_id, values));
+        let id = self.native_ids.push(native_id.as_ref());
+        self.records.push(Record::new(values));
         id
     }
 
@@ -453,13 +454,16 @@ impl Dataset {
     }
 
     /// The native (import-time) identifier of a record.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
     pub fn native_id(&self, id: RecordId) -> &str {
-        self.records[id.index()].native_id()
+        self.native_ids.get(id)
     }
 
     /// Resolves a native identifier to its dense [`RecordId`].
     pub fn resolve_native(&self, native_id: &str) -> Option<RecordId> {
-        self.native_index.get(native_id).copied()
+        self.native_ids.find(native_id)
     }
 
     /// Value of attribute `attr` for record `id` (None when missing or when
@@ -516,6 +520,62 @@ mod tests {
     fn duplicate_native_id_panics() {
         let mut ds = sample();
         ds.push_record("r1", ["X", "Y"]);
+    }
+
+    #[test]
+    fn native_ids_that_prefix_each_other_stay_distinct() {
+        let mut ds = Dataset::new("t", Schema::new(["a"]));
+        let ids: Vec<RecordId> = ["r1", "r12", "r", "r123", "1"]
+            .iter()
+            .map(|n| ds.push_record(*n, ["v"]))
+            .collect();
+        for (native, id) in ["r1", "r12", "r", "r123", "1"].iter().zip(&ids) {
+            assert_eq!(ds.resolve_native(native), Some(*id));
+            assert_eq!(ds.native_id(*id), *native);
+        }
+        assert_eq!(ds.resolve_native("r2"), None);
+        assert_eq!(ds.resolve_native("r1234"), None);
+    }
+
+    #[test]
+    fn empty_and_non_ascii_native_ids() {
+        let mut ds = Dataset::new("t", Schema::new(["a"]));
+        let empty = ds.push_record("", ["v"]);
+        let umlaut = ds.push_record("Müller-Ø", ["v"]);
+        let cjk = ds.push_record("東京/7", ["v"]);
+        assert_eq!(ds.resolve_native(""), Some(empty));
+        assert_eq!(ds.resolve_native("Müller-Ø"), Some(umlaut));
+        assert_eq!(ds.resolve_native("東京/7"), Some(cjk));
+        assert_eq!(ds.native_id(empty), "");
+        assert_eq!(ds.native_id(cjk), "東京/7");
+        assert_eq!(ds.resolve_native("Muller-Ø"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate native id \"\"")]
+    fn duplicate_empty_native_id_panics() {
+        let mut ds = Dataset::new("t", Schema::new(["a"]));
+        ds.push_record("", ["v"]);
+        ds.push_record("", ["w"]);
+    }
+
+    #[test]
+    fn native_index_survives_table_growth() {
+        // No capacity hint: the table starts at its minimum and is
+        // rebuilt several times on the way to 5 000 ids.
+        let mut ds = Dataset::new("t", Schema::new(["a"]));
+        for i in 0..5_000u32 {
+            assert_eq!(ds.push_record(format!("id-{i}"), ["v"]), RecordId(i));
+        }
+        for i in (0..5_000u32).rev() {
+            let native = format!("id-{i}");
+            assert_eq!(ds.resolve_native(&native), Some(RecordId(i)));
+            assert_eq!(ds.native_id(RecordId(i)), native);
+        }
+        assert_eq!(ds.resolve_native("id-5000"), None);
+        // A clone keeps its own copy of the arena and index.
+        let copy = ds.clone();
+        assert_eq!(copy.resolve_native("id-4321"), Some(RecordId(4321)));
     }
 
     #[test]

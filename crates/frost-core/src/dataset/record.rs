@@ -33,28 +33,20 @@ impl From<u32> for RecordId {
     }
 }
 
-/// A single record: a native identifier plus one optional value per
-/// schema attribute. `None` models a missing (null) value, which is
-/// central to the paper's sparsity profiling (§3.1.3) and nullRatio
-/// analysis (§4.5.2).
+/// A single record: one optional value per schema attribute. `None`
+/// models a missing (null) value, which is central to the paper's
+/// sparsity profiling (§3.1.3) and nullRatio analysis (§4.5.2). The
+/// record's native id is kept by its [`Dataset`](super::Dataset)
+/// ([`Dataset::native_id`](super::Dataset::native_id)).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Record {
-    native_id: String,
     values: Vec<Option<String>>,
 }
 
 impl Record {
-    /// Creates a record from its native id and attribute values.
-    pub fn new(native_id: impl Into<String>, values: Vec<Option<String>>) -> Self {
-        Self {
-            native_id: native_id.into(),
-            values,
-        }
-    }
-
-    /// The record's original import identifier.
-    pub fn native_id(&self) -> &str {
-        &self.native_id
+    /// Creates a record from its attribute values.
+    pub fn new(values: Vec<Option<String>>) -> Self {
+        Self { values }
     }
 
     /// Value of the `col`-th attribute, `None` when missing.
@@ -92,8 +84,7 @@ mod tests {
 
     #[test]
     fn record_accessors() {
-        let r = Record::new("x", vec![Some("a b".into()), None, Some("c".into())]);
-        assert_eq!(r.native_id(), "x");
+        let r = Record::new(vec![Some("a b".into()), None, Some("c".into())]);
         assert_eq!(r.width(), 3);
         assert_eq!(r.null_count(), 1);
         assert_eq!(r.value(0), Some("a b"));

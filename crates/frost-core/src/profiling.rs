@@ -115,7 +115,7 @@ pub struct ClusterStats {
 impl ClusterStats {
     /// Computes the statistics from a clustering.
     pub fn from_clustering(c: &Clustering) -> Self {
-        let dups: Vec<usize> = c.duplicate_clusters().map(Vec::len).collect();
+        let dups: Vec<usize> = c.duplicate_clusters().map(<[_]>::len).collect();
         let duplicated_records: usize = dups.iter().sum();
         Self {
             duplicate_clusters: dups.len(),
@@ -125,7 +125,7 @@ impl ClusterStats {
             } else {
                 duplicated_records as f64 / dups.len() as f64
             },
-            max_cluster_size: c.clusters().iter().map(Vec::len).max().unwrap_or(0),
+            max_cluster_size: c.clusters().map(<[_]>::len).max().unwrap_or(0),
         }
     }
 }

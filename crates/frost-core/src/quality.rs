@@ -63,7 +63,7 @@ pub fn link_redundancy(closure: &Clustering, experiment: &Experiment) -> f64 {
     }
     let mut total = 0.0;
     let mut count = 0usize;
-    for (members, &l) in closure.clusters().iter().zip(&links) {
+    for (members, &l) in closure.clusters().zip(&links) {
         let k = members.len() as u64;
         if k < 2 {
             continue;

@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 /// clustering has no duplicate pairs.
 fn sample_true_pair(truth: &Clustering, rng: &mut impl Rng) -> Option<RecordPair> {
     // Weighted cluster choice via cumulative pair counts.
-    let dups: Vec<&Vec<RecordId>> = truth.duplicate_clusters().collect();
+    let dups: Vec<&[RecordId]> = truth.duplicate_clusters().collect();
     if dups.is_empty() {
         return None;
     }

@@ -241,7 +241,7 @@ mod tests {
         let cfg = GeneratorConfig::small("t", 100, 7);
         let a = generate(&cfg);
         let b = generate(&cfg);
-        assert_eq!(a.dataset.records(), b.dataset.records());
+        assert_eq!(a.dataset, b.dataset);
         assert_eq!(a.truth, b.truth);
         // Different seed → different data.
         let c = generate(&GeneratorConfig::small("t", 100, 8));

@@ -38,11 +38,11 @@ proptest! {
         prop_assert_eq!(g.truth.num_records(), cfg.num_records);
         // Every record belongs to exactly one cluster and the clusters
         // cover the dataset.
-        let covered: usize = g.truth.clusters().iter().map(Vec::len).sum();
+        let covered: usize = g.truth.clusters().map(<[_]>::len).sum();
         prop_assert_eq!(covered, cfg.num_records);
         // Native ids resolve back to their records.
-        for (id, r) in g.dataset.iter() {
-            prop_assert_eq!(g.dataset.resolve_native(r.native_id()), Some(id));
+        for (id, _) in g.dataset.iter() {
+            prop_assert_eq!(g.dataset.resolve_native(g.dataset.native_id(id)), Some(id));
         }
         // Cluster sizes respect the model's cap.
         for c in g.truth.duplicate_clusters() {
@@ -56,7 +56,7 @@ proptest! {
     fn generator_determinism_and_sparsity(cfg in config_strategy()) {
         let a = generate(&cfg);
         let b = generate(&cfg);
-        prop_assert_eq!(a.dataset.records(), b.dataset.records());
+        prop_assert_eq!(&a.dataset, &b.dataset);
         if cfg.num_records >= 100 {
             let sp = frost_core::profiling::sparsity(&a.dataset);
             prop_assert!((sp - cfg.sparsity).abs() < 0.15, "target {} got {sp}", cfg.sparsity);

@@ -86,13 +86,13 @@ impl Preparer {
             ds.schema().clone(),
             ds.len(),
         );
-        for r in ds.records() {
+        for (id, r) in ds.iter() {
             let values: Vec<Option<String>> = r
                 .values()
                 .iter()
                 .map(|v| v.as_deref().and_then(|s| self.normalize(s)))
                 .collect();
-            out.push_record_opt(r.native_id(), values);
+            out.push_record_opt(ds.native_id(id), values);
         }
         out
     }

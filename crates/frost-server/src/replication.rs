@@ -521,8 +521,16 @@ pub fn run_replica(state: &ServerState, primary: &str, shutdown: &AtomicBool) {
 /// Fetches the primary's snapshot, verifies it against its preamble,
 /// and swaps it in as this node's new baseline.
 fn rebootstrap(state: &ServerState, primary: &str) -> io::Result<()> {
-    let (status, body) = client::get_once(primary, ReplicationSnapshot.path(), SNAPSHOT_TIMEOUT)
-        .map_err(io::Error::other)?;
+    state.install_snapshot(&fetch_verified_snapshot(primary)?)
+}
+
+/// Fetches the primary's `/replication/snapshot` and checks the bytes
+/// against the identity its preamble advertises; returns the snapshot
+/// bytes without the preamble.
+fn fetch_verified_snapshot(primary: &str) -> io::Result<Vec<u8>> {
+    let (status, mut body) =
+        client::get_once(primary, ReplicationSnapshot.path(), SNAPSHOT_TIMEOUT)
+            .map_err(io::Error::other)?;
     if status != 200 {
         return Err(io::Error::other(format!(
             "snapshot fetch returned HTTP {status}"
@@ -535,7 +543,8 @@ fn rebootstrap(state: &ServerState, primary: &str) -> io::Result<()> {
             "snapshot bytes do not match their advertised identity",
         ));
     }
-    state.install_snapshot(snapshot_bytes)
+    body.drain(..STREAM_PREAMBLE_LEN);
+    Ok(body)
 }
 
 /// Cold-start bootstrap: fetches the primary's snapshot and writes it
@@ -560,24 +569,11 @@ pub fn bootstrap_snapshot(primary: &str, path: &Path, max_wait: Duration) -> io:
 }
 
 fn try_bootstrap(primary: &str, path: &Path) -> io::Result<()> {
-    let (status, body) = client::get_once(primary, ReplicationSnapshot.path(), SNAPSHOT_TIMEOUT)
-        .map_err(io::Error::other)?;
-    if status != 200 {
-        return Err(io::Error::other(format!(
-            "snapshot fetch returned HTTP {status}"
-        )));
-    }
-    let (preamble, snapshot_bytes) = split_preamble(&body).map_err(io::Error::other)?;
-    if wal::snapshot_id(snapshot_bytes) != preamble.snapshot {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "snapshot bytes do not match their advertised identity",
-        ));
-    }
+    let snapshot_bytes = fetch_verified_snapshot(primary)?;
     let tmp = path.with_extension("bootstrap.tmp");
     {
         let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(snapshot_bytes)?;
+        file.write_all(&snapshot_bytes)?;
         file.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;

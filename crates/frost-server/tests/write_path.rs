@@ -174,6 +174,24 @@ fn bad_writes_are_rejected_with_400() {
     handle.shutdown();
 }
 
+/// A one-column upload has no `id2` to read: it is a client error
+/// (400, `missing column "id2"`), not a handler panic (500).
+#[test]
+fn a_one_column_upload_is_a_missing_column_400() {
+    let handle = start_volatile(ServeOptions::default());
+    let mut conn = Connection::open(&handle.addr().to_string()).unwrap();
+    let (status, body) = conn
+        .post("/experiments?dataset=people&name=x", b"id1\na\n")
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("missing column"), "{body}");
+    assert!(body.contains("id2"), "{body}");
+    let (status, body) = conn.get("/experiments").unwrap();
+    assert_eq!(status, 200);
+    assert!(!body.contains("\"x\""), "{body}");
+    handle.shutdown();
+}
+
 #[test]
 fn volatile_store_accepts_writes_but_refuses_snapshot_save() {
     let handle = start_volatile(ServeOptions::default());

@@ -6,9 +6,22 @@
 //! plus a column mapping (§5.1). Gold standards come in the two shapes
 //! of §3.1.1: a pair list, or a cluster-id attribute on the dataset
 //! itself.
+//!
+//! Every importer streams its input through [`read_csv`], one row at
+//! a time, and keeps only what the row maps to. An experiment upload is a single
+//! pass: each row's ids are resolved against the dataset's native-id
+//! index, its similarity is parsed, and a [`PairDedup`] drops repeated
+//! pairs as they arrive, so the import allocates nothing per row or
+//! per field — only the pair list and the deduplicator, both sized
+//! once from the input's line count. Errors keep the precedence of a
+//! parse-everything-first importer: a structural CSV error anywhere in
+//! the input beats a bad id or similarity on an earlier row.
 
-use frost_core::clustering::Clustering;
-use frost_core::dataset::{parse_csv, CsvOptions, Dataset, Experiment, Schema, ScoredPair};
+use frost_core::clustering::{Clustering, UnionFind};
+use frost_core::dataset::{
+    read_csv, CsvOptions, CsvRow, Dataset, Experiment, PairDedup, RecordId, RecordPair, Schema,
+    ScoredPair,
+};
 use std::fmt;
 
 /// Errors raised during import.
@@ -78,20 +91,39 @@ impl DatasetImporter {
 
     /// Parses CSV text into a dataset.
     pub fn import(&self, name: &str, text: &str) -> Result<Dataset, ImportError> {
-        let rows = parse_csv(text, self.csv)?;
-        let mut iter = rows.into_iter();
-        let header = iter.next().ok_or(ImportError::MissingHeader)?;
-        let id_idx = header
-            .iter()
-            .position(|h| h == &self.id_column)
+        // Set from the header row: the dataset and, per attribute, the
+        // column it is read from.
+        let mut target: Option<(Dataset, usize, Vec<usize>)> = None;
+        read_csv(text, self.csv, |row| {
+            let Some((ds, id_idx, attr_indices)) = target.as_mut() else {
+                let (id_idx, attr_indices, schema) = self.columns(row)?;
+                let ds = Dataset::with_capacity(name, schema, rows_upper_bound(text));
+                target = Some((ds, id_idx, attr_indices));
+                return Ok(());
+            };
+            let values = attr_indices
+                .iter()
+                .map(|&i| Some(&row[i]).filter(|v| !v.is_empty()).map(str::to_owned))
+                .collect();
+            ds.push_record_opt(&row[*id_idx], values);
+            Ok::<(), ImportError>(())
+        })?;
+        target
+            .map(|(ds, _, _)| ds)
+            .ok_or(ImportError::MissingHeader)
+    }
+
+    /// Maps the header row: the id column, the attribute columns in
+    /// schema order, and the schema.
+    fn columns(&self, header: CsvRow<'_>) -> Result<(usize, Vec<usize>, Schema), ImportError> {
+        let position = |name: &str| header.iter().position(|h| h == name);
+        let id_idx = position(&self.id_column)
             .ok_or_else(|| ImportError::MissingColumn(self.id_column.clone()))?;
-        let attr_indices: Vec<(usize, String)> = match &self.attribute_columns {
+        let attrs: Vec<(usize, String)> = match &self.attribute_columns {
             Some(cols) => cols
                 .iter()
                 .map(|c| {
-                    header
-                        .iter()
-                        .position(|h| h == c)
+                    position(c)
                         .map(|i| (i, c.clone()))
                         .ok_or_else(|| ImportError::MissingColumn(c.clone()))
                 })
@@ -100,35 +132,31 @@ impl DatasetImporter {
                 .iter()
                 .enumerate()
                 .filter(|&(i, _)| i != id_idx)
-                .map(|(i, h)| (i, h.clone()))
+                .map(|(i, h)| (i, h.to_owned()))
                 .collect(),
         };
-        let schema = Schema::new(attr_indices.iter().map(|(_, n)| n.clone()));
-        // Pre-size the record table (and its id index) from the parsed
-        // row count, and move field strings out of each row instead of
-        // cloning them — the importer allocates nothing per row beyond
-        // the one values vector that becomes the record.
-        let mut ds = Dataset::with_capacity(name, schema, iter.len());
-        for mut row in iter {
-            let mut values: Vec<Option<String>> = Vec::with_capacity(attr_indices.len());
-            for &(i, _) in &attr_indices {
-                // The id column may double as an attribute under an
-                // explicit selection — clone it; every other column is
-                // referenced exactly once (`Schema::new` asserts
-                // attribute names are unique, so a repeated selection
-                // never reaches this loop) and its field is moved out
-                // of the row.
-                let v = if i == id_idx {
-                    row[i].clone()
-                } else {
-                    std::mem::take(&mut row[i])
-                };
-                values.push(if v.is_empty() { None } else { Some(v) });
-            }
-            ds.push_record_opt(std::mem::take(&mut row[id_idx]), values);
-        }
-        Ok(ds)
+        let indices = attrs.iter().map(|&(i, _)| i).collect();
+        Ok((
+            id_idx,
+            indices,
+            Schema::new(attrs.into_iter().map(|(_, n)| n)),
+        ))
     }
+}
+
+/// The rows of `text` as its `\n` count plus one, to size per-row
+/// buffers once: blank lines and quoted newlines overshoot, and only
+/// lone-`\r` line ends undershoot (the buffers then grow).
+fn rows_upper_bound(text: &str) -> usize {
+    text.bytes().filter(|&b| b == b'\n').count() + 1
+}
+
+/// Rejects a pair-list header with fewer than the two id columns.
+fn require_pair_columns(header: CsvRow<'_>) -> Result<(), ImportError> {
+    if header.len() < 2 {
+        return Err(ImportError::MissingColumn("id2".into()));
+    }
+    Ok(())
 }
 
 /// Imports a gold standard stored as a pair list (`id1,id2` per row,
@@ -140,18 +168,22 @@ pub fn import_gold_pairs(
     text: &str,
     csv: CsvOptions,
 ) -> Result<Clustering, ImportError> {
-    let rows = parse_csv(text, csv)?;
-    let mut iter = rows.into_iter();
-    iter.next().ok_or(ImportError::MissingHeader)?;
-    let mut pairs = Vec::with_capacity(iter.len());
-    for row in iter {
+    let mut components: Option<UnionFind> = None;
+    read_csv(text, csv, |row| {
+        let Some(uf) = components.as_mut() else {
+            require_pair_columns(row)?;
+            components = Some(UnionFind::new(ds.len()));
+            return Ok(());
+        };
         let a = resolve(ds, &row[0])?;
         let b = resolve(ds, &row[1])?;
         if a != b {
-            pairs.push((a, b));
+            uf.union(a, b);
         }
-    }
-    Ok(Clustering::from_pairs(ds.len(), pairs))
+        Ok::<(), ImportError>(())
+    })?;
+    let mut uf = components.ok_or(ImportError::MissingHeader)?;
+    Ok(Clustering::from_union_find(&mut uf))
 }
 
 /// Imports a gold standard from a cluster-id attribute of the dataset
@@ -177,49 +209,73 @@ pub fn import_gold_cluster_attribute(
 }
 
 /// Imports an experiment from CSV rows of `id1,id2[,similarity]` (with
-/// header). An empty or absent similarity cell yields an unscored pair.
+/// header). An empty or absent similarity cell yields an unscored pair;
+/// self-pairs are skipped and repeated pairs keep their first row.
 pub fn import_experiment(
     name: &str,
     ds: &Dataset,
     text: &str,
     csv: CsvOptions,
 ) -> Result<Experiment, ImportError> {
-    let rows = parse_csv(text, csv)?;
-    let mut iter = rows.into_iter();
-    let header = iter.next().ok_or(ImportError::MissingHeader)?;
-    let has_similarity = header.len() >= 3;
-    let mut pairs = Vec::with_capacity(iter.len());
-    for (i, row) in iter.enumerate() {
-        let a = resolve(ds, &row[0])?;
-        let b = resolve(ds, &row[1])?;
-        if a == b {
-            continue;
-        }
-        let similarity = if has_similarity && !row[2].is_empty() {
-            // `NaN` parses as an `f64` but has no place in the
-            // similarity order the diagrams sweep.
-            Some(
-                row[2]
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|s| !s.is_nan())
-                    .ok_or_else(|| ImportError::BadSimilarity {
-                        row: i + 2,
-                        text: row[2].clone(),
-                    })?,
-            )
-        } else {
-            None
+    let rows = rows_upper_bound(text);
+    let mut pairs = Vec::with_capacity(rows);
+    let mut seen = PairDedup::with_capacity(rows);
+    // Set from the header row: whether a similarity column exists.
+    let mut scored: Option<bool> = None;
+    read_csv(text, csv, |row| {
+        let Some(scored) = scored else {
+            require_pair_columns(row)?;
+            scored = Some(row.len() >= 3);
+            return Ok(());
         };
-        pairs.push(match similarity {
-            Some(s) => ScoredPair::scored((a, b), s),
-            None => ScoredPair::unscored((a, b)),
-        });
+        let similarity = if scored { &row[2] } else { "" };
+        if let Some(sp) = decode_pair(ds, &row[0], &row[1], similarity, row.number())? {
+            if seen.insert(sp.pair) {
+                pairs.push(sp);
+            }
+        }
+        Ok::<(), ImportError>(())
+    })?;
+    if scored.is_none() {
+        return Err(ImportError::MissingHeader);
     }
-    Ok(Experiment::new(name, pairs))
+    Ok(Experiment::from_deduplicated_pairs(name, pairs))
 }
 
-fn resolve(ds: &Dataset, native: &str) -> Result<frost_core::dataset::RecordId, ImportError> {
+/// Decodes one experiment row: resolves both native ids and parses the
+/// similarity (empty means unscored; `NaN` is rejected). `None` for a
+/// self-pair, which is no match. The one row decoder of
+/// [`import_experiment`] and the CSV store loader
+/// ([`persist::load`](crate::persist::load)); `row` is the 1-based row
+/// number a [`ImportError::BadSimilarity`] reports.
+pub(crate) fn decode_pair(
+    ds: &Dataset,
+    id1: &str,
+    id2: &str,
+    similarity: &str,
+    row: usize,
+) -> Result<Option<ScoredPair>, ImportError> {
+    let a = resolve(ds, id1)?;
+    let b = resolve(ds, id2)?;
+    if a == b {
+        return Ok(None);
+    }
+    let pair = RecordPair::new(a, b);
+    if similarity.is_empty() {
+        return Ok(Some(ScoredPair::unscored(pair)));
+    }
+    // `NaN` parses as an `f64` but has no place in the similarity
+    // order the diagrams sweep.
+    match similarity.parse::<f64>() {
+        Ok(s) if !s.is_nan() => Ok(Some(ScoredPair::scored(pair, s))),
+        _ => Err(ImportError::BadSimilarity {
+            row,
+            text: similarity.into(),
+        }),
+    }
+}
+
+fn resolve(ds: &Dataset, native: &str) -> Result<RecordId, ImportError> {
     ds.resolve_native(native)
         .ok_or_else(|| ImportError::UnknownRecord(native.into()))
 }
@@ -397,6 +453,87 @@ mod tests {
         )
         .unwrap();
         assert_eq!(e.pairs()[0].similarity, Some(f64::INFINITY));
+    }
+
+    #[test]
+    fn one_column_pair_lists_are_missing_id2() {
+        let ds = dataset();
+        let missing = ImportError::MissingColumn("id2".into());
+        assert_eq!(
+            import_experiment("x", &ds, "id1\nr1\n", CsvOptions::comma()).unwrap_err(),
+            missing
+        );
+        assert_eq!(
+            import_gold_pairs(&ds, "id1\nr1\n", CsvOptions::comma()).unwrap_err(),
+            missing
+        );
+        // A header alone is enough to tell.
+        assert_eq!(
+            import_experiment("x", &ds, "id1\n", CsvOptions::comma()).unwrap_err(),
+            missing
+        );
+        // Nothing at all is still a missing header.
+        assert_eq!(
+            import_experiment("x", &ds, "", CsvOptions::comma()).unwrap_err(),
+            ImportError::MissingHeader
+        );
+    }
+
+    #[test]
+    fn csv_errors_beat_earlier_row_errors() {
+        let ds = dataset();
+        let csv = CsvOptions::comma();
+        // An unknown id on row 2, a ragged row 3: the structural error
+        // anywhere in the body wins, as if the body were parsed first.
+        assert_eq!(
+            import_experiment("x", &ds, "id1,id2,similarity\nr1,zz,0.5\nr2,r3\n", csv).unwrap_err(),
+            ImportError::Csv(frost_core::dataset::CsvError::RaggedRow {
+                row: 3,
+                found: 2,
+                expected: 3
+            })
+        );
+        // A bad similarity before an unterminated quote.
+        assert_eq!(
+            import_experiment(
+                "x",
+                &ds,
+                "id1,id2,similarity\nr1,r2,high\n\"r2,r3,0.5\n",
+                csv
+            )
+            .unwrap_err(),
+            ImportError::Csv(frost_core::dataset::CsvError::UnterminatedQuote { line: 3 })
+        );
+        // A one-column header before a ragged row.
+        assert!(matches!(
+            import_gold_pairs(&ds, "id1\nr1,r2\n", csv).unwrap_err(),
+            ImportError::Csv(_)
+        ));
+        // Without a structural error, the first row error is reported.
+        assert_eq!(
+            import_experiment("x", &ds, "id1,id2\nr1,zz\nr1,yy\n", csv).unwrap_err(),
+            ImportError::UnknownRecord("zz".into())
+        );
+    }
+
+    #[test]
+    fn experiment_import_skips_self_pairs_and_keeps_first_duplicates() {
+        let ds = dataset();
+        let e = import_experiment(
+            "run",
+            &ds,
+            "id1,id2,similarity\nr1,r2,0.5\nr3,r3,junk\nr2,r1,0.9\n\"r3\",r2,\nr2,r3,0.1\n",
+            CsvOptions::comma(),
+        )
+        .unwrap();
+        let r = |n: &str| ds.resolve_native(n).unwrap();
+        assert_eq!(
+            e.pairs(),
+            &[
+                ScoredPair::scored((r("r1"), r("r2")), 0.5),
+                ScoredPair::unscored((r("r3"), r("r2"))),
+            ]
+        );
     }
 
     #[test]

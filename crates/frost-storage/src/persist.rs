@@ -13,10 +13,10 @@
 //! <root>/experiments/<name>.csv   dataset,id1,id2,similarity,origin
 //! ```
 
-use crate::import::{import_gold_pairs, DatasetImporter, ImportError};
+use crate::import::{decode_pair, import_gold_pairs, DatasetImporter, ImportError};
 use crate::store::{BenchmarkStore, StoreError};
 use frost_core::dataset::{
-    parse_csv, write_csv, CsvOptions, Dataset, Experiment, PairOrigin, ScoredPair,
+    read_csv, write_csv, CsvError, CsvOptions, Dataset, Experiment, PairOrigin, ScoredPair,
 };
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -64,6 +64,11 @@ impl From<ImportError> for PersistError {
         PersistError::Import(e)
     }
 }
+impl From<CsvError> for PersistError {
+    fn from(e: CsvError) -> Self {
+        PersistError::Import(ImportError::Csv(e))
+    }
+}
 impl From<StoreError> for PersistError {
     fn from(e: StoreError) -> Self {
         PersistError::Store(e)
@@ -75,8 +80,8 @@ pub fn dataset_to_csv(ds: &Dataset) -> String {
     let header = std::iter::once("id".to_string())
         .chain(ds.schema().attributes().iter().cloned())
         .collect::<Vec<String>>();
-    let rows = std::iter::once(header).chain(ds.records().iter().map(|r| {
-        std::iter::once(r.native_id().to_string())
+    let rows = std::iter::once(header).chain(ds.iter().map(|(id, r)| {
+        std::iter::once(ds.native_id(id).to_string())
             .chain(r.values().iter().map(|v| v.clone().unwrap_or_default()))
             .collect()
     }));
@@ -207,66 +212,51 @@ pub fn load(root: impl AsRef<Path>) -> Result<BenchmarkStore, PersistError> {
     for path in csv_files(&root.join("experiments"))? {
         let name = file_stem(&path)?;
         let text = std::fs::read_to_string(&path)?;
-        let rows = parse_csv(&text, CsvOptions::comma()).map_err(ImportError::from)?;
-        let mut iter = rows.into_iter();
-        let header = iter.next().ok_or_else(|| PersistError::Malformed {
+        let malformed = |reason: String| PersistError::Malformed {
             path: path.clone(),
-            reason: "missing header".into(),
-        })?;
-        if header.len() != 5 {
-            return Err(PersistError::Malformed {
-                path,
-                reason: format!("expected 5 columns, found {}", header.len()),
-            });
-        }
-        let mut dataset_name: Option<String> = None;
-        let mut pairs: Vec<ScoredPair> = Vec::with_capacity(iter.len());
-        for row in iter {
-            let ds_name = dataset_name.get_or_insert_with(|| row[0].clone());
-            if &row[0] != ds_name {
-                return Err(PersistError::Malformed {
-                    path,
-                    reason: "experiment spans multiple datasets".into(),
-                });
+            reason,
+        };
+        let mut header_seen = false;
+        // The dataset named by the first row; every row must name it.
+        let mut dataset: Option<&Dataset> = None;
+        let mut pairs: Vec<ScoredPair> = Vec::new();
+        read_csv(&text, CsvOptions::comma(), |row| {
+            if !header_seen {
+                header_seen = true;
+                if row.len() != 5 {
+                    return Err(malformed(format!(
+                        "expected 5 columns, found {}",
+                        row.len()
+                    )));
+                }
+                return Ok(());
             }
-            let ds = store.dataset(ds_name)?;
-            let a = ds
-                .resolve_native(&row[1])
-                .ok_or_else(|| ImportError::UnknownRecord(row[1].clone()))?;
-            let b = ds
-                .resolve_native(&row[2])
-                .ok_or_else(|| ImportError::UnknownRecord(row[2].clone()))?;
-            let similarity = if row[3].is_empty() {
-                None
-            } else {
-                Some(
-                    row[3]
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|s| !s.is_nan())
-                        .ok_or_else(|| PersistError::Malformed {
-                            path: path.clone(),
-                            reason: format!("bad similarity {:?}", row[3]),
-                        })?,
-                )
+            let ds = match dataset {
+                Some(ds) if ds.name() == &row[0] => ds,
+                Some(_) => return Err(malformed("experiment spans multiple datasets".into())),
+                None => *dataset.insert(store.dataset(&row[0])?),
             };
-            let origin = match row[4].as_str() {
+            let decoded =
+                decode_pair(ds, &row[1], &row[2], &row[3], row.number()).map_err(|e| match e {
+                    ImportError::BadSimilarity { text, .. } => {
+                        malformed(format!("bad similarity {text:?}"))
+                    }
+                    other => other.into(),
+                })?;
+            let origin = match &row[4] {
                 "matcher" => PairOrigin::Matcher,
                 "closure" => PairOrigin::Closure,
-                other => {
-                    return Err(PersistError::Malformed {
-                        path,
-                        reason: format!("bad origin {other:?}"),
-                    })
-                }
+                other => return Err(malformed(format!("bad origin {other:?}"))),
             };
-            pairs.push(ScoredPair {
-                pair: frost_core::dataset::RecordPair::new(a, b),
-                similarity,
-                origin,
-            });
+            if let Some(sp) = decoded {
+                pairs.push(ScoredPair { origin, ..sp });
+            }
+            Ok(())
+        })?;
+        if !header_seen {
+            return Err(malformed("missing header".into()));
         }
-        if let Some(ds_name) = dataset_name {
+        if let Some(ds_name) = dataset.map(|ds| ds.name().to_owned()) {
             store.add_experiment(&ds_name, Experiment::new(name, pairs), None)?;
         }
         // An experiment file with only a header is silently skipped.
@@ -368,6 +358,32 @@ mod tests {
         let err = load(&dir).unwrap_err();
         assert!(matches!(err, PersistError::Malformed { .. }));
         assert!(err.to_string().contains("bad origin"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn experiment_rows_decode_like_uploads() {
+        let dir = unique_dir("rows");
+        save(&sample_store(), &dir).unwrap();
+        let bad = dir.join("experiments").join("bad.csv");
+        // A NaN similarity keeps the store loader's own message.
+        std::fs::write(
+            &bad,
+            "dataset,id1,id2,similarity,origin\npeople,a,b,NaN,matcher\n",
+        )
+        .unwrap();
+        let err = load(&dir).unwrap_err();
+        assert!(matches!(err, PersistError::Malformed { .. }));
+        assert!(err.to_string().ends_with("bad similarity \"NaN\""), "{err}");
+        // A self-pair is no match: skipped, as in an upload.
+        std::fs::write(
+            &bad,
+            "dataset,id1,id2,similarity,origin\npeople,a,a,0.5,matcher\npeople,a,c,,closure\n",
+        )
+        .unwrap();
+        let loaded = load(&dir).unwrap();
+        let e = &loaded.experiment("bad").unwrap().experiment;
+        assert_eq!(e.pairs(), &[ScoredPair::closure((0u32, 2u32))]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

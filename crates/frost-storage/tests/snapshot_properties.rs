@@ -115,12 +115,10 @@ fn assert_round_trip(store: &BenchmarkStore) {
 
     assert_eq!(store.dataset_names(), loaded.dataset_names());
     for name in store.dataset_names() {
-        let (a, b) = (
+        assert_eq!(
             store.dataset(&name).unwrap(),
-            loaded.dataset(&name).unwrap(),
+            loaded.dataset(&name).unwrap()
         );
-        assert_eq!(a.schema().attributes(), b.schema().attributes());
-        assert_eq!(a.records(), b.records());
         assert_eq!(
             store.gold_standard(&name).ok(),
             loaded.gold_standard(&name).ok()

@@ -172,7 +172,6 @@ proptest! {
         prop_assert_eq!(uf.num_clusters(), 32 - merges);
         let from_sizes: u64 = Clustering::from_union_find(&mut uf)
             .clusters()
-            .iter()
             .map(|c| {
                 let s = c.len() as u64;
                 s * (s - 1) / 2
