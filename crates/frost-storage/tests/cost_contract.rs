@@ -8,11 +8,13 @@
 //! enumerates the closure's intra-cluster pairs pays `C(k, 2)` for a
 //! closure cluster of `k` records and breaks the contract by orders of
 //! magnitude. The `/quality` and `/cluster-metrics` values are pinned
-//! against literals, so a cheaper computation cannot drift in value.
+//! against literals, and so is the `/errors` profile, so a cheaper
+//! computation cannot drift in value.
 
 use frost_core::clustering::Clustering;
 use frost_core::dataset::{Dataset, Experiment, Schema};
 use frost_core::diagram::DiagramEngine;
+use frost_core::explore::error_categories::{ErrorCategory, ErrorProfile};
 use frost_core::metrics::pair::PairMetric;
 use frost_storage::api::{self, RatioKind, Request, Response};
 use frost_storage::BenchmarkStore;
@@ -156,9 +158,27 @@ fn store(n: u32, pairs: Vec<(u32, u32)>) -> BenchmarkStore {
     store
 }
 
+/// The `/errors` profile as (false positives, false negatives), each
+/// category with its count, in `ErrorCategory` order.
+type Profile<'a> = (&'a [(ErrorCategory, usize)], &'a [(ErrorCategory, usize)]);
+
+/// `counts` as (category, count) pairs in `ErrorCategory` order.
+fn sorted(counts: &std::collections::HashMap<ErrorCategory, usize>) -> Vec<(ErrorCategory, usize)> {
+    let mut v: Vec<_> = counts.iter().map(|(&c, &n)| (c, n)).collect();
+    v.sort();
+    v
+}
+
 /// Runs every request on the shape, checks the peak bound, and checks
-/// the `/cluster-metrics` and `/quality` values against `pinned`.
-fn check(shape: &str, n: u32, pairs: Vec<(u32, u32)>, pinned: &[(&str, &[(&str, f64)])]) {
+/// the `/cluster-metrics` and `/quality` values against `pinned` and
+/// the `/errors` profile against `errors`.
+fn check(
+    shape: &str,
+    n: u32,
+    pairs: Vec<(u32, u32)>,
+    pinned: &[(&str, &[(&str, f64)])],
+    errors: Profile,
+) {
     let units = n as usize + pairs.len();
     let store = store(n, pairs);
     // The mutex guards no data, so a shape that failed while holding it
@@ -170,6 +190,18 @@ fn check(shape: &str, n: u32, pairs: Vec<(u32, u32)>, pinned: &[(&str, &[(&str, 
             peak <= BYTES_PER_UNIT * units,
             "{shape} {endpoint}: peak {peak} B > {BYTES_PER_UNIT} B × {units} units"
         );
+        if let Response::ErrorProfile(ErrorProfile {
+            false_positives,
+            false_negatives,
+        }) = &response
+        {
+            let got = (sorted(false_positives), sorted(false_negatives));
+            assert_eq!(
+                (got.0.as_slice(), got.1.as_slice()),
+                errors,
+                "{shape} /errors: (false positives, false negatives)"
+            );
+        }
         if let Some((_, values)) = pinned.iter().find(|(e, _)| *e == endpoint) {
             let Response::Metrics(got) = response else {
                 panic!("{shape} {endpoint}: not a metrics response");
@@ -219,6 +251,14 @@ fn star() {
                 ],
             ),
         ],
+        (
+            &[
+                (ErrorCategory::MissingValue, 3427),
+                (ErrorCategory::Typo, 560),
+                (ErrorCategory::ValueConflict, 11),
+            ],
+            &[],
+        ),
     );
 }
 
@@ -256,6 +296,13 @@ fn path() {
                 ],
             ),
         ],
+        (
+            &[
+                (ErrorCategory::MissingValue, 380),
+                (ErrorCategory::Typo, 953),
+            ],
+            &[],
+        ),
     );
 }
 
@@ -298,6 +345,15 @@ fn near_clique() {
                 ],
             ),
         ],
+        (
+            &[
+                (ErrorCategory::MissingValue, 966),
+                (ErrorCategory::Typo, 2765),
+                (ErrorCategory::Abbreviation, 116),
+                (ErrorCategory::ValueConflict, 28),
+            ],
+            &[],
+        ),
     );
 }
 
@@ -340,5 +396,14 @@ fn hubs() {
                 ],
             ),
         ],
+        (
+            &[
+                (ErrorCategory::MissingValue, 3316),
+                (ErrorCategory::Typo, 9551),
+                (ErrorCategory::Abbreviation, 361),
+                (ErrorCategory::ValueConflict, 212),
+            ],
+            &[],
+        ),
     );
 }

@@ -69,6 +69,9 @@ fn request_for(url: &str) -> Request {
         "/quality" => Request::GetQualitySignals {
             experiment: experiment(),
         },
+        "/errors" => Request::GetErrorProfile {
+            experiment: experiment(),
+        },
         _ => panic!("no request mapping for golden url {url}"),
     }
 }
