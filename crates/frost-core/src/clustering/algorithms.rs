@@ -13,30 +13,35 @@
 //! * [`center_clustering`] / [`merge_center_clustering`] — the classic
 //!   similarity-ordered center algorithms.
 //! * [`greedy_clique_clustering`] — an approximation of maximum-clique
-//!   clustering.
+//!   clustering, run by [`greedy_clique`] on the CSR [`Adjacency`]:
+//!   a counting sort for the seed order, one mark array for the
+//!   shared-neighbour counts, and binary searches in sorted rows for
+//!   clique membership.
 //! * [`markov_clustering`] — MCL (expansion + inflation) run per
 //!   connected component.
 //! * [`pivot_clustering`] — the randomized-pivot correlation-clustering
 //!   3-approximation (deterministic, seed-ordered pivots).
 //! * [`star_clustering`] — star clusters around degree-ordered hubs
 //!   (records may only attach to their best available hub).
+//!
+//! [`clustering_agreement`] compares two clusterings by counting, in
+//! `O(records)`.
 
-use super::{Clustering, Contingency, UnionFind};
-use crate::dataset::{RecordId, ScoredPair};
-use std::collections::{HashMap, HashSet};
+use super::{Adjacency, Clustering, UnionFind};
+use crate::dataset::{similarity_key, RecordId, RecordPair, ScoredPair};
+use std::collections::HashMap;
 
-/// Sorts scored pairs by similarity descending (unscored pairs last,
-/// ties broken by pair order for determinism).
-fn by_similarity_desc(pairs: &[ScoredPair]) -> Vec<ScoredPair> {
-    let mut v = pairs.to_vec();
-    v.sort_by(|a, b| {
-        let sa = a.similarity.unwrap_or(f64::NEG_INFINITY);
-        let sb = b.similarity.unwrap_or(f64::NEG_INFINITY);
-        sb.partial_cmp(&sa)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.pair.cmp(&b.pair))
-    });
-    v
+/// The pairs by similarity descending (unscored pairs last, ties
+/// broken by pair order for determinism), sorted on a total-order
+/// integer key: `-0.0` ranks with `+0.0`, and NaN with the unscored
+/// pairs.
+fn by_similarity_desc(pairs: &[ScoredPair]) -> Vec<RecordPair> {
+    let mut keyed: Vec<(std::cmp::Reverse<u64>, RecordPair)> = pairs
+        .iter()
+        .map(|sp| (std::cmp::Reverse(similarity_key(sp.similarity)), sp.pair))
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, pair)| pair).collect()
 }
 
 /// Transitive closure: connected components of the match graph.
@@ -55,8 +60,8 @@ pub fn center_clustering(n: usize, pairs: &[ScoredPair]) -> Clustering {
         Member(u32),
     }
     let mut state = vec![State::Unassigned; n];
-    for sp in by_similarity_desc(pairs) {
-        let (a, b) = (sp.pair.lo().index(), sp.pair.hi().index());
+    for pair in by_similarity_desc(pairs) {
+        let (a, b) = (pair.lo().index(), pair.hi().index());
         match (state[a], state[b]) {
             (State::Unassigned, State::Unassigned) => {
                 state[a] = State::Center;
@@ -86,8 +91,8 @@ pub fn merge_center_clustering(n: usize, pairs: &[ScoredPair]) -> Clustering {
     let mut center: Vec<Option<u32>> = vec![None; n];
     let mut is_center = vec![false; n];
     let mut uf = UnionFind::new(n);
-    for sp in by_similarity_desc(pairs) {
-        let (a, b) = (sp.pair.lo().index(), sp.pair.hi().index());
+    for pair in by_similarity_desc(pairs) {
+        let (a, b) = (pair.lo().index(), pair.hi().index());
         match (center[a], center[b]) {
             (None, None) => {
                 center[a] = Some(a as u32);
@@ -118,51 +123,55 @@ pub fn merge_center_clustering(n: usize, pairs: &[ScoredPair]) -> Clustering {
 /// Greedy approximation of maximum-clique clustering: repeatedly seed a
 /// cluster with the highest-degree remaining node and grow it with
 /// neighbors adjacent to *all* current members.
+///
+/// Builds the [`Adjacency`] of `pairs` and runs [`greedy_clique`] on it.
 pub fn greedy_clique_clustering(n: usize, pairs: &[ScoredPair]) -> Clustering {
-    let mut adj: HashMap<u32, HashSet<u32>> = HashMap::new();
-    for sp in pairs {
-        adj.entry(sp.pair.lo().0)
-            .or_default()
-            .insert(sp.pair.hi().0);
-        adj.entry(sp.pair.hi().0)
-            .or_default()
-            .insert(sp.pair.lo().0);
-    }
+    greedy_clique(&Adjacency::new(n, pairs))
+}
+
+/// [`greedy_clique_clustering`] over a built adjacency.
+///
+/// Seeds are visited by degree descending, then id. A seed's
+/// unassigned neighbours are tried by the neighbours they share with
+/// the seed (descending), then degree (descending), then id: bridge
+/// endpoints share none and are tried last, which keeps weakly
+/// connected cliques apart. Each candidate's shared-neighbour count is
+/// counted once, against a mark array stamped with the seed's row, and
+/// "adjacent to every member" is a binary search per member in the
+/// candidate's sorted row. No allocation happens per seed or per pair.
+pub fn greedy_clique(adjacency: &Adjacency) -> Clustering {
+    let n = adjacency.num_nodes();
     let mut labels: Vec<u32> = (0..n as u32).collect();
     let mut assigned = vec![false; n];
-    // Seed order: degree descending, then id for determinism.
-    let mut order: Vec<u32> = adj.keys().copied().collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(adj[&v].len()), v));
+    let order = seed_order(adjacency);
+    // `mark[w] == seed` iff `w` is a neighbour of the current seed.
+    let mut mark = vec![u32::MAX; n];
+    // (shared neighbours, degree, id) of each candidate; sorted once.
+    let mut candidates: Vec<(u32, u32, u32)> = Vec::new();
+    let mut clique: Vec<u32> = Vec::new();
     for seed in order {
         if assigned[seed as usize] {
             continue;
         }
-        let mut clique = vec![seed];
         assigned[seed as usize] = true;
-        let mut candidates: Vec<u32> = adj[&seed]
-            .iter()
-            .copied()
-            .filter(|&v| !assigned[v as usize])
-            .collect();
-        // Prefer candidates sharing many neighbors with the seed: bridge
-        // endpoints share none and are considered last, keeping weakly
-        // connected cliques apart.
-        let common = |v: u32| adj[&seed].intersection(&adj[&v]).count();
-        candidates.sort_by_key(|&v| {
-            (
-                std::cmp::Reverse(common(v)),
-                std::cmp::Reverse(adj[&v].len()),
-                v,
-            )
+        let row = adjacency.neighbours(seed);
+        for &w in row {
+            mark[w as usize] = seed;
+        }
+        candidates.clear();
+        for &v in row.iter().filter(|&&v| !assigned[v as usize]) {
+            let others = adjacency.neighbours(v);
+            let common = others.iter().filter(|&&w| mark[w as usize] == seed).count();
+            candidates.push((common as u32, others.len() as u32, v));
+        }
+        candidates.sort_unstable_by_key(|&(common, degree, v)| {
+            (std::cmp::Reverse(common), std::cmp::Reverse(degree), v)
         });
-        for cand in candidates {
-            if assigned[cand as usize] {
-                continue;
-            }
-            let adjacent_to_all = clique
-                .iter()
-                .all(|m| adj.get(&cand).is_some_and(|s| s.contains(m)));
-            if adjacent_to_all {
+        // Every candidate is adjacent to the seed, so only the members
+        // added after it need checking.
+        clique.clear();
+        for &(_, _, cand) in &candidates {
+            if clique.iter().all(|&m| adjacency.contains(cand, m)) {
                 assigned[cand as usize] = true;
                 labels[cand as usize] = seed;
                 clique.push(cand);
@@ -170,6 +179,37 @@ pub fn greedy_clique_clustering(n: usize, pairs: &[ScoredPair]) -> Clustering {
         }
     }
     Clustering::from_assignment(&labels)
+}
+
+/// The records with a neighbour, by degree descending, then id: a
+/// counting sort by degree, which places the ids of each degree in
+/// ascending order.
+fn seed_order(adjacency: &Adjacency) -> Vec<u32> {
+    let nodes = 0..adjacency.num_nodes() as u32;
+    let max_degree = nodes
+        .clone()
+        .map(|v| adjacency.degree(v))
+        .max()
+        .unwrap_or(0);
+    // `start[d]`: where the records of degree `d` begin, then the next
+    // free slot among them. Degree 0 sorts last and is cut off.
+    let mut start = vec![0usize; max_degree + 1];
+    for v in nodes.clone() {
+        start[adjacency.degree(v)] += 1;
+    }
+    let mut next = 0;
+    for d in (1..=max_degree).rev() {
+        let count = start[d];
+        start[d] = next;
+        next += count;
+    }
+    let mut order = vec![0u32; next];
+    for v in nodes.filter(|&v| adjacency.degree(v) > 0) {
+        let slot = &mut start[adjacency.degree(v)];
+        order[*slot] = v;
+        *slot += 1;
+    }
+    order
 }
 
 /// Markov clustering (MCL) per connected component.
@@ -408,14 +448,104 @@ pub fn star_clustering(n: usize, pairs: &[ScoredPair]) -> Clustering {
 /// signal (§3.2.3).
 ///
 /// Counted, not enumerated: `|A ∩ B|` is the contingency table's
-/// `Σ C(n_ij, 2)`, so the cost is linear in the records however large
-/// the clusters are.
+/// `Σ C(n_ij, 2)`. Each cluster of `a` with two or more members tallies
+/// its members' `b` clusters in one counter array (each member adds
+/// the count of earlier members in its `b` cluster, which sums to
+/// `Σ C(n_ij, 2)` over that row) and resets it, so the cost is linear
+/// in the records, with no sort, however large the clusters are.
 pub fn clustering_agreement(a: &Clustering, b: &Clustering) -> f64 {
+    assert_eq!(
+        a.num_records(),
+        b.num_records(),
+        "clusterings cover different datasets"
+    );
     let (pa, pb) = (a.pair_count(), b.pair_count());
     if pa == 0 && pb == 0 {
         return 1.0;
     }
-    let inter = Contingency::new(a, b).pair_count() as f64;
+    let mut seen = vec![0u64; b.num_clusters()];
+    let mut inter = 0u64;
+    for members in a.clusters().filter(|m| m.len() > 1) {
+        for &r in members {
+            let count = &mut seen[b.cluster_of(r) as usize];
+            inter += *count;
+            *count += 1;
+        }
+        for &r in members {
+            seen[b.cluster_of(r) as usize] = 0;
+        }
+    }
+    let inter = inter as f64;
+    let union = (pa + pb) as f64 - inter;
+    inter / union
+}
+
+/// The hash-set greedy clique clustering that [`greedy_clique`]
+/// replaced, kept as the reference of its differential test.
+#[cfg(test)]
+pub(crate) fn greedy_clique_clustering_reference(n: usize, pairs: &[ScoredPair]) -> Clustering {
+    let mut adj: HashMap<u32, std::collections::HashSet<u32>> = HashMap::new();
+    for sp in pairs {
+        adj.entry(sp.pair.lo().0)
+            .or_default()
+            .insert(sp.pair.hi().0);
+        adj.entry(sp.pair.hi().0)
+            .or_default()
+            .insert(sp.pair.lo().0);
+    }
+    let mut labels: Vec<u32> = (0..n as u32).collect();
+    let mut assigned = vec![false; n];
+    // Seed order: degree descending, then id for determinism.
+    let mut order: Vec<u32> = adj.keys().copied().collect();
+    order.sort_by_key(|&v| (std::cmp::Reverse(adj[&v].len()), v));
+    for seed in order {
+        if assigned[seed as usize] {
+            continue;
+        }
+        let mut clique = vec![seed];
+        assigned[seed as usize] = true;
+        let mut candidates: Vec<u32> = adj[&seed]
+            .iter()
+            .copied()
+            .filter(|&v| !assigned[v as usize])
+            .collect();
+        // Prefer candidates sharing many neighbors with the seed: bridge
+        // endpoints share none and are considered last, keeping weakly
+        // connected cliques apart.
+        let common = |v: u32| adj[&seed].intersection(&adj[&v]).count();
+        candidates.sort_by_key(|&v| {
+            (
+                std::cmp::Reverse(common(v)),
+                std::cmp::Reverse(adj[&v].len()),
+                v,
+            )
+        });
+        for cand in candidates {
+            if assigned[cand as usize] {
+                continue;
+            }
+            let adjacent_to_all = clique
+                .iter()
+                .all(|m| adj.get(&cand).is_some_and(|s| s.contains(m)));
+            if adjacent_to_all {
+                assigned[cand as usize] = true;
+                labels[cand as usize] = seed;
+                clique.push(cand);
+            }
+        }
+    }
+    Clustering::from_assignment(&labels)
+}
+
+/// The contingency-table agreement that [`clustering_agreement`]
+/// replaced, kept as the reference of its differential test.
+#[cfg(test)]
+pub(crate) fn clustering_agreement_reference(a: &Clustering, b: &Clustering) -> f64 {
+    let (pa, pb) = (a.pair_count(), b.pair_count());
+    if pa == 0 && pb == 0 {
+        return 1.0;
+    }
+    let inter = super::Contingency::new(a, b).pair_count() as f64;
     let union = (pa + pb) as f64 - inter;
     inter / union
 }
@@ -423,6 +553,53 @@ pub fn clustering_agreement(a: &Clustering, b: &Clustering) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The comparator sort that [`by_similarity_desc`] replaced.
+    fn by_similarity_desc_reference(pairs: &[ScoredPair]) -> Vec<RecordPair> {
+        let mut v = pairs.to_vec();
+        v.sort_by(|a, b| {
+            let sa = a.similarity.unwrap_or(f64::NEG_INFINITY);
+            let sb = b.similarity.unwrap_or(f64::NEG_INFINITY);
+            sb.partial_cmp(&sa)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.pair.cmp(&b.pair))
+        });
+        v.into_iter().map(|sp| sp.pair).collect()
+    }
+
+    /// Similarities with ties, both zeros, both infinities and none.
+    const SIMILARITIES: [Option<f64>; 8] = [
+        None,
+        Some(0.0),
+        Some(-0.0),
+        Some(0.5),
+        Some(1.0),
+        Some(f64::INFINITY),
+        Some(f64::NEG_INFINITY),
+        Some(-0.25),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The integer-key order of the center algorithms equals the
+        /// comparator order it replaced on NaN-free similarities.
+        #[test]
+        fn similarity_order_agrees_with_reference(
+            raw in prop::collection::vec((0u32..12, 0u32..12, 0..SIMILARITIES.len()), 0..30),
+        ) {
+            let pairs: Vec<ScoredPair> = raw
+                .into_iter()
+                .filter(|(a, b, _)| a != b)
+                .map(|(a, b, s)| ScoredPair {
+                    similarity: SIMILARITIES[s],
+                    ..ScoredPair::unscored((a, b))
+                })
+                .collect();
+            prop_assert_eq!(by_similarity_desc(&pairs), by_similarity_desc_reference(&pairs));
+        }
+    }
 
     fn sp(a: u32, b: u32, s: f64) -> ScoredPair {
         ScoredPair::scored((a, b), s)

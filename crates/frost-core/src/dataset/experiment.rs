@@ -313,7 +313,7 @@ impl PairDedup {
 /// Unscored pairs rank with `-∞`, `-0.0` ranks with `+0.0`, and NaN,
 /// which has no place in that order, ranks with unscored pairs rather
 /// than breaking the sort.
-fn similarity_key(similarity: Option<f64>) -> u64 {
+pub(crate) fn similarity_key(similarity: Option<f64>) -> u64 {
     let s = match similarity {
         Some(s) if !s.is_nan() => s + 0.0,
         _ => f64::NEG_INFINITY,

@@ -19,6 +19,7 @@ mod schema;
 
 pub use chunked::ChunkedPairSet;
 pub use csv::{parse_csv, read_csv, write_csv, CsvError, CsvOptions, CsvRow};
+pub(crate) use experiment::similarity_key;
 pub use experiment::{Experiment, PairDedup, PairOrigin, ScoredPair};
 pub use pair::RecordPair;
 pub use pairset::PairSet;
@@ -418,6 +419,22 @@ impl Dataset {
         native_id: impl AsRef<str>,
         values: Vec<Option<String>>,
     ) -> RecordId {
+        let native_id = native_id.as_ref();
+        self.try_push_record_opt(native_id, values)
+            .unwrap_or_else(|| panic!("duplicate native id {native_id:?}"))
+    }
+
+    /// [`push_record_opt`](Self::push_record_opt) for untrusted input:
+    /// `None`, with the dataset unchanged, if the native id was already
+    /// used.
+    ///
+    /// # Panics
+    /// Panics if the value count does not match the schema width.
+    pub fn try_push_record_opt(
+        &mut self,
+        native_id: &str,
+        values: Vec<Option<String>>,
+    ) -> Option<RecordId> {
         assert_eq!(
             values.len(),
             self.schema.len(),
@@ -425,9 +442,9 @@ impl Dataset {
             values.len(),
             self.schema.len()
         );
-        let id = self.native_ids.push(native_id.as_ref());
+        let id = self.native_ids.try_push(native_id)?;
         self.records.push(Record::new(values));
-        id
+        Some(id)
     }
 
     /// Returns the record with the given id.
@@ -520,6 +537,18 @@ mod tests {
     fn duplicate_native_id_panics() {
         let mut ds = sample();
         ds.push_record("r1", ["X", "Y"]);
+    }
+
+    #[test]
+    fn try_push_refuses_a_duplicate_native_id_and_changes_nothing() {
+        let mut ds = sample();
+        let before = ds.clone();
+        assert_eq!(ds.try_push_record_opt("r1", vec![None, None]), None);
+        assert_eq!(ds, before);
+        let id = ds.try_push_record_opt("r3", vec![Some("Cy".into()), None]);
+        assert_eq!(id, Some(RecordId(before.len() as u32)));
+        assert_eq!(ds.resolve_native("r3"), id);
+        assert_eq!(ds.try_push_record_opt("r3", vec![None, None]), None);
     }
 
     #[test]

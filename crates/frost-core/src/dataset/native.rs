@@ -70,20 +70,18 @@ impl NativeIds {
         self.probe(self.hash.bytes(native.as_bytes()), native).ok()
     }
 
-    /// Appends `native` as the id of the next record.
+    /// Appends `native` as the id of the next record, or returns `None`
+    /// and changes nothing if `native` is already present.
     ///
     /// # Panics
-    /// Panics if `native` is already present, or if the arena would
-    /// outgrow its `u32` offsets.
-    pub(crate) fn push(&mut self, native: &str) -> RecordId {
+    /// Panics if the arena would outgrow its `u32` offsets.
+    pub(crate) fn try_push(&mut self, native: &str) -> Option<RecordId> {
         let id = RecordId(u32::try_from(self.ends.len()).expect("more than u32::MAX records"));
         if max_load(self.ends.len(), self.slots.len()) {
             self.grow();
         }
         let hash = self.hash.bytes(native.as_bytes());
-        let Err(free) = self.probe(hash, native) else {
-            panic!("duplicate native id {native:?}");
-        };
+        let free = self.probe(hash, native).err()?;
         let end = u32::try_from(self.arena.len() + native.len()).expect("native ids exceed 4 GiB");
         self.slots[free] = Slot {
             fingerprint: fingerprint(hash),
@@ -91,7 +89,7 @@ impl NativeIds {
         };
         self.arena.push_str(native);
         self.ends.push(end);
-        id
+        Some(id)
     }
 
     /// `Ok(id)` of the record holding `native`, or `Err(slot)` of the

@@ -19,11 +19,17 @@
 //! closure as a parameter — the store computes it once at import — and
 //! never enumerate its intra-cluster pairs: they cost `O(records +
 //! pairs)` however large the closure clusters are.
+//!
+//! The graph signals — [`bridge_ratio`] and the greedy clique
+//! clustering inside [`algorithm_consensus`] — walk the match graph as
+//! one CSR [`Adjacency`] (id-indexed offsets, sorted neighbour rows),
+//! which the caller builds once per request and passes to both: array
+//! kernels in `O(records + pairs)` with no hash map and no allocation
+//! per pair. The agreement between clusterings is counted in one
+//! counter array, without sorting the records.
 
-use crate::clustering::algorithms::{
-    center_clustering, clustering_agreement, greedy_clique_clustering,
-};
-use crate::clustering::Clustering;
+use crate::clustering::algorithms::{center_clustering, clustering_agreement, greedy_clique};
+use crate::clustering::{Adjacency, Clustering};
 use crate::dataset::{Experiment, PairAlgebra, PairSet, RecordPair, RoaringPairSet};
 use std::collections::HashMap;
 
@@ -144,11 +150,14 @@ pub fn separation(clustering: &Clustering, scored_candidates: &[(RecordPair, f64
 /// center clustering, and greedy clique clustering. "The more similar
 /// the resulting clusterings are, the more consistent are the initially
 /// discovered matches." The transitive closure is the experiment's
-/// `closure`.
-pub fn algorithm_consensus(closure: &Clustering, experiment: &Experiment) -> f64 {
-    let (n, pairs) = (closure.num_records(), experiment.pairs());
-    let center = center_clustering(n, pairs);
-    let clique = greedy_clique_clustering(n, pairs);
+/// `closure`; the clique clustering runs on its `adjacency`.
+pub fn algorithm_consensus(
+    closure: &Clustering,
+    experiment: &Experiment,
+    adjacency: &Adjacency,
+) -> f64 {
+    let center = center_clustering(closure.num_records(), experiment.pairs());
+    let clique = greedy_clique(adjacency);
     let agreements = [
         clustering_agreement(closure, &center),
         clustering_agreement(closure, &clique),
@@ -163,69 +172,14 @@ pub fn algorithm_consensus(closure: &Clustering, experiment: &Experiment) -> f64
 /// A spanning-tree-like network (all bridges) rests every identity on a
 /// single piece of evidence; a redundant network (no bridges) is
 /// corroborated. This complements [`link_redundancy`]: redundancy is a
-/// global average, the bridge ratio pinpoints fragility. Returns `0.0`
-/// for an experiment without links.
-pub fn bridge_ratio(n: usize, experiment: &Experiment) -> f64 {
-    let edges: Vec<RecordPair> = experiment.pairs().iter().map(|sp| sp.pair).collect();
-    if edges.is_empty() {
-        return 0.0;
+/// global average, the bridge ratio pinpoints fragility. Takes the
+/// experiment's [`Adjacency`]; returns `0.0` for a network without
+/// links.
+pub fn bridge_ratio(adjacency: &Adjacency) -> f64 {
+    match adjacency.num_edges() {
+        0 => 0.0,
+        edges => adjacency.bridge_count() as f64 / edges as f64,
     }
-    // Adjacency with edge indices (parallel edges impossible: Experiment
-    // dedups pairs).
-    let mut adj: HashMap<u32, Vec<(u32, usize)>> = HashMap::new();
-    for (i, e) in edges.iter().enumerate() {
-        adj.entry(e.lo().0).or_default().push((e.hi().0, i));
-        adj.entry(e.hi().0).or_default().push((e.lo().0, i));
-    }
-    // Iterative Tarjan bridge finding.
-    let mut disc: HashMap<u32, u32> = HashMap::new();
-    let mut low: HashMap<u32, u32> = HashMap::new();
-    let mut timer = 0u32;
-    let mut bridges = 0usize;
-    let nodes: Vec<u32> = (0..n as u32).filter(|v| adj.contains_key(v)).collect();
-    for &root in &nodes {
-        if disc.contains_key(&root) {
-            continue;
-        }
-        // Stack frames: (node, incoming edge index, neighbor cursor).
-        let mut stack: Vec<(u32, Option<usize>, usize)> = vec![(root, None, 0)];
-        disc.insert(root, timer);
-        low.insert(root, timer);
-        timer += 1;
-        while let Some(&mut (v, parent_edge, ref mut cursor)) = stack.last_mut() {
-            let neighbors = &adj[&v];
-            if *cursor < neighbors.len() {
-                let (to, edge) = neighbors[*cursor];
-                *cursor += 1;
-                if Some(edge) == parent_edge {
-                    continue;
-                }
-                match disc.get(&to) {
-                    Some(&d) => {
-                        let lv = low.get_mut(&v).expect("visited");
-                        *lv = (*lv).min(d);
-                    }
-                    None => {
-                        disc.insert(to, timer);
-                        low.insert(to, timer);
-                        timer += 1;
-                        stack.push((to, Some(edge), 0));
-                    }
-                }
-            } else {
-                stack.pop();
-                if let Some(&(parent, _, _)) = stack.last() {
-                    let lv = low[&v];
-                    let lp = low.get_mut(&parent).expect("visited");
-                    *lp = (*lp).min(lv);
-                    if lv > disc[&parent] {
-                        bridges += 1;
-                    }
-                }
-            }
-        }
-    }
-    bridges as f64 / edges.len() as f64
 }
 
 /// The majority-vote match set over several experiments: a pair counts as
@@ -295,12 +249,81 @@ pub fn consensus_deviation(experiments: &[&Experiment]) -> Vec<(String, u64)> {
 mod tests {
     use super::*;
 
+    /// The hash-map bridge ratio that [`bridge_ratio`] replaced, kept as
+    /// the reference of its differential test.
+    fn bridge_ratio_reference(n: usize, experiment: &Experiment) -> f64 {
+        let edges: Vec<RecordPair> = experiment.pairs().iter().map(|sp| sp.pair).collect();
+        if edges.is_empty() {
+            return 0.0;
+        }
+        // Adjacency with edge indices (parallel edges impossible: Experiment
+        // dedups pairs).
+        let mut adj: HashMap<u32, Vec<(u32, usize)>> = HashMap::new();
+        for (i, e) in edges.iter().enumerate() {
+            adj.entry(e.lo().0).or_default().push((e.hi().0, i));
+            adj.entry(e.hi().0).or_default().push((e.lo().0, i));
+        }
+        // Iterative Tarjan bridge finding.
+        let mut disc: HashMap<u32, u32> = HashMap::new();
+        let mut low: HashMap<u32, u32> = HashMap::new();
+        let mut timer = 0u32;
+        let mut bridges = 0usize;
+        let nodes: Vec<u32> = (0..n as u32).filter(|v| adj.contains_key(v)).collect();
+        for &root in &nodes {
+            if disc.contains_key(&root) {
+                continue;
+            }
+            // Stack frames: (node, incoming edge index, neighbor cursor).
+            let mut stack: Vec<(u32, Option<usize>, usize)> = vec![(root, None, 0)];
+            disc.insert(root, timer);
+            low.insert(root, timer);
+            timer += 1;
+            while let Some(&mut (v, parent_edge, ref mut cursor)) = stack.last_mut() {
+                let neighbors = &adj[&v];
+                if *cursor < neighbors.len() {
+                    let (to, edge) = neighbors[*cursor];
+                    *cursor += 1;
+                    if Some(edge) == parent_edge {
+                        continue;
+                    }
+                    match disc.get(&to) {
+                        Some(&d) => {
+                            let lv = low.get_mut(&v).expect("visited");
+                            *lv = (*lv).min(d);
+                        }
+                        None => {
+                            disc.insert(to, timer);
+                            low.insert(to, timer);
+                            timer += 1;
+                            stack.push((to, Some(edge), 0));
+                        }
+                    }
+                } else {
+                    stack.pop();
+                    if let Some(&(parent, _, _)) = stack.last() {
+                        let lv = low[&v];
+                        let lp = low.get_mut(&parent).expect("visited");
+                        *lp = (*lp).min(lv);
+                        if lv > disc[&parent] {
+                            bridges += 1;
+                        }
+                    }
+                }
+            }
+        }
+        bridges as f64 / edges.len() as f64
+    }
+
     fn pair(a: u32, b: u32) -> RecordPair {
         RecordPair::from((a, b))
     }
 
     fn closure(n: usize, e: &Experiment) -> Clustering {
         Clustering::from_experiment(n, e)
+    }
+
+    fn adjacency(n: usize, e: &Experiment) -> Adjacency {
+        Adjacency::new(n, e.pairs())
     }
 
     #[test]
@@ -362,13 +385,13 @@ mod tests {
         // A clean clique agrees across algorithms...
         let clean =
             Experiment::from_scored_pairs("clean", [(0u32, 1u32, 0.9), (1, 2, 0.9), (0, 2, 0.9)]);
-        let c_clean = algorithm_consensus(&closure(5, &clean), &clean);
+        let c_clean = algorithm_consensus(&closure(5, &clean), &clean, &adjacency(5, &clean));
         // ...a straggly chain does not.
         let chain = Experiment::from_scored_pairs(
             "chain",
             [(0u32, 1u32, 0.9), (1, 2, 0.5), (2, 3, 0.4), (3, 4, 0.3)],
         );
-        let c_chain = algorithm_consensus(&closure(5, &chain), &chain);
+        let c_chain = algorithm_consensus(&closure(5, &chain), &chain, &adjacency(5, &chain));
         assert!(c_clean > c_chain, "{c_clean} vs {c_chain}");
         assert!((c_clean - 1.0).abs() < 1e-12);
     }
@@ -399,22 +422,120 @@ mod tests {
     fn bridge_ratio_extremes() {
         // A chain is all bridges.
         let chain = Experiment::from_pairs("c", [(0u32, 1u32), (1, 2), (2, 3)]);
-        assert_eq!(bridge_ratio(4, &chain), 1.0);
+        assert_eq!(bridge_ratio(&adjacency(4, &chain)), 1.0);
         // A cycle has none.
         let cycle = Experiment::from_pairs("k", [(0u32, 1u32), (1, 2), (2, 0)]);
-        assert_eq!(bridge_ratio(3, &cycle), 0.0);
+        assert_eq!(bridge_ratio(&adjacency(3, &cycle)), 0.0);
         // Triangle plus a pendant edge: 1 bridge of 4 links.
         let mixed = Experiment::from_pairs("m", [(0u32, 1u32), (1, 2), (2, 0), (2, 3)]);
-        assert!((bridge_ratio(4, &mixed) - 0.25).abs() < 1e-12);
+        assert!((bridge_ratio(&adjacency(4, &mixed)) - 0.25).abs() < 1e-12);
         // No links at all.
         let none = Experiment::from_pairs::<u32>("n", []);
-        assert_eq!(bridge_ratio(3, &none), 0.0);
+        assert_eq!(bridge_ratio(&adjacency(3, &none)), 0.0);
     }
 
     #[test]
     fn bridge_ratio_multiple_components() {
         // Two components: an edge (bridge) and a triangle (no bridges).
         let e = Experiment::from_pairs("two", [(0u32, 1u32), (2, 3), (3, 4), (4, 2)]);
-        assert!((bridge_ratio(5, &e) - 0.25).abs() < 1e-12);
+        assert!((bridge_ratio(&adjacency(5, &e)) - 0.25).abs() < 1e-12);
+    }
+
+    mod differential {
+        use super::*;
+        use crate::clustering::algorithms::{
+            clustering_agreement_reference, greedy_clique_clustering,
+            greedy_clique_clustering_reference,
+        };
+        use crate::dataset::ScoredPair;
+        use proptest::prelude::*;
+
+        /// A component: its shape (0 star, 1 path, 2 clique, 3 cycle,
+        /// 4 isolated records) and its size.
+        type Component = (usize, usize);
+
+        /// The graph of `components` laid side by side, plus `extra`
+        /// links between any two of its records, relabelled by the
+        /// order of `keys`: stars, paths, cliques and cycles in several
+        /// components, isolated records, repeated pairs and many ties
+        /// in degree and in shared neighbours.
+        fn graph(
+            components: &[Component],
+            extra: &[(u32, u32)],
+            keys: &[u32],
+        ) -> (usize, Vec<ScoredPair>) {
+            let mut raw: Vec<(u32, u32)> = Vec::new();
+            let mut n = 0u32;
+            for &(shape, size) in components {
+                let (base, k) = (n, size as u32);
+                let link = |a: u32, b: u32| (base + a, base + b);
+                match shape {
+                    0 => raw.extend((1..k).map(|leaf| link(0, leaf))),
+                    1 => raw.extend((1..k).map(|i| link(i - 1, i))),
+                    2 => raw.extend((0..k).flat_map(|a| (a + 1..k).map(move |b| link(a, b)))),
+                    3 if k >= 3 => raw.extend((0..k).map(|i| link(i, (i + 1) % k))),
+                    _ => {}
+                }
+                n += k;
+            }
+            let n = n.max(2);
+            raw.extend(extra.iter().map(|&(a, b)| (a % n, b % n)));
+            // Relabel: record `v` becomes its rank among `keys[..n]`.
+            let mut order: Vec<u32> = (0..n).collect();
+            order.sort_by_key(|&v| (keys[v as usize % keys.len()], v));
+            let mut label = vec![0u32; n as usize];
+            for (rank, &v) in order.iter().enumerate() {
+                label[v as usize] = rank as u32;
+            }
+            let pairs = raw
+                .into_iter()
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| ScoredPair::unscored((label[a as usize], label[b as usize])))
+                .collect();
+            (n as usize, pairs)
+        }
+
+        fn components() -> impl Strategy<Value = Vec<Component>> {
+            prop::collection::vec((0usize..5, 1usize..8), 0..6)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(3000))]
+
+            /// The CSR clique clustering, the bridge ratio and the
+            /// counted agreement equal their references: the same
+            /// clustering, and the same ratios bit for bit.
+            #[test]
+            fn graph_kernels_agree_with_reference(
+                components in components(),
+                extra in prop::collection::vec((0u32..48, 0u32..48), 0..24),
+                keys in prop::collection::vec(0u32..16, 1..48),
+            ) {
+                let (n, pairs) = graph(&components, &extra, &keys);
+                prop_assert_eq!(
+                    greedy_clique_clustering(n, &pairs),
+                    greedy_clique_clustering_reference(n, &pairs)
+                );
+                let experiment = Experiment::from_pairs("e", pairs.iter().map(|sp| sp.pair.ids()));
+                prop_assert_eq!(
+                    bridge_ratio(&adjacency(n, &experiment)).to_bits(),
+                    bridge_ratio_reference(n, &experiment).to_bits()
+                );
+                let clusterings = [
+                    closure(n, &experiment),
+                    center_clustering(n, &pairs),
+                    greedy_clique_clustering(n, &pairs),
+                    Clustering::singletons(n),
+                ];
+                for a in &clusterings {
+                    for b in &clusterings {
+                        prop_assert_eq!(
+                            clustering_agreement(a, b).to_bits(),
+                            clustering_agreement_reference(a, b).to_bits()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -94,13 +94,13 @@ use crate::telemetry::{Stage, Telemetry, Trace};
 use frost_storage::api;
 use frost_storage::cache::{CacheWeight, ShardedCache};
 use frost_storage::durable::{DurableError, DurableStore};
+use frost_storage::snapshot;
 use frost_storage::store::StoreError;
 use frost_storage::wal::{SnapshotId, WalOp, WAL_HEADER_LEN};
 use frost_storage::BenchmarkStore;
 use parking_lot::RwLock;
 use serde_json::Value;
 use std::borrow::Borrow;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -863,7 +863,8 @@ impl ServerState {
     }
 
     /// Swaps in a snapshot fetched from the primary (re-bootstrap after
-    /// the primary compacted): atomically replaces the snapshot file,
+    /// the primary compacted): atomically replaces the snapshot file
+    /// (bytes that do not decode are refused and change nothing),
     /// reopens the durable store over it (the old WAL is discarded as
     /// stale by the normal recovery rule), replaces the in-memory
     /// store, and invalidates every cache entry.
@@ -878,13 +879,7 @@ impl ServerState {
         let path = current.snapshot_path().to_path_buf();
         let policy = current.policy();
         let stats = current.wal_stats();
-        let tmp = path.with_extension("rebootstrap.tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(bytes)?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
+        snapshot::replace(&path, "rebootstrap.tmp", bytes)?;
         let (store, mut durable, _report) = DurableStore::open(&path, policy)
             .map_err(|e| std::io::Error::other(format!("reopen after bootstrap failed: {e}")))?;
         durable.set_wal_stats(stats);

@@ -22,13 +22,14 @@
 //!
 //! [`DurableStore::append`]: frost_storage::durable::DurableStore::append
 
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use frost_storage::snapshot;
 use frost_storage::wal::{self, SnapshotId};
 
 use crate::client;
@@ -569,15 +570,7 @@ pub fn bootstrap_snapshot(primary: &str, path: &Path, max_wait: Duration) -> io:
 }
 
 fn try_bootstrap(primary: &str, path: &Path) -> io::Result<()> {
-    let snapshot_bytes = fetch_verified_snapshot(primary)?;
-    let tmp = path.with_extension("bootstrap.tmp");
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&snapshot_bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    snapshot::replace(path, "bootstrap.tmp", &fetch_verified_snapshot(primary)?)
 }
 
 fn sleep_interruptible(shutdown: &AtomicBool, total: Duration) {

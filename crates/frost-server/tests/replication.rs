@@ -13,11 +13,13 @@
 use frost_core::clustering::Clustering;
 use frost_core::dataset::{Dataset, Experiment, Schema};
 use frost_server::client::{Connection, RetryPolicy};
-use frost_server::replication::bootstrap_snapshot;
+use frost_server::replication::{bootstrap_snapshot, StreamPreamble};
 use frost_server::{serve_with, ServeOptions, ServerHandle, ServerState};
 use frost_storage::durable::{wal_path_for, DurableStore};
-use frost_storage::wal::WalOp;
+use frost_storage::wal::{self, WalOp, WAL_HEADER_LEN};
 use frost_storage::{snapshot, BenchmarkStore, FsyncPolicy};
+use std::io::{Read, Write};
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -571,4 +573,98 @@ fn a_replicated_record_that_fails_prepare_changes_nothing() {
         state.with_store(|s| s.experiment_names(None)),
         vec!["e1".to_string()]
     );
+}
+
+/// `good` (a FROSTB file of [`store`]) with record `b`'s native id
+/// changed to `a` and every checksum recomputed: the file passes each
+/// CRC, its own and the preamble's, but repeats a native id, so it does
+/// not decode.
+fn repeating_a_native_id(good: &[u8]) -> Vec<u8> {
+    let crc = |bytes: &[u8]| wal::snapshot_id(bytes).crc;
+    let mut bytes = good.to_vec();
+    let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    for entry in (0..count).map(|i| 12 + 24 * i) {
+        let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let section = field(entry + 4)..field(entry + 4) + field(entry + 12);
+        if &bytes[entry..entry + 4] == b"DSET" {
+            // Native ids are length-prefixed: `\x01b` is record b's.
+            let body = &mut bytes[section.clone()];
+            let at: Vec<usize> = (0..body.len() - 1)
+                .filter(|&i| &body[i..i + 2] == b"\x01b")
+                .collect();
+            assert_eq!(at.len(), 1, "record b's id is not unique in DSET");
+            body[at[0] + 1] = b'a';
+        }
+        let sum = crc(&bytes[section]);
+        bytes[entry + 20..entry + 24].copy_from_slice(&sum.to_le_bytes());
+    }
+    let table_end = 12 + 24 * count;
+    let sum = crc(&bytes[..table_end]);
+    bytes[table_end..table_end + 4].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// Answers every connection with `snapshot` behind a preamble that
+/// names its identity, as a primary's `/replication/snapshot` does;
+/// returns the address it listens on.
+fn fake_primary(snapshot: Vec<u8>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let preamble = StreamPreamble {
+        primary: true,
+        snapshot: wal::snapshot_id(&snapshot),
+        wal_len: WAL_HEADER_LEN,
+        records: 0,
+    };
+    let mut body = preamble.encode().to_vec();
+    body.extend_from_slice(&snapshot);
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().flatten() {
+            let _ = stream.read(&mut [0u8; 1024]);
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+                body.len()
+            );
+            let _ = stream
+                .write_all(head.as_bytes())
+                .and_then(|()| stream.write_all(&body));
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_fetched_snapshot_that_does_not_decode_never_replaces_the_last_good_one() {
+    let dir = scratch("undecodable");
+    let path = dir.join("replica.frostb");
+    snapshot::save(&store(), &path).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    let bad = repeating_a_native_id(&good);
+    assert!(snapshot::from_bytes(&bad).is_err());
+
+    // Re-bootstrap: a running replica is offered the bytes.
+    let (recovered, durable, _) = DurableStore::open(&path, FsyncPolicy::Always).unwrap();
+    let state = ServerState::with_durable(recovered, durable);
+    let position = state.replication_position();
+    let err = state.install_snapshot(&bad).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), good);
+    assert_eq!(state.replication_position(), position);
+    assert_eq!(
+        state.with_store(|s| s.experiment_names(None)),
+        vec!["e1".to_string(), "e2".to_string()]
+    );
+    drop(state);
+
+    // Cold start: the bytes come from a primary, preamble and all.
+    let primary = fake_primary(bad);
+    let err = bootstrap_snapshot(&primary, &path, Duration::ZERO).unwrap_err();
+    assert!(err.to_string().contains("does not decode"), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), good);
+
+    // The replica still boots from its last good snapshot.
+    let replica = start_durable(&path, ServeOptions::default());
+    let mut conn = Connection::open(&replica.addr().to_string()).unwrap();
+    assert!(get_ok(&mut conn, "/experiments").contains("e2"));
+    replica.shutdown();
 }

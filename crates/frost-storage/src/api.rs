@@ -10,6 +10,7 @@
 //! get the full feature set through one entry point.
 
 use crate::store::{BenchmarkStore, StoreError};
+use frost_core::clustering::Adjacency;
 use frost_core::dataset::MAX_VENN_SETS;
 use frost_core::diagram::DiagramEngine;
 use frost_core::explore::setops::venn_regions;
@@ -337,6 +338,8 @@ pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, Stor
             use frost_core::quality;
             let stored = store.experiment(&experiment)?;
             let (closure, e) = (&stored.clustering, &stored.experiment);
+            // One CSR build feeds both graph kernels.
+            let adjacency = Adjacency::new(closure.num_records(), e.pairs());
             let mut signals = vec![
                 (
                     "closure inconsistency".to_string(),
@@ -352,11 +355,11 @@ pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, Stor
                 ),
                 (
                     "bridge ratio".to_string(),
-                    quality::bridge_ratio(closure.num_records(), e),
+                    quality::bridge_ratio(&adjacency),
                 ),
                 (
                     "algorithm consensus".to_string(),
-                    quality::algorithm_consensus(closure, e),
+                    quality::algorithm_consensus(closure, e, &adjacency),
                 ),
             ];
             if let Some(compactness) = quality::compactness(e) {

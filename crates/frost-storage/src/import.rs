@@ -35,6 +35,8 @@ pub enum ImportError {
     MissingColumn(String),
     /// A record id used in a pair/cluster file is unknown.
     UnknownRecord(String),
+    /// A dataset file lists the same record id twice.
+    DuplicateId(String),
     /// A similarity value failed to parse.
     BadSimilarity {
         /// 1-based row.
@@ -51,6 +53,7 @@ impl fmt::Display for ImportError {
             ImportError::MissingHeader => write!(f, "input has no header row"),
             ImportError::MissingColumn(c) => write!(f, "missing column {c:?}"),
             ImportError::UnknownRecord(id) => write!(f, "unknown record id {id:?}"),
+            ImportError::DuplicateId(id) => write!(f, "duplicate record id {id:?}"),
             ImportError::BadSimilarity { row, text } => {
                 write!(f, "row {row}: bad similarity {text:?}")
             }
@@ -105,7 +108,9 @@ impl DatasetImporter {
                 .iter()
                 .map(|&i| Some(&row[i]).filter(|v| !v.is_empty()).map(str::to_owned))
                 .collect();
-            ds.push_record_opt(&row[*id_idx], values);
+            let id = &row[*id_idx];
+            ds.try_push_record_opt(id, values)
+                .ok_or_else(|| ImportError::DuplicateId(id.to_owned()))?;
             Ok::<(), ImportError>(())
         })?;
         target
@@ -308,6 +313,15 @@ mod tests {
         DatasetImporter::standard()
             .import("d", DATASET_CSV)
             .unwrap()
+    }
+
+    #[test]
+    fn a_repeated_record_id_is_an_error() {
+        let err = DatasetImporter::standard()
+            .import("d", "id,name\nr1,a\nr2,b\nr1,c\n")
+            .unwrap_err();
+        assert_eq!(err, ImportError::DuplicateId("r1".into()));
+        assert_eq!(err.to_string(), "duplicate record id \"r1\"");
     }
 
     #[test]

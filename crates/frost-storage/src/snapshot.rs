@@ -49,6 +49,7 @@ use frost_core::dataset::roaring::BITMAP_WORDS;
 use frost_core::dataset::{Dataset, Experiment, PairOrigin, RoaringPairSet, Schema, ScoredPair};
 use frost_core::softkpi::{Effort, ExperimentKpis};
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 
 /// The 6-byte magic at offset 0.
@@ -483,7 +484,9 @@ fn decode_datasets(bytes: &[u8], store: &mut BenchmarkStore) -> Result<(), Snaps
                     values.push(None);
                 }
             }
-            ds.push_record_opt(native, values);
+            if ds.try_push_record_opt(native, values).is_none() {
+                return Err(r.corrupt(format!("duplicate native id {native:?}")));
+            }
         }
         store.add_dataset(ds)?;
     }
@@ -863,6 +866,30 @@ pub fn save(store: &BenchmarkStore, path: impl AsRef<Path>) -> Result<(), Snapsh
     Ok(())
 }
 
+/// Puts snapshot `bytes` fetched from elsewhere at `path`, but only if
+/// they decode.
+///
+/// A checksum over the whole file catches transport damage only, so the
+/// bytes are decoded in memory first; bytes that do not decode return
+/// an `InvalidData` error and leave `path` — the last good state —
+/// untouched. Bytes that do are written to `path` with extension
+/// `tmp_extension`, fsynced, and renamed over `path`.
+pub fn replace(path: &Path, tmp_extension: &str, bytes: &[u8]) -> std::io::Result<()> {
+    from_bytes(bytes).map_err(|e| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("fetched snapshot does not decode: {e}"),
+        )
+    })?;
+    let tmp = path.with_extension(tmp_extension);
+    {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)
+}
+
 /// Loads a store snapshot from a file (one sequential read).
 pub fn load(path: impl AsRef<Path>) -> Result<BenchmarkStore, SnapshotError> {
     from_bytes(&std::fs::read(path)?)
@@ -1086,6 +1113,49 @@ mod tests {
             bad[i] ^= 0x10;
             assert!(from_bytes(&bad).is_err(), "flip at byte {i} was accepted");
         }
+    }
+
+    /// `bytes` with every section checksum and the header checksum
+    /// recomputed, so an edit inside a section reaches its decoder.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        for i in 0..count {
+            let entry = 12 + 24 * i;
+            let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let (offset, len) = (field(entry + 4) as usize, field(entry + 12) as usize);
+            let crc = crc32(&bytes[offset..offset + len]);
+            bytes[entry + 20..entry + 24].copy_from_slice(&crc.to_le_bytes());
+        }
+        let table_end = 12 + 24 * count;
+        let crc = crc32(&bytes[..table_end]);
+        bytes[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_repeated_native_id_is_corruption_not_a_panic() {
+        let mut bytes = to_bytes(&sample_store()).unwrap();
+        // Native ids are written as length-prefixed strings: `\x01b`
+        // is record b's, and becomes a second `a`.
+        let at = bytes.windows(2).position(|w| w == b"\x01b").unwrap();
+        assert_eq!(bytes.windows(2).filter(|w| *w == b"\x01b").count(), 1);
+        bytes[at + 1] = b'a';
+        assert!(matches!(
+            from_bytes(&bytes),
+            Err(SnapshotError::Corrupted { reason, .. }) if reason == "section checksum mismatch"
+        ));
+        match from_bytes(&reseal(bytes)) {
+            Err(SnapshotError::Corrupted { section, reason }) => {
+                assert_eq!(
+                    (section, reason.as_str()),
+                    ("DSET", "duplicate native id \"a\"")
+                );
+            }
+            other => panic!("expected a corrupted DSET, got {other:?}"),
+        }
+        // Resealing alone changes nothing.
+        let sealed = to_bytes(&sample_store()).unwrap();
+        assert_eq!(reseal(sealed.clone()), sealed);
     }
 
     #[test]

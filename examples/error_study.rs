@@ -8,7 +8,7 @@
 //! cargo run --release --example error_study
 //! ```
 
-use frost::core::clustering::Clustering;
+use frost::core::clustering::{Adjacency, Clustering};
 use frost::core::explore::error_categories::{ErrorCategory, ErrorProfile};
 use frost::core::explore::judge_experiment;
 use frost::core::profiling::{
@@ -93,7 +93,10 @@ fn main() {
             &Clustering::from_experiment(use_case.dataset.len(), &run.experiment),
             &run.experiment
         ),
-        bridge_ratio(use_case.dataset.len(), &run.experiment),
+        bridge_ratio(&Adjacency::new(
+            use_case.dataset.len(),
+            run.experiment.pairs()
+        )),
     );
 
     // Suitability: profile distance + behavioral similarity of the same

@@ -2,7 +2,7 @@
 //! run real matching pipelines, store and evaluate the results, and
 //! exercise the exploration stack on top.
 
-use frost::core::clustering::Clustering;
+use frost::core::clustering::{Adjacency, Clustering};
 use frost::core::diagram::DiagramEngine;
 use frost::core::explore::{attribute_stats, judge_experiment, selection, setops};
 use frost::core::metrics::pair::PairMetric;
@@ -162,10 +162,12 @@ fn full_platform_round_trip() {
         0.0,
         5,
     );
-    let closure = |e| Clustering::from_experiment(ds.len(), e);
-    let good_consensus =
-        quality::algorithm_consensus(&closure(&token_run.experiment), &token_run.experiment);
-    let _ = quality::algorithm_consensus(&closure(&noise), &noise);
+    let consensus = |e: &frost::core::dataset::Experiment| {
+        let closure = Clustering::from_experiment(ds.len(), e);
+        quality::algorithm_consensus(&closure, e, &Adjacency::new(ds.len(), e.pairs()))
+    };
+    let good_consensus = consensus(&token_run.experiment);
+    let _ = consensus(&noise);
     assert!(good_consensus > 0.5);
 
     // Profiling through the API.
