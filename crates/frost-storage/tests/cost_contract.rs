@@ -80,10 +80,11 @@ static MEASURE: Mutex<()> = Mutex::new(());
 /// Peak bytes allocated per `records + pairs` that any request may
 /// reach. A linear view holds a handful of record- and pair-indexed
 /// arrays at once: contingency keys and cells, similarity-sorted pair
-/// copies and the adjacency maps of the center and clique algorithms,
-/// judged pairs. On these shapes that peaks at ~125 B per unit (the
-/// star's `/quality`); 512 leaves 4× headroom for allocator growth
-/// policy. A view that puts the closure's pairs in hash sets peaks at
+/// keys, the CSR adjacency of the clique and bridge kernels, judged
+/// pairs. On these shapes that peaks at ~60 B per unit (the path's
+/// `/quality`; ~125 B on the star while the clique kernel kept hash-set
+/// adjacency); 512 leaves ample headroom for allocator growth policy.
+/// A view that puts the closure's pairs in hash sets peaks at
 /// 13 000–47 000 B per unit on the star, path and hub shapes.
 const BYTES_PER_UNIT: usize = 512;
 
