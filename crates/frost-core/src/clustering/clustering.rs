@@ -1,7 +1,7 @@
 //! Disjoint clusterings of a dataset.
 
 use super::UnionFind;
-use crate::dataset::{Experiment, RecordId, RecordPair};
+use crate::dataset::{Experiment, RecordId, RecordPair, RoaringPairSet};
 use std::collections::HashMap;
 
 /// A disjoint clustering `{C1, C2, …}` of a dataset: every record belongs
@@ -205,6 +205,29 @@ impl Clustering {
         })
     }
 
+    /// Calls `f` with every intra-cluster pair as the packed value
+    /// `(lo << 32) | hi`, in ascending packed order (the order
+    /// [`intra_pairs`](Self::intra_pairs) does not keep): each record,
+    /// in id order, visits the members of its cluster above it.
+    pub fn for_each_intra_packed(&self, mut f: impl FnMut(u64)) {
+        for (lo, &c) in self.assignment.iter().enumerate() {
+            let members = self.cluster(c);
+            let above = members.partition_point(|m| m.index() <= lo);
+            for hi in &members[above..] {
+                f(((lo as u64) << 32) | u64::from(hi.0));
+            }
+        }
+    }
+
+    /// The intra-cluster pairs as a [`RoaringPairSet`], built from the
+    /// sorted stream of [`for_each_intra_packed`](Self::for_each_intra_packed)
+    /// with no sort.
+    pub fn roaring_pair_set(&self) -> RoaringPairSet {
+        let mut packed = Vec::with_capacity(self.pair_count() as usize);
+        self.for_each_intra_packed(|x| packed.push(x));
+        RoaringPairSet::from_sorted_packed(packed)
+    }
+
     /// Non-singleton clusters (actual duplicate groups).
     pub fn duplicate_clusters(&self) -> impl Iterator<Item = &[RecordId]> {
         self.clusters().filter(|c| c.len() > 1)
@@ -300,6 +323,23 @@ mod tests {
         assert!(c.same_cluster(RecordId(0), RecordId(2)));
         let pairs: Vec<RecordPair> = c.intra_pairs().collect();
         assert_eq!(pairs.len(), 3);
+    }
+
+    #[test]
+    fn intra_packed_stream_is_sorted_and_matches_the_pairs() {
+        // Interleaved clusters, so cluster order is not packed order.
+        let c = Clustering::from_assignment(&[2, 0, 2, 1, 0, 2, 3, 0]);
+        let mut packed = Vec::new();
+        c.for_each_intra_packed(|x| packed.push(x));
+        assert!(packed.windows(2).all(|w| w[0] < w[1]), "{packed:?}");
+        let mut expected: Vec<u64> = c
+            .intra_pairs()
+            .map(|p| (u64::from(p.lo().0) << 32) | u64::from(p.hi().0))
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(packed, expected);
+        assert_eq!(c.roaring_pair_set(), c.intra_pairs().collect());
+        assert!(Clustering::singletons(4).roaring_pair_set().is_empty());
     }
 
     #[test]

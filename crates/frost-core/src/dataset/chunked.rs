@@ -740,7 +740,7 @@ fn merge_chunks<'a>(
 /// sweep runs word-at-a-time whenever any participant stores a bitmap
 /// (each 64-value window costs one word load per set), and as a scalar
 /// k-way merge when all participants are small arrays.
-pub(crate) fn kway_merge_masks_chunked(sets: &[ChunkedPairSet], mut emit: impl FnMut(u64, u32)) {
+pub(crate) fn kway_merge_masks_chunked(sets: &[&ChunkedPairSet], mut emit: impl FnMut(u64, u32)) {
     assert!(
         sets.len() <= MAX_VENN_SETS,
         "at most {MAX_VENN_SETS} sets supported"
@@ -1033,9 +1033,9 @@ mod tests {
 
     #[test]
     fn kway_masks_enumerate_memberships() {
-        let sets = vec![set(&[(0, 1), (0, 2)]), set(&[(0, 1), (2, 3)])];
+        let (a, b) = (set(&[(0, 1), (0, 2)]), set(&[(0, 1), (2, 3)]));
         let mut seen = Vec::new();
-        kway_merge_masks_chunked(&sets, |x, mask| seen.push((x, mask)));
+        kway_merge_masks_chunked(&[&a, &b], |x, mask| seen.push((x, mask)));
         assert_eq!(seen, vec![(1, 0b11), (2, 0b01), (0x2_0000_0003, 0b10)]);
     }
 
@@ -1045,11 +1045,11 @@ mod tests {
         let big = dense(5000);
         let small = set(&[(0, 2), (0, 9999), (3, 4)]);
         let mut got = Vec::new();
-        kway_merge_masks_chunked(&[big.clone(), small.clone()], |x, m| got.push((x, m)));
+        kway_merge_masks_chunked(&[&big, &small], |x, m| got.push((x, m)));
         // Reference via packed engine.
         let mut expected = Vec::new();
         crate::dataset::pairset::kway_merge_masks(
-            &[big.to_pair_set(), small.to_pair_set()],
+            &[&big.to_pair_set(), &small.to_pair_set()],
             |x, m| expected.push((x, m)),
         );
         assert_eq!(got, expected);
@@ -1093,10 +1093,10 @@ mod tests {
         let big = dense(5000);
         let far = set(&[(0, u32::MAX), (0, 2)]);
         let mut got = Vec::new();
-        kway_merge_masks_chunked(&[big.clone(), far.clone()], |x, m| got.push((x, m)));
+        kway_merge_masks_chunked(&[&big, &far], |x, m| got.push((x, m)));
         let mut expected = Vec::new();
         crate::dataset::pairset::kway_merge_masks(
-            &[big.to_pair_set(), far.to_pair_set()],
+            &[&big.to_pair_set(), &far.to_pair_set()],
             |x, m| expected.push((x, m)),
         );
         assert_eq!(got, expected);

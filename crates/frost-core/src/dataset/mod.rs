@@ -191,8 +191,9 @@ pub trait PairAlgebra: Clone + PartialEq + std::fmt::Debug + Send + Sync + Sized
     /// ascending packed order, `emit(packed, mask)` with bit `i` of
     /// `mask` set iff `sets[i]` contains the pair. The engine under
     /// [`venn_regions`](crate::explore::setops::venn_regions). Takes at
-    /// most [`MAX_VENN_SETS`] sets.
-    fn kway_merge_masks(sets: &[Self], emit: impl FnMut(u64, u32));
+    /// most [`MAX_VENN_SETS`] sets, borrowed, so a caller merges sets
+    /// it holds elsewhere without cloning them.
+    fn kway_merge_masks(sets: &[&Self], emit: impl FnMut(u64, u32));
 
     /// Bytes of heap memory held by the representation.
     fn heap_bytes(&self) -> usize;
@@ -241,7 +242,7 @@ impl PairAlgebra for PairSet {
             f(x);
         }
     }
-    fn kway_merge_masks(sets: &[Self], emit: impl FnMut(u64, u32)) {
+    fn kway_merge_masks(sets: &[&Self], emit: impl FnMut(u64, u32)) {
         pairset::kway_merge_masks(sets, emit)
     }
     fn heap_bytes(&self) -> usize {
@@ -282,7 +283,7 @@ impl PairAlgebra for ChunkedPairSet {
     fn for_each_packed(&self, f: impl FnMut(u64)) {
         ChunkedPairSet::for_each_packed(self, f)
     }
-    fn kway_merge_masks(sets: &[Self], emit: impl FnMut(u64, u32)) {
+    fn kway_merge_masks(sets: &[&Self], emit: impl FnMut(u64, u32)) {
         chunked::kway_merge_masks_chunked(sets, emit)
     }
     fn heap_bytes(&self) -> usize {
@@ -323,7 +324,7 @@ impl PairAlgebra for RoaringPairSet {
     fn for_each_packed(&self, f: impl FnMut(u64)) {
         RoaringPairSet::for_each_packed(self, f)
     }
-    fn kway_merge_masks(sets: &[Self], emit: impl FnMut(u64, u32)) {
+    fn kway_merge_masks(sets: &[&Self], emit: impl FnMut(u64, u32)) {
         roaring::kway_merge_masks_roaring(sets, emit)
     }
     fn heap_bytes(&self) -> usize {

@@ -542,7 +542,7 @@ pub(crate) fn gallop_intersect<T: Ord + Copy>(small: &[T], large: &[T], mut emit
 /// distinct pair, in ascending order, calls `emit(packed, mask)` where
 /// bit `i` of `mask` is set iff `sets[i]` contains the pair. The engine
 /// under `venn_regions` — one pass, no hashing.
-pub(crate) fn kway_merge_masks(sets: &[PairSet], mut emit: impl FnMut(u64, u32)) {
+pub(crate) fn kway_merge_masks(sets: &[&PairSet], mut emit: impl FnMut(u64, u32)) {
     assert!(
         sets.len() <= MAX_VENN_SETS,
         "at most {MAX_VENN_SETS} sets supported"
@@ -820,9 +820,9 @@ mod tests {
 
     #[test]
     fn kway_masks_enumerate_memberships() {
-        let sets = vec![set(&[(0, 1), (0, 2)]), set(&[(0, 1), (2, 3)])];
+        let (a, b) = (set(&[(0, 1), (0, 2)]), set(&[(0, 1), (2, 3)]));
         let mut seen = Vec::new();
-        kway_merge_masks(&sets, |x, mask| seen.push((unpack(x), mask)));
+        kway_merge_masks(&[&a, &b], |x, mask| seen.push((unpack(x), mask)));
         assert_eq!(
             seen,
             vec![

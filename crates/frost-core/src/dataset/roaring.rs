@@ -758,7 +758,7 @@ fn merge_dirs(
 /// into the same windows via per-set cursors — and every low half
 /// indexes within the bitmap extent, so no scalar tail exists), and as
 /// a scalar k-way `u16` merge when all participants are arrays.
-pub(crate) fn kway_merge_masks_roaring(sets: &[RoaringPairSet], mut emit: impl FnMut(u64, u32)) {
+pub(crate) fn kway_merge_masks_roaring(sets: &[&RoaringPairSet], mut emit: impl FnMut(u64, u32)) {
     assert!(
         sets.len() <= MAX_VENN_SETS,
         "at most {MAX_VENN_SETS} sets supported"
@@ -1091,9 +1091,9 @@ mod tests {
 
     #[test]
     fn kway_masks_enumerate_memberships() {
-        let sets = vec![set(&[(0, 1), (0, 2)]), set(&[(0, 1), (2, 3)])];
+        let (a, b) = (set(&[(0, 1), (0, 2)]), set(&[(0, 1), (2, 3)]));
         let mut seen = Vec::new();
-        kway_merge_masks_roaring(&sets, |x, mask| seen.push((x, mask)));
+        kway_merge_masks_roaring(&[&a, &b], |x, mask| seen.push((x, mask)));
         assert_eq!(seen, vec![(1, 0b11), (2, 0b01), (0x2_0000_0003, 0b10)]);
     }
 
@@ -1105,10 +1105,10 @@ mod tests {
         let big = dense(5000);
         let small = set(&[(0, 2), (0, 65_535), (0, 65_536), (3, 4)]);
         let mut got = Vec::new();
-        kway_merge_masks_roaring(&[big.clone(), small.clone()], |x, m| got.push((x, m)));
+        kway_merge_masks_roaring(&[&big, &small], |x, m| got.push((x, m)));
         let mut expected = Vec::new();
         crate::dataset::pairset::kway_merge_masks(
-            &[big.to_pair_set(), small.to_pair_set()],
+            &[&big.to_pair_set(), &small.to_pair_set()],
             |x, m| expected.push((x, m)),
         );
         assert_eq!(got, expected);
@@ -1120,7 +1120,7 @@ mod tests {
         assert_eq!(far.len(), 3);
         assert!(far.contains(&RecordPair::from((0u32, u32::MAX))));
         let mut got = Vec::new();
-        kway_merge_masks_roaring(std::slice::from_ref(&far), |x, m| got.push((x, m)));
+        kway_merge_masks_roaring(&[&far], |x, m| got.push((x, m)));
         assert_eq!(got.first(), Some(&(2u64, 0b1)));
         assert_eq!(got[1], (u32::MAX as u64, 0b1));
         assert_eq!(far.to_pair_set().iter().count(), 3);

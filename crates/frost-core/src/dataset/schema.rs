@@ -19,8 +19,19 @@ impl Schema {
     /// Builds a schema from attribute names.
     ///
     /// # Panics
-    /// Panics on duplicate attribute names.
+    /// Panics on duplicate attribute names; names read from untrusted
+    /// input go through [`try_new`](Self::try_new).
     pub fn new<I, S>(attributes: I) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        Self::try_new(attributes).unwrap_or_else(|a| panic!("duplicate attribute name {a:?}"))
+    }
+
+    /// Builds a schema from attribute names, or returns the first name
+    /// that repeats an earlier one.
+    pub fn try_new<I, S>(attributes: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -28,10 +39,11 @@ impl Schema {
         let attributes: Vec<String> = attributes.into_iter().map(Into::into).collect();
         let mut index = HashMap::with_capacity(attributes.len());
         for (i, a) in attributes.iter().enumerate() {
-            let prev = index.insert(a.clone(), i);
-            assert!(prev.is_none(), "duplicate attribute name {a:?}");
+            if index.insert(a.clone(), i).is_some() {
+                return Err(a.clone());
+            }
         }
-        Self { attributes, index }
+        Ok(Self { attributes, index })
     }
 
     /// Number of attributes ("schema complexity" in the paper's profiling).
@@ -92,5 +104,11 @@ mod tests {
     #[should_panic(expected = "duplicate attribute")]
     fn duplicates_panic() {
         Schema::new(["a", "a"]);
+    }
+
+    #[test]
+    fn try_new_names_the_first_repeat() {
+        assert_eq!(Schema::try_new(["a", "b", "b", "a"]), Err("b".to_string()));
+        assert_eq!(Schema::try_new(["a", "b"]), Ok(Schema::new(["a", "b"])));
     }
 }

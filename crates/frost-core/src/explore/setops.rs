@@ -133,15 +133,18 @@ impl<S: PairAlgebra> VennRegion<S> {
 /// shapes"). Each pair is visited exactly once and lands in exactly one
 /// region, in ascending order — so the per-region sets are built by
 /// appending, never sorting. Generic over the engine: chunked sets run
-/// the merge word-at-a-time over dense chunks.
+/// the merge word-at-a-time over dense chunks. When only the region
+/// sizes are needed, [`venn_counts`] runs the same merge without
+/// building any region.
 pub fn venn_regions<S: PairAlgebra>(sets: &[S]) -> Vec<VennRegion<S>> {
+    let sets: Vec<&S> = sets.iter().collect();
     let mut by_mask: Vec<(u32, Vec<u64>)> = Vec::new();
     // Up to 2^k masks can materialize. For few sets a linear scan over
     // the live masks beats hashing every pair; beyond that, keep an
     // index so a mask-rich workload (many experiments with varied
     // overlap) stays O(pairs), not O(pairs · regions).
     if sets.len() <= 4 {
-        S::kway_merge_masks(sets, |packed, mask| {
+        S::kway_merge_masks(&sets, |packed, mask| {
             match by_mask.iter_mut().find(|(m, _)| *m == mask) {
                 Some((_, v)) => v.push(packed),
                 None => by_mask.push((mask, vec![packed])),
@@ -149,7 +152,7 @@ pub fn venn_regions<S: PairAlgebra>(sets: &[S]) -> Vec<VennRegion<S>> {
         });
     } else {
         let mut index: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-        S::kway_merge_masks(sets, |packed, mask| {
+        S::kway_merge_masks(&sets, |packed, mask| {
             let at = *index.entry(mask).or_insert_with(|| {
                 by_mask.push((mask, Vec::new()));
                 by_mask.len() - 1
@@ -168,6 +171,36 @@ pub fn venn_regions<S: PairAlgebra>(sets: &[S]) -> Vec<VennRegion<S>> {
         .collect();
     regions.sort_by_key(|r| r.membership);
     regions
+}
+
+/// Up to this many sets, [`venn_counts`] counts into a dense array of
+/// all `2^k` masks (256 counters, 2 KiB); above it, into an index of
+/// the masks that occur, which never holds more entries than pairs.
+const DENSE_COUNT_SETS: usize = 8;
+
+/// The sizes of the non-empty exclusive Venn regions of `sets`, as
+/// `(membership, pair count)` sorted by membership — exactly
+/// [`venn_regions`] mapped to `(r.membership, r.pairs.len())`, but
+/// without building any region: one k-way merge adds each pair to the
+/// counter of its mask. The sets are borrowed, so the caller merges
+/// sets it already holds without cloning them; beyond the merge's
+/// per-set cursors the work space is 2 KiB for up to
+/// [`DENSE_COUNT_SETS`] sets and one entry per occurring mask above.
+///
+/// # Panics
+/// Panics on more than [`MAX_VENN_SETS`](crate::dataset::MAX_VENN_SETS)
+/// sets.
+pub fn venn_counts<S: PairAlgebra>(sets: &[&S]) -> Vec<(u32, usize)> {
+    if sets.len() <= DENSE_COUNT_SETS {
+        let mut counts = [0usize; 1 << DENSE_COUNT_SETS];
+        S::kway_merge_masks(sets, |_, mask| counts[mask as usize] += 1);
+        return (0u32..).zip(counts).filter(|&(_, n)| n > 0).collect();
+    }
+    let mut index: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
+    S::kway_merge_masks(sets, |_, mask| *index.entry(mask).or_insert(0) += 1);
+    let mut counts: Vec<(u32, usize)> = index.into_iter().collect();
+    counts.sort_unstable_by_key(|&(mask, _)| mask);
+    counts
 }
 
 /// Pairs found by at most `max_finders` of the given sets — the §5.4
@@ -336,6 +369,96 @@ mod tests {
             assert_eq!(c.pairs.to_pair_set(), p.pairs);
             assert_eq!(p.membership, r.membership);
             assert_eq!(r.pairs.to_pair_set(), p.pairs);
+        }
+    }
+
+    /// One case of the differential test: `k` sets drawn from a pool
+    /// of sparse pairs spread over the whole key space and, when
+    /// `dense`, a block of 6 000 consecutive `hi` values under one
+    /// `lo` (a bitmap container in both chunked engines). Each set is
+    /// empty, a copy of an earlier set, or a random subset of the pool.
+    fn venn_case(seed: u64, k: usize, dense: bool) -> Vec<PairSet> {
+        let mut state = seed;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut pool: Vec<(u32, u32)> = (0..200)
+            .map(|_| {
+                let lo = (next() % 4096) as u32;
+                // Half the partners sit just above `lo`, half anywhere
+                // up to `u32::MAX`.
+                let hi = match next() % 2 {
+                    0 => lo + 1 + (next() % 64) as u32,
+                    _ => lo.max((next() as u32) | 1),
+                };
+                (lo, hi.max(lo + 1))
+            })
+            .collect();
+        if dense {
+            pool.extend((0..6_000).map(|hi| (7, 8 + hi)));
+        }
+        let mut sets: Vec<PairSet> = Vec::with_capacity(k);
+        for _ in 0..k {
+            let set = match next() % 8 {
+                0 => PairSet::new(),
+                1 if !sets.is_empty() => sets[(next() % sets.len() as u64) as usize].clone(),
+                _ => {
+                    let keep = 1 + next() % 4;
+                    pool.iter()
+                        .filter(|_| next() % 4 < keep)
+                        .map(|&(a, b)| pair(a, b))
+                        .collect()
+                }
+            };
+            sets.push(set);
+        }
+        sets
+    }
+
+    /// A case has `shape` sets for `shape` up to 8 (none at all
+    /// included); the rest pick the mask-index path, up to the full
+    /// mask width.
+    const WIDE_SETS: [usize; 4] = [12, 30, 31, crate::dataset::MAX_VENN_SETS];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// `venn_counts` returns exactly the `(membership, len)` list of
+        /// `venn_regions`, on all three engines.
+        #[test]
+        fn venn_counts_agree_with_reference(
+            seed in 0u64..u64::MAX,
+            shape in 0usize..9 + WIDE_SETS.len(),
+            dense in 0u8..3,
+        ) {
+            use crate::dataset::{ChunkedPairSet, RoaringPairSet};
+            let k = if shape <= 8 { shape } else { WIDE_SETS[shape - 9] };
+            let packed = venn_case(seed, k, dense == 0);
+            let reference: Vec<(u32, usize)> = venn_regions(&packed)
+                .into_iter()
+                .map(|r| (r.membership, r.pairs.len()))
+                .collect();
+            let chunked: Vec<ChunkedPairSet> =
+                packed.iter().map(ChunkedPairSet::from_pair_set).collect();
+            let roaring: Vec<RoaringPairSet> =
+                packed.iter().map(RoaringPairSet::from_pair_set).collect();
+            proptest::prop_assert_eq!(
+                &venn_counts(&packed.iter().collect::<Vec<_>>()),
+                &reference
+            );
+            proptest::prop_assert_eq!(
+                &venn_counts(&chunked.iter().collect::<Vec<_>>()),
+                &reference
+            );
+            proptest::prop_assert_eq!(
+                &venn_counts(&roaring.iter().collect::<Vec<_>>()),
+                &reference
+            );
         }
     }
 

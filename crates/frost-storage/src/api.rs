@@ -11,9 +11,12 @@
 
 use crate::store::{BenchmarkStore, StoreError};
 use frost_core::clustering::Adjacency;
-use frost_core::dataset::MAX_VENN_SETS;
+use frost_core::dataset::{
+    choose_pair_engine, ChunkedPairSet, PairAlgebra, PairEngine, PairSet, RoaringPairSet,
+    MAX_VENN_SETS,
+};
 use frost_core::diagram::DiagramEngine;
-use frost_core::explore::setops::venn_regions;
+use frost_core::explore::setops::venn_counts;
 use frost_core::metrics::confusion::ConfusionMatrix;
 use frost_core::metrics::pair::PairMetric;
 use frost_core::profiling::DatasetProfile;
@@ -236,9 +239,9 @@ pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, Stor
             // every compared set in memory at once, so the cost model
             // (pair count × chunk occupancy, `pair_engine_hint`)
             // combines the participants' hints into one engine. The
-            // common sparse case lands on roaring and reuses each
-            // experiment's prebuilt arenas; dense participants pull
-            // the group onto chunked; all-small groups run packed.
+            // common sparse case lands on roaring and merges each
+            // experiment's prebuilt arenas in place; dense participants
+            // pull the group onto chunked; all-small groups run packed.
             let mut stored = Vec::with_capacity(experiments.len());
             let mut first_dataset: Option<String> = None;
             for name in &experiments {
@@ -246,27 +249,13 @@ pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, Stor
                 first_dataset.get_or_insert_with(|| s.dataset.clone());
                 stored.push(s);
             }
-            let truth = if include_gold {
+            let gold = if include_gold {
                 let dataset =
                     first_dataset.ok_or_else(|| StoreError::UnknownExperiment("<none>".into()))?;
-                Some(store.gold_standard(&dataset)?)
+                Some(store.gold_pair_set(&dataset)?)
             } else {
                 None
             };
-            use frost_core::clustering::Clustering;
-            use frost_core::dataset::{choose_pair_engine, PairAlgebra, PairEngine};
-            fn venn_counts<S: PairAlgebra>(
-                mut sets: Vec<S>,
-                truth: Option<&Clustering>,
-            ) -> Vec<(u32, usize)> {
-                if let Some(truth) = truth {
-                    sets.push(S::from_pairs(truth.intra_pairs()));
-                }
-                venn_regions(&sets)
-                    .into_iter()
-                    .map(|r| (r.membership, r.pairs.len()))
-                    .collect()
-            }
             // The cost model's inputs (pair count, distinct 2¹⁶
             // chunks) are read off each prebuilt roaring directory —
             // O(chunks) per request, no pass over the raw pair list.
@@ -275,21 +264,18 @@ pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, Stor
                     .iter()
                     .map(|s| choose_pair_engine(s.pair_set.len(), s.pair_set.chunk_count())),
             );
+            // Every participant already exists as a roaring set: the
+            // experiments' from import, the gold standard's from its
+            // first use. The roaring engine borrows them (no clone);
+            // the others convert each from its sorted stream, never
+            // from the unsorted pair list. Only region sizes are
+            // served, so no region is built.
+            let roaring: Vec<&RoaringPairSet> =
+                stored.iter().map(|s| &s.pair_set).chain(gold).collect();
             let regions = match engine {
-                // The sparse case reuses the prebuilt arenas (a clone,
-                // not a re-pack); the other engines rebuild from the
-                // pair list in their own layout.
-                PairEngine::Roaring => {
-                    venn_counts(stored.iter().map(|s| s.pair_set.clone()).collect(), truth)
-                }
-                PairEngine::Chunked => venn_counts::<frost_core::dataset::ChunkedPairSet>(
-                    stored.iter().map(|s| s.experiment.pair_set_as()).collect(),
-                    truth,
-                ),
-                PairEngine::Packed => venn_counts::<frost_core::dataset::PairSet>(
-                    stored.iter().map(|s| s.experiment.pair_set_as()).collect(),
-                    truth,
-                ),
+                PairEngine::Roaring => venn_counts(&roaring),
+                PairEngine::Chunked => venn_counts_as::<ChunkedPairSet>(&roaring),
+                PairEngine::Packed => venn_counts_as::<PairSet>(&roaring),
             };
             Ok(Response::Venn(regions))
         }
@@ -368,6 +354,20 @@ pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, Stor
             Ok(Response::Metrics(signals))
         }
     }
+}
+
+/// [`venn_counts`] in engine `S`, each set converted from a roaring
+/// set's ascending stream by `from_sorted_packed` (no sort).
+fn venn_counts_as<S: PairAlgebra>(roaring: &[&RoaringPairSet]) -> Vec<(u32, usize)> {
+    let sets: Vec<S> = roaring
+        .iter()
+        .map(|r| {
+            let mut packed = Vec::with_capacity(r.len());
+            r.for_each_packed(|x| packed.push(x));
+            S::from_sorted_packed(packed)
+        })
+        .collect();
+    venn_counts(&sets.iter().collect::<Vec<&S>>())
 }
 
 #[cfg(test)]

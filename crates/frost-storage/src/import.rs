@@ -37,6 +37,8 @@ pub enum ImportError {
     UnknownRecord(String),
     /// A dataset file lists the same record id twice.
     DuplicateId(String),
+    /// A dataset header names the same attribute twice.
+    DuplicateAttribute(String),
     /// A similarity value failed to parse.
     BadSimilarity {
         /// 1-based row.
@@ -54,6 +56,7 @@ impl fmt::Display for ImportError {
             ImportError::MissingColumn(c) => write!(f, "missing column {c:?}"),
             ImportError::UnknownRecord(id) => write!(f, "unknown record id {id:?}"),
             ImportError::DuplicateId(id) => write!(f, "duplicate record id {id:?}"),
+            ImportError::DuplicateAttribute(a) => write!(f, "duplicate attribute name {a:?}"),
             ImportError::BadSimilarity { row, text } => {
                 write!(f, "row {row}: bad similarity {text:?}")
             }
@@ -141,11 +144,9 @@ impl DatasetImporter {
                 .collect(),
         };
         let indices = attrs.iter().map(|&(i, _)| i).collect();
-        Ok((
-            id_idx,
-            indices,
-            Schema::new(attrs.into_iter().map(|(_, n)| n)),
-        ))
+        let schema = Schema::try_new(attrs.into_iter().map(|(_, n)| n))
+            .map_err(ImportError::DuplicateAttribute)?;
+        Ok((id_idx, indices, schema))
     }
 }
 

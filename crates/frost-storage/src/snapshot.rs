@@ -472,7 +472,9 @@ fn decode_datasets(bytes: &[u8], store: &mut BenchmarkStore) -> Result<(), Snaps
         }
         let width = attrs.len();
         let record_count = r.len_capped("record", r.remaining())?;
-        let mut ds = Dataset::with_capacity(&name, Schema::new(attrs), record_count);
+        let schema = Schema::try_new(attrs)
+            .map_err(|a| r.corrupt(format!("duplicate attribute name {a:?}")))?;
+        let mut ds = Dataset::with_capacity(&name, schema, record_count);
         for _ in 0..record_count {
             let native = r.str()?;
             let mask = r.bytes(width.div_ceil(8))?;
@@ -1156,6 +1158,25 @@ mod tests {
         // Resealing alone changes nothing.
         let sealed = to_bytes(&sample_store()).unwrap();
         assert_eq!(reseal(sealed.clone()), sealed);
+    }
+
+    #[test]
+    fn a_repeated_attribute_name_is_corruption_not_a_panic() {
+        let mut bytes = to_bytes(&sample_store()).unwrap();
+        // Attribute names are length-prefixed strings: `\x04city`
+        // becomes a second `name`.
+        let at = bytes.windows(5).position(|w| w == b"\x04city").unwrap();
+        assert_eq!(bytes.windows(5).filter(|w| *w == b"\x04city").count(), 1);
+        bytes[at + 1..at + 5].copy_from_slice(b"name");
+        match from_bytes(&reseal(bytes)) {
+            Err(SnapshotError::Corrupted { section, reason }) => {
+                assert_eq!(
+                    (section, reason.as_str()),
+                    ("DSET", "duplicate attribute name \"name\"")
+                );
+            }
+            other => panic!("expected a corrupted DSET, got {other:?}"),
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use frost_core::metrics::confusion::ConfusionMatrix;
 use frost_core::softkpi::ExperimentKpis;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Errors surfaced by store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,17 +72,29 @@ pub struct StoredExperiment {
     pub kpis: Option<ExperimentKpis>,
 }
 
+/// A dataset's gold standard: the clustering, and its intra-cluster
+/// pairs as a roaring set that is built on first use and then only
+/// read. Replacing the gold standard replaces this whole value, so the
+/// old set goes with the old clustering.
+struct GoldStandard {
+    truth: Clustering,
+    pairs: OnceLock<RoaringPairSet>,
+}
+
 /// The benchmark store: datasets, gold standards and experiments.
 /// Every evaluation ([`confusion_matrix`](Self::confusion_matrix),
 /// [`diagram_series`](Self::diagram_series)) is a plain computation
-/// over `&self`; the store holds no interior mutability, so a shared
-/// (multi-user) deployment can evaluate concurrently behind one
-/// read/write lock (§5.2 allows both local and shared hosting) and
-/// result caching is the server's job.
+/// over `&self`. The one piece of interior mutability is each gold
+/// standard's pair set ([`gold_pair_set`](Self::gold_pair_set)): built
+/// once, on the first request that uses it (so loading a store never
+/// pays for it), and then only read. A shared (multi-user) deployment
+/// can therefore evaluate concurrently behind one read/write lock
+/// (§5.2 allows both local and shared hosting), and result caching is
+/// the server's job.
 #[derive(Default)]
 pub struct BenchmarkStore {
     datasets: HashMap<String, Dataset>,
-    gold_standards: HashMap<String, Clustering>,
+    gold_standards: HashMap<String, GoldStandard>,
     experiments: HashMap<String, StoredExperiment>,
 }
 
@@ -127,7 +140,13 @@ impl BenchmarkStore {
             truth.num_records(),
             ds.len()
         );
-        self.gold_standards.insert(dataset.into(), truth);
+        self.gold_standards.insert(
+            dataset.into(),
+            GoldStandard {
+                truth,
+                pairs: OnceLock::new(),
+            },
+        );
         Ok(())
     }
 
@@ -240,6 +259,18 @@ impl BenchmarkStore {
 
     /// Gold-standard lookup.
     pub fn gold_standard(&self, dataset: &str) -> Result<&Clustering, StoreError> {
+        self.gold(dataset).map(|g| &g.truth)
+    }
+
+    /// The gold standard's intra-cluster pairs as a roaring set: built
+    /// from the clustering's sorted pair stream on the first call for
+    /// this gold standard, then shared by every later call.
+    pub fn gold_pair_set(&self, dataset: &str) -> Result<&RoaringPairSet, StoreError> {
+        let gold = self.gold(dataset)?;
+        Ok(gold.pairs.get_or_init(|| gold.truth.roaring_pair_set()))
+    }
+
+    fn gold(&self, dataset: &str) -> Result<&GoldStandard, StoreError> {
         self.gold_standards
             .get(dataset)
             .ok_or_else(|| StoreError::NoGoldStandard(dataset.into()))

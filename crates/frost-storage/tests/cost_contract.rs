@@ -10,15 +10,24 @@
 //! magnitude. The `/quality` and `/cluster-metrics` values are pinned
 //! against literals, and so is the `/errors` profile, so a cheaper
 //! computation cannot drift in value.
+//!
+//! `/venn` and `/compare` are pinned separately: they count regions in
+//! place over sets the store already holds, so their peak is bounded
+//! by a small constant over those sets, and the mask-width request
+//! allocates no `2^k` counters.
 
 use frost_core::clustering::Clustering;
-use frost_core::dataset::{Dataset, Experiment, Schema};
+use frost_core::dataset::{
+    choose_pair_engine, Dataset, Experiment, PairEngine, RoaringPairSet, Schema, MAX_VENN_SETS,
+};
 use frost_core::diagram::DiagramEngine;
 use frost_core::explore::error_categories::{ErrorCategory, ErrorProfile};
+use frost_core::explore::setops::venn_regions;
 use frost_core::metrics::pair::PairMetric;
 use frost_storage::api::{self, RatioKind, Request, Response};
 use frost_storage::BenchmarkStore;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -28,9 +37,29 @@ struct Counting;
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// This thread's net allocated bytes and their high-water mark. A
+    /// request that runs on the calling thread alone is measured here,
+    /// unaffected by tests that allocate in parallel.
+    static THREAD: (Cell<isize>, Cell<isize>) = const { (Cell::new(0), Cell::new(0)) };
+}
+
 fn grew(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
+    thread_moved(bytes as isize);
+}
+
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+    thread_moved(-(bytes as isize));
+}
+
+fn thread_moved(bytes: isize) {
+    let _ = THREAD.try_with(|(live, peak)| {
+        live.set(live.get() + bytes);
+        peak.set(peak.get().max(live.get()));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -55,7 +84,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
         System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        shrank(layout.size());
     }
 
     unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -64,7 +93,7 @@ unsafe impl GlobalAlloc for Counting {
             if new_size >= layout.size() {
                 grew(new_size - layout.size());
             } else {
-                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+                shrank(layout.size() - new_size);
             }
         }
         q
@@ -94,6 +123,24 @@ fn peak_of(store: &BenchmarkStore, request: Request) -> (usize, Response) {
     PEAK.store(base, Ordering::Relaxed);
     let response = api::handle(store, request).expect("request succeeds");
     (PEAK.load(Ordering::Relaxed) - base, response)
+}
+
+/// Bytes `f` allocated on this thread at its peak, above what the
+/// thread held before; for work that spawns no threads.
+fn thread_peak_of<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let base = THREAD.with(|(live, peak)| {
+        peak.set(live.get());
+        live.get()
+    });
+    let out = f();
+    let peak = THREAD.with(|(_, peak)| peak.get());
+    ((peak - base) as usize, out)
+}
+
+/// [`thread_peak_of`] a request (`/venn` and `/compare` run on the
+/// calling thread).
+fn thread_peak_of_request(store: &BenchmarkStore, request: Request) -> (usize, Response) {
+    thread_peak_of(|| api::handle(store, request).expect("request succeeds"))
 }
 
 /// Every per-experiment request, as served at its default parameters.
@@ -407,4 +454,117 @@ fn hubs() {
             &[],
         ),
     );
+}
+
+/// Work space a `/venn` or `/compare` request on the roaring engine may
+/// allocate: the participant lists, the merge's per-set cursors and the
+/// `(membership, count)` response. A three-set group with and without
+/// the gold standard peaks at ~200–300 B.
+const VENN_SLACK: usize = 4096;
+
+/// A 20 000-record dataset (gold clusters of three) with `k` sparse
+/// experiments `e0`, `e1`, … of 5 000 pairs each: a group of them runs
+/// on the roaring engine.
+fn group_store(k: u32) -> BenchmarkStore {
+    let n = 20_000u32;
+    let mut ds = Dataset::new("ds", Schema::new(["name"]));
+    for i in 0..n {
+        ds.push_record(format!("r{i}"), [format!("n{}", i % 50)]);
+    }
+    let mut store = BenchmarkStore::new();
+    store.add_dataset(ds).unwrap();
+    let labels: Vec<u32> = (0..n).map(|i| i / 3).collect();
+    store
+        .set_gold_standard("ds", Clustering::from_assignment(&labels))
+        .unwrap();
+    for e in 0..k {
+        let pairs = (0..5_000u32).map(|i| {
+            let lo = (i * (e + 2) + e) % (n - 4);
+            (lo, lo + 1 + (i + e) % 3)
+        });
+        store
+            .add_experiment("ds", Experiment::from_pairs(format!("e{e}"), pairs), None)
+            .unwrap();
+    }
+    store
+}
+
+fn compare(names: &[String], include_gold: bool) -> Request {
+    Request::CompareExperiments {
+        experiments: names.to_vec(),
+        include_gold,
+    }
+}
+
+#[test]
+fn venn_on_a_roaring_group_allocates_no_sets() {
+    let store = group_store(3);
+    let names: Vec<String> = (0..3).map(|e| format!("e{e}")).collect();
+    let experiments: Vec<&RoaringPairSet> = names
+        .iter()
+        .map(|e| &store.experiment(e).unwrap().pair_set)
+        .collect();
+    for set in &experiments {
+        assert_eq!(
+            choose_pair_engine(set.len(), set.chunk_count()),
+            PairEngine::Roaring
+        );
+    }
+    // The gold set is built on first use and then kept by the store.
+    let gold = store.gold_pair_set("ds").unwrap();
+    let sets_bytes: usize = experiments
+        .iter()
+        .chain([&gold])
+        .map(|s| s.heap_bytes())
+        .sum();
+    for include_gold in [false, true] {
+        let (peak, response) = thread_peak_of_request(&store, compare(&names, include_gold));
+        assert!(
+            peak <= VENN_SLACK,
+            "/venn gold {include_gold}: peak {peak} B > {VENN_SLACK} B"
+        );
+        let Response::Venn(regions) = response else {
+            panic!("not a Venn response");
+        };
+        assert!(regions.len() > 3, "{regions:?}");
+    }
+    // The steps the handler took before counting in place break even
+    // the looser bound of the sets' own bytes plus the slack: clone
+    // every set, copy each region's pairs into a vector, and build one
+    // set per region only to read its length.
+    let bound = sets_bytes + VENN_SLACK;
+    let (parent_peak, _) = thread_peak_of(|| {
+        let mut sets: Vec<RoaringPairSet> = experiments.iter().map(|&s| s.clone()).collect();
+        sets.push(gold.clone());
+        venn_regions(&sets)
+            .into_iter()
+            .map(|r| (r.membership, r.pairs.len()))
+            .collect::<Vec<_>>()
+    });
+    assert!(
+        parent_peak > bound,
+        "per-region materialization peaked at {parent_peak} B, within {bound} B"
+    );
+}
+
+#[test]
+fn venn_of_the_widest_group_allocates_no_mask_array() {
+    // The widest comparison: 31 experiments and the gold standard.
+    let store = group_store(MAX_VENN_SETS as u32 - 1);
+    let names: Vec<String> = (0..MAX_VENN_SETS - 1).map(|e| format!("e{e}")).collect();
+    store.gold_pair_set("ds").unwrap();
+    let (peak, response) = thread_peak_of_request(&store, compare(&names, true));
+    let Response::Venn(regions) = response else {
+        panic!("not a Venn response");
+    };
+    // One mask-index entry and one response entry per occurring region;
+    // a dense counter array would need 2^32 entries.
+    let bound = VENN_SLACK + 128 * regions.len();
+    assert!(
+        peak <= bound,
+        "{} sets: peak {peak} B > {bound} B for {} regions",
+        MAX_VENN_SETS,
+        regions.len()
+    );
+    assert!(regions.len() > 100, "{} regions", regions.len());
 }

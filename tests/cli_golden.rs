@@ -142,6 +142,27 @@ fn profile_reports_a_repeated_record_id() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A dataset header that names an attribute twice is reported, not a
+/// panic: exit 1 with a one-line message naming the attribute.
+#[test]
+fn profile_reports_a_repeated_attribute_name() {
+    let dir = std::env::temp_dir().join(format!("frost-golden-dupattr-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ds = dir.join("dup.csv");
+    std::fs::write(&ds, "id,name,name\nr1,a,b\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_frost"))
+        .args(["profile", &ds.to_string_lossy()])
+        .output()
+        .expect("frost binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8(out.stderr).unwrap().trim_end(),
+        "duplicate attribute name \"name\""
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// A comparison takes at most 32 sets (the width of the region mask),
 /// and the gold standard is one of them: 31 experiments render, 32
 /// exit 1 with a one-line message instead of panicking.
