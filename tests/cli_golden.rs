@@ -4,7 +4,7 @@
 //! engine swap (packed → chunked → roaring) that silently changed
 //! region contents or ordering would surface here as a table diff —
 //! the byte-for-byte stdout of both commands is pinned against small,
-//! fully deterministic fixtures.
+//! fully deterministic fixtures, one of them built around a hub record.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -99,6 +99,118 @@ fn venn_single_experiment_golden_output() {
         "       2 pairs  exactly in <gold>\n",
         "       2 pairs  exactly in e1.csv ∩ <gold>\n",
         "       1 pairs  exactly in e1.csv\n",
+    );
+    assert_eq!(stdout, expected);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Writes a fixture of 6 000 records `r0..r5999` whose first
+/// experiment is a hub: `r0` matched to 4 500 others, so its pairs fill
+/// one 2¹⁶-value chunk far beyond the cost model's dense occupancy.
+///
+///   gold:   `(r2i, r2i+1)` for every i (3 000 pairs)
+///   hub:    `r0` with `r1..=r4500`
+///   mixed:  `r0` with `r3000..=r5999`, plus `(r2i, r2i+1)` for
+///           i in 1000..2000
+///   sparse: `(ri, ri+3)` for even i
+fn hub_fixture(tag: &str) -> (PathBuf, Vec<String>) {
+    let dir = std::env::temp_dir().join(format!("frost-golden-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let n = 6_000u32;
+    let mut files = vec![
+        ("people.csv", "id,name\n".to_string()),
+        ("gold.csv", "id1,id2\n".to_string()),
+        ("hub.csv", "id1,id2,similarity\n".to_string()),
+        ("mixed.csv", "id1,id2,similarity\n".to_string()),
+        ("sparse.csv", "id1,id2,similarity\n".to_string()),
+    ];
+    for i in 0..n {
+        files[0].1 += &format!("r{i},name {i}\n");
+    }
+    for i in 0..n / 2 {
+        files[1].1 += &format!("r{},r{}\n", 2 * i, 2 * i + 1);
+    }
+    for i in 1..=4_500 {
+        files[2].1 += &format!("r0,r{i},0.9\n");
+    }
+    for i in 3_000..n {
+        files[3].1 += &format!("r0,r{i},0.8\n");
+    }
+    for i in 1_000..2_000 {
+        files[3].1 += &format!("r{},r{},0.7\n", 2 * i, 2 * i + 1);
+    }
+    for i in (0..n - 3).step_by(2) {
+        files[4].1 += &format!("r{i},r{},0.6\n", i + 3);
+    }
+    let paths = files
+        .into_iter()
+        .map(|(name, body)| {
+            let path = dir.join(name);
+            std::fs::write(&path, body).unwrap();
+            path.to_string_lossy().into_owned()
+        })
+        .collect();
+    (dir, paths)
+}
+
+/// The hub fixture's first experiment is the shape the pair-set cost
+/// model calls dense (chunked), unlike the small fixture above, so the
+/// goldens below pin the CLI's counts on a hub as well.
+#[test]
+fn hub_fixture_is_dense() {
+    use frost::core::dataset::{choose_pair_engine, PairEngine, RecordPair, RoaringPairSet};
+    let hub: RoaringPairSet = (1..=4_500u32)
+        .map(|hi| RecordPair::from((0u32, hi)))
+        .collect();
+    assert_eq!(
+        choose_pair_engine(hub.len(), hub.chunk_count()),
+        PairEngine::Chunked
+    );
+}
+
+/// `compare` on the hub fixture: every region in ascending membership
+/// order.
+#[test]
+fn compare_hub_golden_output() {
+    let (dir, paths) = hub_fixture("compare-hub");
+    let args: Vec<&str> = std::iter::once("compare")
+        .chain(paths.iter().map(String::as_str))
+        .collect();
+    let (stdout, stderr, ok) = run_frost(&args);
+    assert!(ok, "compare failed: {stderr}");
+    let expected = concat!(
+        "   2997 pairs exactly in: hub.csv\n",
+        "   1499 pairs exactly in: mixed.csv\n",
+        "   1501 pairs exactly in: hub.csv ∩ mixed.csv\n",
+        "   2998 pairs exactly in: sparse.csv\n",
+        "      1 pairs exactly in: hub.csv ∩ sparse.csv\n",
+        "   1999 pairs exactly in: <gold>\n",
+        "      1 pairs exactly in: hub.csv ∩ <gold>\n",
+        "   1000 pairs exactly in: mixed.csv ∩ <gold>\n",
+    );
+    assert_eq!(stdout, expected);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `venn` on the hub fixture: largest region first, and regions of
+/// equal size keep their membership order.
+#[test]
+fn venn_hub_golden_output() {
+    let (dir, paths) = hub_fixture("venn-hub");
+    let args: Vec<&str> = std::iter::once("venn")
+        .chain(paths.iter().map(String::as_str))
+        .collect();
+    let (stdout, stderr, ok) = run_frost(&args);
+    assert!(ok, "venn failed: {stderr}");
+    let expected = concat!(
+        "    2998 pairs  exactly in sparse.csv\n",
+        "    2997 pairs  exactly in hub.csv\n",
+        "    1999 pairs  exactly in <gold>\n",
+        "    1501 pairs  exactly in hub.csv ∩ mixed.csv\n",
+        "    1499 pairs  exactly in mixed.csv\n",
+        "    1000 pairs  exactly in mixed.csv ∩ <gold>\n",
+        "       1 pairs  exactly in hub.csv ∩ sparse.csv\n",
+        "       1 pairs  exactly in hub.csv ∩ <gold>\n",
     );
     assert_eq!(stdout, expected);
     let _ = std::fs::remove_dir_all(dir);
