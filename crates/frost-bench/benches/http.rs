@@ -26,7 +26,8 @@
 //! mix (scale ≥ 0.05) and records that ratio as
 //! `keepalive.hot_speedup_vs_conn_per_request` for the CI gate
 //! (`FROST_BENCH_BASELINE`, −25% floor). Results land in
-//! `BENCH_http.json` (`FROST_BENCH_OUT` overrides).
+//! `BENCH_http.json` (`FROST_BENCH_OUT` overrides), with the CPU count
+//! (`nproc`) and each phase's round count beside the scale.
 //!
 //! A second phase measures **overload behavior** against a
 //! deliberately constrained server (2 workers, bounded admission
@@ -751,6 +752,18 @@ on {p50_on:.4} ms, off {p50_off:.4} ms ({telemetry_overhead_pct:+.2}%)"
     }
     let doc = Value::object([
         ("scale".to_string(), Value::from(scale)),
+        ("nproc".to_string(), Value::from(frost_bench::nproc())),
+        // Timed runs per measurement: every mix × mode, overload load
+        // level and highconn arm runs once; telemetry interleaves.
+        (
+            "rounds".to_string(),
+            Value::object([
+                ("modes".to_string(), Value::from(1usize)),
+                ("overload".to_string(), Value::from(1usize)),
+                ("highconn".to_string(), Value::from(1usize)),
+                ("telemetry".to_string(), Value::from(TELEMETRY_ROUNDS)),
+            ]),
+        ),
         ("threads".to_string(), Value::from(threads)),
         (
             "hot_requests_per_thread".to_string(),

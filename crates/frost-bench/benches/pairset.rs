@@ -42,7 +42,9 @@
 //! roaring-vs-packed geomean (uniform-2.5m) against the recorded ones
 //! and exits nonzero on a >25% regression of either.
 //! `FROST_BENCH_OUT=<path>` redirects the JSON (default:
-//! `BENCH_pairset.json` at the workspace root).
+//! `BENCH_pairset.json` at the workspace root), which records the CPU
+//! count (`nproc`) and each section's iteration counts beside the
+//! scale.
 
 use criterion::{black_box, Criterion};
 use frost_core::dataset::{ChunkedPairSet, Experiment, PairSet, RecordPair, RoaringPairSet};
@@ -189,6 +191,13 @@ fn mean_of(c: &Criterion, id: &str) -> f64 {
         .unwrap_or_else(|| panic!("missing bench result {id}"))
         .mean_ns
 }
+
+/// Time budget of each set-operation measurement: one mean per
+/// operation over as many iterations as fit.
+const SET_OPS_BUDGET_MS: u64 = 700;
+
+/// Timed runs per thread count of the diagram sweep; the best counts.
+const SWEEP_TRIALS: usize = 3;
 
 /// Ops measured per workload and engine.
 const OPS: [&str; 6] = [
@@ -451,7 +460,8 @@ fn main() {
         );
     }
 
-    let mut c = Criterion::default().measurement_time(std::time::Duration::from_millis(700));
+    let mut c =
+        Criterion::default().measurement_time(std::time::Duration::from_millis(SET_OPS_BUDGET_MS));
     for w in [&uniform_small, &uniform_big, &dense] {
         bench_workload(&mut c, w);
     }
@@ -558,7 +568,7 @@ fn main() {
     let mut sweep_reference: Option<Vec<Vec<frost_core::diagram::DiagramPoint>>> = None;
     for threads in [1usize, 2, 4] {
         std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-        // Warm-up, then best-of-3 wall clock.
+        // Warm-up, then best-of-SWEEP_TRIALS wall clock.
         let _ = DiagramEngine::Optimized.confusion_series_multi(
             sweep_records,
             &sweep_gen.truth,
@@ -566,7 +576,7 @@ fn main() {
             sweep_s,
         );
         let mut best = f64::INFINITY;
-        for _ in 0..3 {
+        for _ in 0..SWEEP_TRIALS {
             let t = Instant::now();
             let out = DiagramEngine::Optimized.confusion_series_multi(
                 sweep_records,
@@ -588,9 +598,7 @@ fn main() {
     std::env::remove_var("RAYON_NUM_THREADS");
 
     // Section 5: pipeline scaling across cores.
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let hw = frost_bench::nproc();
     let pipe_records = ((12_000f64) * scale).max(1_000.0) as usize;
     let pipe_gen = generate(&GeneratorConfig::small("pipe-bench", pipe_records, 23));
     let pipeline = MatchingPipeline {
@@ -862,6 +870,18 @@ intersection/union/venn3 geomean vs packed {sparse_vs_packed:.2}×, vs chunked {
     let doc = Value::object([
         ("workloads".to_string(), Value::Array(workload_entries)),
         ("scale".to_string(), Value::from(scale)),
+        ("nproc".to_string(), Value::from(hw)),
+        (
+            "iterations".to_string(),
+            Value::object([
+                (
+                    "set_operations_budget_ms".to_string(),
+                    Value::from(SET_OPS_BUDGET_MS),
+                ),
+                ("diagram_sweep".to_string(), Value::from(SWEEP_TRIALS)),
+                ("pipeline_scaling".to_string(), Value::from(1usize)),
+            ]),
+        ),
         ("set_operations".to_string(), Value::Array(op_entries)),
         ("set_ops_geomean_speedup".to_string(), Value::from(geomean)),
         (
@@ -924,7 +944,6 @@ intersection/union/venn3 geomean vs packed {sparse_vs_packed:.2}×, vs chunked {
             "pipeline_scaling".to_string(),
             Value::Array(scaling_entries),
         ),
-        ("hardware_threads".to_string(), Value::from(hw)),
     ]);
     let out = serde_json::to_string_pretty(&doc);
     // Relative FROST_BENCH_OUT paths resolve against the workspace

@@ -184,12 +184,9 @@ fn main() {
     assert!(cache.hits() >= 1);
 
     // ---- BENCH_snapshot.json + gate ----
-    let nproc = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let doc = Value::object([
         ("scale".to_string(), Value::from(scale)),
-        ("nproc".to_string(), Value::from(nproc)),
+        ("nproc".to_string(), Value::from(frost_bench::nproc())),
         (
             "iterations".to_string(),
             Value::object([

@@ -28,6 +28,14 @@ pub fn scale_from_env() -> f64 {
         .unwrap_or(0.05)
 }
 
+/// The CPU count the benches record beside the scale (`nproc` in each
+/// `BENCH_*.json`), so a result can be read against its hardware.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// Generates a preset's dataset + gold standard.
 pub fn materialize(preset: &Preset) -> Generated {
     generate(&preset.config)

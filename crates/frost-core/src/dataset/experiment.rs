@@ -184,14 +184,6 @@ impl Experiment {
         S::from_pairs(self.pairs.iter().map(|sp| sp.pair))
     }
 
-    /// Which pair-set engine the cost model
-    /// ([`choose_pair_engine`](super::choose_pair_engine)) picks for
-    /// this experiment's shape: one pass over the pairs counting
-    /// distinct 2¹⁶-value chunks.
-    pub fn pair_engine_hint(&self) -> super::PairEngine {
-        super::pair_engine_for(self.pairs.iter().map(|sp| sp.pair))
-    }
-
     /// Only the pairs the matcher itself emitted (§4.2.4 "plain result pairs").
     pub fn matcher_pairs(&self) -> impl Iterator<Item = &ScoredPair> {
         self.pairs
@@ -418,16 +410,20 @@ mod tests {
 
     #[test]
     fn engine_auto_selection() {
-        use crate::dataset::PairEngine;
+        use crate::dataset::{choose_pair_engine, PairEngine};
+        let engine = |e: &Experiment| {
+            let set = e.roaring_pair_set();
+            choose_pair_engine(set.len(), set.chunk_count())
+        };
         // Small → packed, whatever the shape.
         let small = Experiment::from_pairs("s", [(0u32, 1u32), (2, 3)]);
-        assert_eq!(small.pair_engine_hint(), PairEngine::Packed);
+        assert_eq!(engine(&small), PairEngine::Packed);
         // Large and dense (one lo with 10k partners → occupancy ≫ 256).
         let dense = Experiment::from_pairs("d", (1..=10_000u32).map(|hi| (0u32, hi)));
-        assert_eq!(dense.pair_engine_hint(), PairEngine::Chunked);
+        assert_eq!(engine(&dense), PairEngine::Chunked);
         // Large and sparse (one pair per chunk).
         let sparse = Experiment::from_pairs("r", (0..10_000u32).map(|lo| (lo, lo + 1)));
-        assert_eq!(sparse.pair_engine_hint(), PairEngine::Roaring);
+        assert_eq!(engine(&sparse), PairEngine::Roaring);
     }
 
     #[test]

@@ -31,11 +31,14 @@ use native::NativeIds;
 
 /// Pair-set engine identities, for cost-model-driven selection.
 ///
-/// Call sites used to pick an engine statically (packed for streaming
-/// one-shots, roaring for sparse set-heavy views, chunked for
-/// dense/skewed chunks). [`choose_pair_engine`] encodes that folk
-/// knowledge as a small cost model over pair count and chunk
-/// occupancy, so the choice can be made per input instead.
+/// [`choose_pair_engine`] is a small cost model over pair count and
+/// chunk occupancy (packed for small sets, roaring for sparse ones,
+/// chunked for dense/skewed chunks). No served view or CLI command
+/// selects by it: every Venn view counts on the stored roaring sets.
+/// Its callers are the perfbench replay, which labels each analyze
+/// group with the engine the model picks, and tests that pin a
+/// fixture's shape; the kernel benches (`benches/pairset.rs`) build
+/// each engine directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PairEngine {
     /// Packed sorted-`Vec<u64>` [`PairSet`].
@@ -99,9 +102,10 @@ pub const AUTO_PACKED_MAX: usize = chunked::ARRAY_MAX;
 /// at 1/16 of the ARRAY_MAX promotion threshold.
 pub const AUTO_DENSE_OCCUPANCY: f64 = 256.0;
 
-/// The cost model behind [`Experiment::pair_engine_hint`]: picks an
-/// engine from the pair count and the number of distinct 2¹⁶-value
-/// chunks (the [`roaring`] chunking of the packed key space).
+/// The cost model behind [`PairEngine`]: picks an engine from the pair
+/// count and the number of distinct 2¹⁶-value chunks (the [`roaring`]
+/// chunking of the packed key space, [`RoaringPairSet::chunk_count`]).
+/// Used by the perfbench replay and by tests, not by any served path.
 pub fn choose_pair_engine(pairs: usize, chunks: usize) -> PairEngine {
     if pairs <= AUTO_PACKED_MAX {
         return PairEngine::Packed;
@@ -112,18 +116,6 @@ pub fn choose_pair_engine(pairs: usize, chunks: usize) -> PairEngine {
     } else {
         PairEngine::Roaring
     }
-}
-
-/// Applies [`choose_pair_engine`] to a stream of pairs (one pass; the
-/// distinct-chunk count is exact).
-pub fn pair_engine_for(pairs: impl IntoIterator<Item = RecordPair>) -> PairEngine {
-    let mut chunks = std::collections::HashSet::new();
-    let mut n = 0usize;
-    for p in pairs {
-        n += 1;
-        chunks.insert((((p.lo().0 as u64) << 32) | p.hi().0 as u64) >> 16);
-    }
-    choose_pair_engine(n, chunks.len())
 }
 
 /// The most sets one [`PairAlgebra::kway_merge_masks`] (and so one

@@ -95,12 +95,6 @@ impl SetExpression {
             ),
         }
     }
-
-    /// Evaluates over experiments directly (in any engine `S`).
-    pub fn evaluate_experiments<S: PairAlgebra>(&self, experiments: &[&Experiment]) -> S {
-        let universe: Vec<S> = experiments.iter().map(|e| e.pair_set_as()).collect();
-        self.evaluate(&universe)
-    }
 }
 
 /// One region of an n-set Venn diagram, in either set engine

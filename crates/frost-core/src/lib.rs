@@ -10,11 +10,16 @@
 //! against each other. This crate provides:
 //!
 //! * [`dataset`] — records, datasets, schemas, record pairs, CSV I/O,
-//!   and the packed [`dataset::PairSet`] engine: every set-based
-//!   evaluation (confusion matrices, Venn regions, set algebra) runs on
-//!   sorted packed `u64` pair sets via linear merges, galloping
-//!   intersections and k-way merges instead of hash sets — see the
-//!   [`dataset::pairset`] module docs for the complexity table.
+//!   and the pair-set engines: every set-based evaluation runs on
+//!   pair sets sorted by packed `u64` key via linear merges, galloping
+//!   intersections and k-way merges instead of hash sets. One-shot
+//!   evaluations (confusion matrices, closure, set algebra) use the
+//!   packed [`dataset::PairSet`]; every Venn view counts its regions
+//!   on two-level [`dataset::RoaringPairSet`]s, the form in which the
+//!   store keeps each experiment and gold standard. See the
+//!   [`dataset::pairset`] and [`dataset::roaring`] module docs; the
+//!   single-level [`dataset::ChunkedPairSet`] remains as a benchmark
+//!   baseline.
 //! * [`clustering`] — union-find with pair counting, duplicate
 //!   clusterings, transitive closure, clustering algorithms.
 //! * [`metrics`] — the confusion matrix (Fig. 2 of the paper), pair-based

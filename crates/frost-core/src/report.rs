@@ -7,11 +7,9 @@
 //! (§4.5.2–4.5.3) and error profiles. All renderers are pure
 //! `data → String` so they are trivially testable and embeddable.
 
-use crate::dataset::PairAlgebra;
 use crate::explore::attribute_stats::AttributeRatio;
 use crate::explore::error_categories::{ErrorCategory, ErrorProfile};
 use crate::explore::selection::Partition;
-use crate::explore::setops::VennRegion;
 use crate::metrics::confusion::ConfusionMatrix;
 use crate::metrics::pair::PairMetric;
 
@@ -37,22 +35,23 @@ pub fn metrics_table(rows: &[(String, ConfusionMatrix)], metrics: &[PairMetric])
     out
 }
 
-/// Renders Venn regions with set names, largest region first. Works
-/// for regions of either set engine.
-pub fn venn_table<S: PairAlgebra>(regions: &[VennRegion<S>], set_names: &[&str]) -> String {
-    let mut sorted: Vec<&VennRegion<S>> = regions.iter().collect();
-    sorted.sort_by_key(|r| std::cmp::Reverse(r.pairs.len()));
+/// Renders Venn regions, given as `(membership, pair count)` the way
+/// [`venn_counts`](crate::explore::setops::venn_counts) returns them,
+/// with set names, largest region first; regions of equal size keep
+/// their input order.
+pub fn venn_table(regions: &[(u32, usize)], set_names: &[&str]) -> String {
+    let mut sorted: Vec<&(u32, usize)> = regions.iter().collect();
+    sorted.sort_by_key(|&&(_, count)| std::cmp::Reverse(count));
     let mut out = String::new();
-    for region in sorted {
+    for &(membership, count) in sorted {
         let members: Vec<&str> = set_names
             .iter()
             .enumerate()
-            .filter(|&(i, _)| region.contains_set(i))
+            .filter(|&(i, _)| membership & (1 << i) != 0)
             .map(|(_, n)| *n)
             .collect();
         out.push_str(&format!(
-            "{:>8} pairs  exactly in {}\n",
-            region.pairs.len(),
+            "{count:>8} pairs  exactly in {}\n",
             members.join(" ∩ ")
         ));
     }
@@ -135,7 +134,6 @@ pub fn error_profile_report(profile: &ErrorProfile) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{PairSet, RecordPair};
 
     #[test]
     fn metrics_table_layout() {
@@ -155,24 +153,17 @@ mod tests {
 
     #[test]
     fn venn_table_orders_by_size() {
-        let big: PairSet = (0u32..5)
-            .map(|i| RecordPair::from((2 * i, 2 * i + 1)))
-            .collect();
-        let small: PairSet = [RecordPair::from((100u32, 101u32))].into_iter().collect();
-        let regions = vec![
-            VennRegion {
-                membership: 0b01,
-                pairs: small,
-            },
-            VennRegion {
-                membership: 0b11,
-                pairs: big,
-            },
-        ];
+        let regions = [(0b01, 1), (0b10, 5), (0b11, 5)];
         let table = venn_table(&regions, &["A", "B"]);
-        let first = table.lines().next().unwrap();
-        assert!(first.contains("A ∩ B"));
-        assert!(first.contains("5 pairs"));
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "       5 pairs  exactly in B",
+                "       5 pairs  exactly in A ∩ B",
+                "       1 pairs  exactly in A",
+            ]
+        );
     }
 
     #[test]

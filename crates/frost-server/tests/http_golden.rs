@@ -329,3 +329,28 @@ fn error_statuses_and_unknown_routes() {
     assert_eq!(status, 400);
     handle.shutdown();
 }
+
+/// A Venn group whose experiments belong to different datasets is a
+/// `400` (`/venn` with the gold standard, `/compare` without): record
+/// ids are per dataset, so no pair can be "found by both".
+#[test]
+fn venn_across_datasets_is_bad_request() {
+    let mut store = store();
+    let mut other = Dataset::new("other", Schema::new(["name"]));
+    for id in ["p", "q"] {
+        other.push_record(id, ["x"]);
+    }
+    store.add_dataset(other).unwrap();
+    store
+        .add_experiment("other", Experiment::from_pairs("o1", [(0u32, 1u32)]), None)
+        .unwrap();
+    let handle =
+        serve("127.0.0.1:0", Arc::new(ServerState::new(store)), 4).expect("bind ephemeral port");
+    let base = format!("http://{}", handle.addr());
+    for target in ["/venn?experiments=e1,o1", "/compare?experiments=o1,e2"] {
+        let (status, body) = http_get(&format!("{base}{target}")).unwrap();
+        assert_eq!(status, 400, "{target}: {body}");
+        assert!(body.contains("one dataset"), "{target}: {body}");
+    }
+    handle.shutdown();
+}

@@ -9,12 +9,9 @@
 //! [`BenchmarkStore`], so embedding applications (or a thin HTTP shim)
 //! get the full feature set through one entry point.
 
-use crate::store::{BenchmarkStore, StoreError};
+use crate::store::{BenchmarkStore, StoreError, StoredExperiment};
 use frost_core::clustering::Adjacency;
-use frost_core::dataset::{
-    choose_pair_engine, ChunkedPairSet, PairAlgebra, PairEngine, PairSet, RoaringPairSet,
-    MAX_VENN_SETS,
-};
+use frost_core::dataset::{RoaringPairSet, MAX_VENN_SETS};
 use frost_core::diagram::DiagramEngine;
 use frost_core::explore::setops::venn_counts;
 use frost_core::metrics::confusion::ConfusionMatrix;
@@ -62,8 +59,9 @@ pub enum Request {
         /// Sample points.
         samples: usize,
     },
-    /// Venn-region sizes over n experiments (+ optionally the ground
-    /// truth as an extra set) — the N-Intersection viewer (Figure 1).
+    /// Venn-region sizes over n experiments of one dataset (+
+    /// optionally the ground truth as an extra set) — the
+    /// N-Intersection viewer (Figure 1).
     CompareExperiments {
         /// Experiment names (region bit `i` corresponds to entry `i`).
         experiments: Vec<String>,
@@ -235,49 +233,35 @@ pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, Stor
                     "a comparison takes at most {MAX_VENN_SETS} sets, got {sets}"
                 )));
             }
-            // Engine auto-selection: the N-Intersection viewer holds
-            // every compared set in memory at once, so the cost model
-            // (pair count × chunk occupancy, `pair_engine_hint`)
-            // combines the participants' hints into one engine. The
-            // common sparse case lands on roaring and merges each
-            // experiment's prebuilt arenas in place; dense participants
-            // pull the group onto chunked; all-small groups run packed.
-            let mut stored = Vec::with_capacity(experiments.len());
-            let mut first_dataset: Option<String> = None;
+            // Record ids are per dataset, so sets of different datasets
+            // share no pair: a pair "found by both" would join
+            // unrelated records.
+            let mut stored: Vec<&StoredExperiment> = Vec::with_capacity(experiments.len());
             for name in &experiments {
                 let s = store.experiment(name)?;
-                first_dataset.get_or_insert_with(|| s.dataset.clone());
+                if let Some(first) = stored.first().filter(|f| f.dataset != s.dataset) {
+                    return Err(StoreError::InvalidInput(format!(
+                        "a comparison takes experiments of one dataset, got {} ({}) and {name} ({})",
+                        experiments[0], first.dataset, s.dataset
+                    )));
+                }
                 stored.push(s);
             }
             let gold = if include_gold {
-                let dataset =
-                    first_dataset.ok_or_else(|| StoreError::UnknownExperiment("<none>".into()))?;
-                Some(store.gold_pair_set(&dataset)?)
+                let first = stored
+                    .first()
+                    .ok_or_else(|| StoreError::UnknownExperiment("<none>".into()))?;
+                Some(store.gold_pair_set(&first.dataset)?)
             } else {
                 None
             };
-            // The cost model's inputs (pair count, distinct 2¹⁶
-            // chunks) are read off each prebuilt roaring directory —
-            // O(chunks) per request, no pass over the raw pair list.
-            let engine = PairEngine::combined(
-                stored
-                    .iter()
-                    .map(|s| choose_pair_engine(s.pair_set.len(), s.pair_set.chunk_count())),
-            );
             // Every participant already exists as a roaring set: the
             // experiments' from import, the gold standard's from its
-            // first use. The roaring engine borrows them (no clone);
-            // the others convert each from its sorted stream, never
-            // from the unsorted pair list. Only region sizes are
-            // served, so no region is built.
+            // first use. The merge borrows them and only counts, so no
+            // set is copied or built per request.
             let roaring: Vec<&RoaringPairSet> =
                 stored.iter().map(|s| &s.pair_set).chain(gold).collect();
-            let regions = match engine {
-                PairEngine::Roaring => venn_counts(&roaring),
-                PairEngine::Chunked => venn_counts_as::<ChunkedPairSet>(&roaring),
-                PairEngine::Packed => venn_counts_as::<PairSet>(&roaring),
-            };
-            Ok(Response::Venn(regions))
+            Ok(Response::Venn(venn_counts(&roaring)))
         }
         Request::GetClusterMetrics { experiment } => {
             use frost_core::metrics::cluster as cm;
@@ -354,20 +338,6 @@ pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, Stor
             Ok(Response::Metrics(signals))
         }
     }
-}
-
-/// [`venn_counts`] in engine `S`, each set converted from a roaring
-/// set's ascending stream by `from_sorted_packed` (no sort).
-fn venn_counts_as<S: PairAlgebra>(roaring: &[&RoaringPairSet]) -> Vec<(u32, usize)> {
-    let sets: Vec<S> = roaring
-        .iter()
-        .map(|r| {
-            let mut packed = Vec::with_capacity(r.len());
-            r.for_each_packed(|x| packed.push(x));
-            S::from_sorted_packed(packed)
-        })
-        .collect();
-    venn_counts(&sets.iter().collect::<Vec<&S>>())
 }
 
 #[cfg(test)]
@@ -483,6 +453,48 @@ mod tests {
         assert_eq!(as_map[&0b111], 1);
         assert_eq!(as_map[&0b110], 1);
         assert_eq!(as_map.len(), 2);
+    }
+
+    /// Record ids are per dataset: a group that spans datasets is
+    /// refused, with or without the gold standard, even where the
+    /// datasets' pair ids coincide.
+    #[test]
+    fn venn_refuses_experiments_of_different_datasets() {
+        let mut s = store();
+        let mut other = Dataset::new("o", Schema::new(["name"]));
+        for id in ["p", "q"] {
+            other.push_record(id, ["x"]);
+        }
+        s.add_dataset(other).unwrap();
+        s.set_gold_standard("o", Clustering::from_assignment(&[0, 0]))
+            .unwrap();
+        s.add_experiment("o", Experiment::from_pairs("o1", [(0u32, 1u32)]), None)
+            .unwrap();
+        for include_gold in [false, true] {
+            for experiments in [vec!["e1", "o1"], vec!["o1", "e2", "e1"]] {
+                let err = handle(
+                    &s,
+                    Request::CompareExperiments {
+                        experiments: experiments.iter().map(|e| e.to_string()).collect(),
+                        include_gold,
+                    },
+                )
+                .unwrap_err();
+                assert!(
+                    matches!(&err, StoreError::InvalidInput(m) if m.contains("one dataset")),
+                    "{experiments:?} gold={include_gold}: {err}"
+                );
+            }
+        }
+        // One dataset's group is still answered.
+        assert!(handle(
+            &s,
+            Request::CompareExperiments {
+                experiments: vec!["o1".into()],
+                include_gold: true,
+            },
+        )
+        .is_ok());
     }
 
     #[test]

@@ -456,8 +456,8 @@ fn hubs() {
     );
 }
 
-/// Work space a `/venn` or `/compare` request on the roaring engine may
-/// allocate: the participant lists, the merge's per-set cursors and the
+/// Work space a `/venn` or `/compare` request may allocate: the
+/// participant lists, the merge's per-set cursors and the
 /// `(membership, count)` response. A three-set group with and without
 /// the gold standard peaks at ~200–300 B.
 const VENN_SLACK: usize = 4096;
@@ -545,6 +545,42 @@ fn venn_on_a_roaring_group_allocates_no_sets() {
         parent_peak > bound,
         "per-region materialization peaked at {parent_peak} B, within {bound} B"
     );
+}
+
+/// Hub experiments `h0`, `h1`, `h2` (one record matched to 6 000
+/// others each, two of them sharing the hub record and 3 000 partners)
+/// beside the gold standard of [`group_store`]: the shape the pair-set
+/// cost model calls dense (chunked), which is counted on the stored
+/// roaring sets like any other group.
+#[test]
+fn venn_on_a_hub_group_allocates_no_sets() {
+    let mut store = group_store(0);
+    for (e, (hub, first)) in [(0u32, 1u32), (0, 3_001), (7, 8)].into_iter().enumerate() {
+        let pairs = (first..first + 6_000).map(move |hi| (hub, hi));
+        store
+            .add_experiment("ds", Experiment::from_pairs(format!("h{e}"), pairs), None)
+            .unwrap();
+    }
+    let names: Vec<String> = (0..3).map(|e| format!("h{e}")).collect();
+    for name in &names {
+        let set = &store.experiment(name).unwrap().pair_set;
+        assert_eq!(
+            choose_pair_engine(set.len(), set.chunk_count()),
+            PairEngine::Chunked
+        );
+    }
+    store.gold_pair_set("ds").unwrap();
+    for include_gold in [false, true] {
+        let (peak, response) = thread_peak_of_request(&store, compare(&names, include_gold));
+        assert!(
+            peak <= VENN_SLACK,
+            "/venn gold {include_gold}: peak {peak} B > {VENN_SLACK} B"
+        );
+        let Response::Venn(regions) = response else {
+            panic!("not a Venn response");
+        };
+        assert!(regions.len() >= 3, "{regions:?}");
+    }
 }
 
 #[test]

@@ -295,12 +295,10 @@ fn labels_of(paths: &[String]) -> Vec<String> {
 }
 
 /// Imports a dataset, gold standard and experiment list, then renders
-/// either the `compare` region listing or the `venn` table. The
-/// set-heavy views hold every experiment at once, so the pair-set
-/// engine is chosen per input by the cost model
-/// ([`Experiment::pair_engine_hint`](frost::core::dataset::Experiment::pair_engine_hint)
-/// combined over all participants) instead of statically. The gold
-/// set rides last under the `<gold>` label.
+/// either the `compare` region listing or the `venn` table. Both only
+/// print region sizes, so every set (the gold set last, under the
+/// `<gold>` label) is built once as a roaring set and the regions are
+/// counted in one merge, never built.
 fn run_venn_view(
     importer: &DatasetImporter,
     dataset: &str,
@@ -308,9 +306,7 @@ fn run_venn_view(
     experiments: &[String],
     table: bool,
 ) -> Result<(), String> {
-    use frost::core::dataset::{
-        ChunkedPairSet, PairAlgebra, PairEngine, PairSet, RoaringPairSet, MAX_VENN_SETS,
-    };
+    use frost::core::dataset::{RoaringPairSet, MAX_VENN_SETS};
 
     if experiments.len() >= MAX_VENN_SETS {
         let max = MAX_VENN_SETS - 1;
@@ -323,49 +319,30 @@ fn run_venn_view(
         .map_err(|e| e.to_string())?;
     let truth =
         import_gold_pairs(&ds, &read(gold)?, CsvOptions::comma()).map_err(|e| e.to_string())?;
-    let mut exps = Vec::with_capacity(experiments.len());
+    let mut sets: Vec<RoaringPairSet> = Vec::with_capacity(experiments.len() + 1);
     for (i, path) in experiments.iter().enumerate() {
-        exps.push(
-            import_experiment(&format!("exp-{i}"), &ds, &read(path)?, CsvOptions::comma())
-                .map_err(|e| e.to_string())?,
-        );
+        let exp = import_experiment(&format!("exp-{i}"), &ds, &read(path)?, CsvOptions::comma())
+            .map_err(|e| e.to_string())?;
+        sets.push(exp.roaring_pair_set());
     }
+    sets.push(truth.roaring_pair_set());
     let mut names = labels_of(experiments);
     names.push("<gold>".into());
 
-    fn render<S: PairAlgebra>(
-        exps: &[frost::core::dataset::Experiment],
-        truth: &frost::core::clustering::Clustering,
-        names: &[String],
-        table: bool,
-    ) {
-        let mut sets: Vec<S> = exps.iter().map(|e| e.pair_set_as::<S>()).collect();
-        sets.push(S::from_pairs(truth.intra_pairs()));
-        let regions = frost::core::explore::setops::venn_regions(&sets);
-        if table {
-            let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-            print!("{}", frost::core::report::venn_table(&regions, &name_refs));
-        } else {
-            for region in regions {
-                let members: Vec<&str> = names
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| region.contains_set(i))
-                    .map(|(_, n)| n.as_str())
-                    .collect();
-                println!(
-                    "{:>7} pairs exactly in: {}",
-                    region.pairs.len(),
-                    members.join(" ∩ ")
-                );
-            }
+    let regions = frost::core::explore::setops::venn_counts(&sets.iter().collect::<Vec<_>>());
+    if table {
+        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        print!("{}", frost::core::report::venn_table(&regions, &name_refs));
+    } else {
+        for (membership, count) in regions {
+            let members: Vec<&str> = names
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| membership & (1 << i) != 0)
+                .map(|(_, n)| n.as_str())
+                .collect();
+            println!("{count:>7} pairs exactly in: {}", members.join(" ∩ "));
         }
-    }
-
-    match PairEngine::combined(exps.iter().map(|e| e.pair_engine_hint())) {
-        PairEngine::Packed => render::<PairSet>(&exps, &truth, &names, table),
-        PairEngine::Chunked => render::<ChunkedPairSet>(&exps, &truth, &names, table),
-        PairEngine::Roaring => render::<RoaringPairSet>(&exps, &truth, &names, table),
     }
     Ok(())
 }
