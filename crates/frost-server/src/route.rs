@@ -342,15 +342,15 @@ fn percent_decode_into(s: &str, out: &mut Vec<u8>) {
         match bytes[i] {
             b'+' => out.push(b' '),
             b'%' => {
-                let hex = bytes
-                    .get(i + 1..i + 3)
-                    .and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok());
-                match hex {
-                    Some(b) => {
-                        out.push(b);
+                // Exactly two hex digits: `from_str_radix` would also
+                // take a sign (`%+4`).
+                let digit = |at: usize| bytes.get(at).and_then(|&b| char::from(b).to_digit(16));
+                match (digit(i + 1), digit(i + 2)) {
+                    (Some(high), Some(low)) => {
+                        out.push((high * 16 + low) as u8);
                         i += 2;
                     }
-                    None => out.push(b'%'),
+                    _ => out.push(b'%'),
                 }
             }
             b => out.push(b),
@@ -943,6 +943,10 @@ mod tests {
                 ("a b,c%", "%zz"),
             ]
         );
+        // `%` needs two hex digits after it; a sign is not one.
+        let signed = Target::decode("/x?experiment=%+41&b=%-1");
+        assert_eq!(signed.get("experiment"), Some("% 41"));
+        assert_eq!(signed.get("b"), Some("%-1"));
         let lossy = Target::decode("/%FF?k%C3=%E2%82%AC");
         assert_eq!(lossy.path(), "/\u{FFFD}");
         assert_eq!(lossy.get("k\u{FFFD}"), Some("€"));
