@@ -47,10 +47,10 @@
 //! read — the same non-blocking path as every other shed, so a client
 //! that never reads its reject stalls nobody.
 
-use crate::http::{
-    close_variant_bytes, encode, error_body, shed_response_bytes, CachedResponse, Parsed,
-    ParsedRequest, RequestBuffer, ServeOptions, ServerState, ShedReason, CONTENT_TYPE_JSON,
-};
+use crate::http::{ServeOptions, ServerState};
+use crate::overload::ShedReason;
+use crate::request::{Parsed, ParsedRequest, RequestBuffer};
+use crate::response::{close_variant_bytes, error_body, json_response, shed_bytes, CachedResponse};
 use crate::route::{self, Endpoint, Route};
 use crate::telemetry::{OpenConnGuard, Stage, Trace};
 use polling::{PollFd, Source, Waker, POLLIN, POLLOUT};
@@ -361,9 +361,7 @@ pub(crate) fn run(
                 full.then_some(ShedReason::QueueFull)
             };
             if let Some(reason) = shed {
-                state.note_shed(reason);
-                let payload = shed_response_bytes(reason);
-                if !start_canned(&mut conn, token, &env, payload, After::Linger) {
+                if !write_shed(&mut conn, token, &env, reason, After::Linger) {
                     continue;
                 }
             }
@@ -555,17 +553,10 @@ fn sweep_timer(conn: &mut Conn, token: usize, env: &LoopEnv, now: Instant) -> bo
                 .head_started
                 .is_some_and(|s| now >= s + env.options.idle_timeout);
             if head_expired {
-                let payload = error_response(400, "request head timeout");
+                let payload = json_response(400, error_body("request head timeout"));
                 start_response(conn, token, env, &payload, After::Close)
             } else {
-                env.state.note_shed(ShedReason::Deadline);
-                start_canned(
-                    conn,
-                    token,
-                    env,
-                    shed_response_bytes(ShedReason::Deadline),
-                    After::Linger,
-                )
+                write_shed(conn, token, env, ShedReason::Deadline, After::Linger)
             }
         }
         Phase::Reading => false,      // idle timeout: silent close
@@ -619,7 +610,7 @@ fn process_buffer(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
                     trace.set_status(400);
                     conn.trace = Some(trace);
                 }
-                let payload = error_response(400, message);
+                let payload = json_response(400, error_body(message));
                 return start_response(conn, token, env, &payload, After::Close);
             }
             Parsed::Incomplete => {
@@ -695,16 +686,12 @@ fn admit(conn: &mut Conn, token: usize, env: &LoopEnv, request: ParsedRequest) -
     // validation: a request past its deadline is never evaluated — not
     // even to a 405.
     if deadline.is_some_and(|d| Instant::now() > d) {
-        env.state.note_shed(ShedReason::Deadline);
-        if let Some(trace) = &trace {
-            trace.set_status(503);
-        }
         conn.trace = trace;
-        return Admitted::Settled(start_canned(
+        return Admitted::Settled(write_shed(
             conn,
             token,
             env,
-            shed_response_bytes(ShedReason::Deadline),
+            ShedReason::Deadline,
             After::Close,
         ));
     }
@@ -714,7 +701,7 @@ fn admit(conn: &mut Conn, token: usize, env: &LoopEnv, request: ParsedRequest) -
             trace.set_status(405);
         }
         conn.trace = trace;
-        let payload = error_response(405, "only GET, POST and DELETE are supported");
+        let payload = json_response(405, error_body("only GET, POST and DELETE are supported"));
         return Admitted::Settled(start_response(conn, token, env, &payload, After::Close));
     }
     conn.pending_close =
@@ -731,20 +718,16 @@ fn admit(conn: &mut Conn, token: usize, env: &LoopEnv, request: ParsedRequest) -
     // reporting the count) before `send` returns here. The reservation
     // is the queue's one bound; the channel itself is unbounded.
     if !env.state.overload().try_enqueue(env.options.max_queued) {
-        env.state.note_shed(ShedReason::QueueFull);
-        if let Some(trace) = &trace {
-            trace.set_status(503);
-        }
         conn.trace = trace;
-        return Admitted::Settled(start_canned(
+        return Admitted::Settled(write_shed(
             conn,
             token,
             env,
-            shed_response_bytes(ShedReason::QueueFull),
+            ShedReason::QueueFull,
             After::Linger,
         ));
     }
-    env.state.note_admitted();
+    env.state.overload().note_admitted();
     conn.phase = Phase::Dispatched;
     // Workers exit only after every loop has dropped its sender, so
     // this cannot fail while the loop runs.
@@ -772,19 +755,13 @@ fn apply_completion(conn: &mut Conn, token: usize, env: &LoopEnv, done: Done) ->
             };
             start_response(conn, token, env, &payload, after)
         }
-        Done::Shed(reason) => {
-            start_canned(conn, token, env, shed_response_bytes(reason), After::Close)
-        }
+        Done::Shed(reason) => write_shed(conn, token, env, reason, After::Close),
         Done::Panicked => {
-            let payload = error_response(500, "internal error: request handler panicked");
+            let payload =
+                json_response(500, error_body("internal error: request handler panicked"));
             start_response(conn, token, env, &payload, After::Close)
         }
     }
-}
-
-/// A JSON error answered by the loop itself.
-fn error_response(status: u16, message: &str) -> CachedResponse {
-    encode(status, error_body(message), CONTENT_TYPE_JSON, None, None)
 }
 
 /// Queues `payload` for writing and attempts the write immediately —
@@ -811,15 +788,18 @@ fn response_out(payload: &CachedResponse, after: After) -> OutBuf {
     }
 }
 
-/// [`start_response`] for the pre-serialized canned sheds.
-fn start_canned(
+/// The one shed path, whichever side decided it (admission, a timer,
+/// or a worker's verdict): count the reason, mark the connection's
+/// trace `503`, and write the pre-serialized canned response.
+fn write_shed(
     conn: &mut Conn,
     token: usize,
     env: &LoopEnv,
-    payload: &'static [u8],
+    reason: ShedReason,
     after: After,
 ) -> bool {
-    queue_write(conn, OutBuf::Canned(payload), after);
+    env.state.overload().shed(reason, conn.trace.as_deref());
+    queue_write(conn, OutBuf::Canned(shed_bytes(reason)), after);
     drive_write(conn, token, env)
 }
 

@@ -2,6 +2,16 @@
 //! a fixed worker thread pool, persistent (keep-alive) connections
 //! with request pipelining, JSON in and out, and a durable write path.
 //!
+//! This module wires the server together and owns its state: the
+//! options ([`ServeOptions`]), the store, cache and write sequence
+//! ([`ServerState`]), the worker side of a request ([`execute`]),
+//! start-up ([`serve_with`], [`run_daemon`]) and shutdown. Each wire
+//! format and policy lives in the module that owns it:
+//! [`crate::request`] parses heads, [`crate::response`] renders every
+//! response, [`crate::overload`] decides admission, sheds and
+//! readiness, [`crate::route`] maps a request to its handler, and
+//! [`crate::replication`] serves and follows the WAL stream.
+//!
 //! # Endpoints
 //!
 //! [`crate::route`] holds the route table: which endpoint a request
@@ -38,10 +48,7 @@
 //! connections over a vendored `poll(2)` shim — an idle keep-alive
 //! connection costs a descriptor and a poll slot, not a thread. The
 //! event thread does the reads and parses heads out of a
-//! per-connection [`RequestBuffer`]:
-//! reads may split a request head at any byte boundary, and one read
-//! may carry several pipelined requests back-to-back — both are
-//! handled by buffering and re-scanning incrementally. A complete
+//! per-connection [`RequestBuffer`]. A complete
 //! cacheable `GET` is probed against the response cache on the event
 //! thread, and a hit is written right there. Only misses and uncached
 //! requests are dispatched to the worker pool (via [`execute`]); the
@@ -78,7 +85,7 @@
 //!
 //! `/stats` and the bare `/metrics` are two encodings of one table,
 //! the counter registry in [`crate::telemetry`]: this module
-//! owns the counters (`OverloadStats`, the cache, the render and
+//! owns the counters ([`OverloadStats`], the cache, the render and
 //! connection counts) but names and renders none of them itself.
 //!
 //! Bodies are rendered by [`json::response_to_json`], so an HTTP
@@ -88,34 +95,32 @@
 
 use crate::event_loop;
 use crate::json::response_to_json;
-use crate::replication::{self, ReplicationHub, Role, StreamPreamble};
-use crate::route::{self, store_error, Class};
-use crate::telemetry::{Stage, Telemetry, Trace};
+use crate::overload::{ClassGates, OverloadStats, RequestContext, ShedReason};
+use crate::replication::{self, ReplicationHub, Role};
+use crate::response::{error_body, revalidate, CachedResponse};
+use crate::route::{self, store_error};
+use crate::telemetry::{Stage, Telemetry};
 use frost_storage::api;
-use frost_storage::cache::{CacheWeight, ShardedCache};
+use frost_storage::cache::ShardedCache;
 use frost_storage::durable::{DurableError, DurableStore};
 use frost_storage::snapshot;
 use frost_storage::store::StoreError;
-use frost_storage::wal::{SnapshotId, WalOp, WAL_HEADER_LEN};
+use frost_storage::wal::{SnapshotId, WalOp};
 use frost_storage::BenchmarkStore;
 use parking_lot::RwLock;
 use serde_json::Value;
 use std::borrow::Borrow;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+pub use crate::request::{Parsed, ParsedRequest, RequestBuffer, MAX_REQUEST_BYTES};
 
 /// Shards in the result cache; 16 spreads a small thread pool's
 /// keys with negligible memory overhead.
 const CACHE_SHARDS: usize = 16;
-
-/// Request head size cap.
-pub const MAX_REQUEST_BYTES: usize = 16 * 1024;
-
-/// Request body size cap (CSV imports).
-pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
 /// Default for [`ServeOptions::idle_timeout`].
 pub const DEFAULT_IDLE_TIMEOUT_MS: u64 = 5_000;
@@ -134,26 +139,6 @@ pub const DEFAULT_CACHE_BUDGET: usize = 256 * 1024 * 1024;
 /// multiplexes thousands of mostly-idle connections; add more only
 /// when parse/write CPU in the loop itself becomes the bottleneck.
 pub const DEFAULT_EVENT_THREADS: usize = 1;
-
-/// `Retry-After` seconds advertised on every shed (`503`) response.
-pub const RETRY_AFTER_SECS: u64 = 1;
-
-/// Sliding-window length for the recent shed rate `/readyz` reports.
-const SHED_WINDOW_SECS: u64 = 8;
-
-/// Minimum admission events in the window before the shed rate can
-/// flip `/readyz` — a single early shed must not mark a quiet server
-/// unready.
-const READY_MIN_WINDOW_EVENTS: u64 = 16;
-
-/// `/readyz` flips to not-ready when the recent shed rate (sheds /
-/// admission events over the last [`SHED_WINDOW_SECS`] seconds)
-/// exceeds this.
-const SHED_READY_THRESHOLD: f64 = 0.9;
-
-/// Longest a `/replication/wal` long poll is held open waiting for new
-/// frames (the `wait_ms` parameter is clamped to this).
-const MAX_POLL_WAIT_MS: u64 = 10_000;
 
 /// Tunables of the connection path.
 #[derive(Debug, Clone)]
@@ -262,366 +247,6 @@ impl Default for ServeOptions {
     }
 }
 
-// ---------------------------------------------------------------------
-// Overload accounting and cost classes
-// ---------------------------------------------------------------------
-
-/// Why a request (or connection) was shed with a `503`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedReason {
-    /// The dispatch queue was full: a new connection, answered before
-    /// its event loop read a byte of it, or a parsed request the
-    /// response cache could not answer.
-    QueueFull,
-    /// The request's deadline expired before evaluation could start
-    /// (queue wait, slow arrival, or a saturated class gate).
-    Deadline,
-    /// The request's cost class was at its concurrency limit and no
-    /// permit freed up within the allowed wait.
-    ClassSaturated,
-    /// The server is draining for shutdown; queued-but-unstarted
-    /// requests and connections accepted during the drain are answered
-    /// instead of silently dropped.
-    Draining,
-}
-
-impl ShedReason {
-    fn message(self) -> &'static str {
-        match self {
-            ShedReason::QueueFull => "server overloaded: admission queue full",
-            ShedReason::Deadline => "request deadline exceeded before evaluation",
-            ShedReason::ClassSaturated => "server overloaded: request class saturated",
-            ShedReason::Draining => "server draining: connection not served",
-        }
-    }
-}
-
-/// One shed-rate window slot (a one-second bucket, reused modulo the
-/// window length). Counts are heuristically reset when the slot is
-/// reused for a new second; tiny cross-thread races only blur the
-/// readiness heuristic, never correctness.
-#[derive(Default)]
-struct WindowSlot {
-    epoch: AtomicU64,
-    admitted: AtomicU64,
-    shed: AtomicU64,
-}
-
-/// Overload counters surfaced by `/stats`, `/metrics` and `/readyz`.
-/// All atomics: the hot path only ever pays relaxed increments.
-#[derive(Default)]
-pub struct OverloadStats {
-    pub(crate) queue_depth: AtomicI64,
-    /// High-water mark of `queue_depth`.
-    pub(crate) queue_max_depth: AtomicI64,
-    pub(crate) admitted: AtomicU64,
-    pub(crate) shed_queue_full: AtomicU64,
-    pub(crate) shed_deadline: AtomicU64,
-    pub(crate) shed_class_saturated: AtomicU64,
-    pub(crate) shed_draining: AtomicU64,
-    /// Requests that saw their deadline pass: shed before evaluation,
-    /// or found late after it.
-    pub(crate) deadline_exceeded: AtomicU64,
-    /// `405` answers, counted only after the deadline check.
-    pub(crate) method_not_allowed: AtomicU64,
-    /// Requests being served per class (compute and write: while
-    /// holding their class permit).
-    pub(crate) inflight_cached: AtomicUsize,
-    pub(crate) inflight_compute: AtomicUsize,
-    pub(crate) inflight_write: AtomicUsize,
-    window: [WindowSlot; SHED_WINDOW_SECS as usize],
-}
-
-impl OverloadStats {
-    /// Reserves a queue slot for one request *before* it is handed to
-    /// the workers, who release it on dequeue; fails, taking nothing,
-    /// when `cap` slots are taken. The depth thus never lags a worker,
-    /// and since the reservation (not the channel) bounds the queue,
-    /// neither the depth nor its high-water mark passes `cap`.
-    pub(crate) fn try_enqueue(&self, cap: usize) -> bool {
-        let cap = cap.max(1) as i64;
-        let depth = self.queue_depth.fetch_add(1, Ordering::AcqRel) + 1;
-        if depth > cap {
-            self.queue_depth.fetch_sub(1, Ordering::AcqRel);
-            return false;
-        }
-        self.queue_max_depth.fetch_max(depth, Ordering::AcqRel);
-        true
-    }
-
-    pub(crate) fn queue_dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Connections currently waiting in the admission queue.
-    pub(crate) fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Acquire).max(0) as u64
-    }
-
-    pub(crate) fn note_method_not_allowed(&self) {
-        self.method_not_allowed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn slot(&self, secs: u64) -> &WindowSlot {
-        let slot = &self.window[(secs % SHED_WINDOW_SECS) as usize];
-        if slot.epoch.swap(secs, Ordering::Relaxed) != secs {
-            slot.admitted.store(0, Ordering::Relaxed);
-            slot.shed.store(0, Ordering::Relaxed);
-        }
-        slot
-    }
-
-    fn note_admitted(&self, secs: u64) {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        self.slot(secs).admitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_shed(&self, reason: ShedReason, secs: u64) {
-        let counter = match reason {
-            ShedReason::QueueFull => &self.shed_queue_full,
-            ShedReason::Deadline => &self.shed_deadline,
-            ShedReason::ClassSaturated => &self.shed_class_saturated,
-            ShedReason::Draining => &self.shed_draining,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        if reason == ShedReason::Deadline {
-            self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        }
-        self.slot(secs).shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A deadline that expired *during* an already-admitted
-    /// evaluation: the response is still served (work is never
-    /// cancelled mid-compute), but the lateness is counted.
-    pub(crate) fn note_deadline_late(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(sheds, total events)` over the trailing window.
-    fn window_counts(&self, now_secs: u64) -> (u64, u64) {
-        let mut shed = 0;
-        let mut total = 0;
-        for slot in &self.window {
-            let epoch = slot.epoch.load(Ordering::Relaxed);
-            if epoch + SHED_WINDOW_SECS > now_secs && epoch <= now_secs {
-                let s = slot.shed.load(Ordering::Relaxed);
-                shed += s;
-                total += s + slot.admitted.load(Ordering::Relaxed);
-            }
-        }
-        (shed, total)
-    }
-
-    pub(crate) fn gauge(&self, class: Class) -> &AtomicUsize {
-        match class {
-            Class::Cached => &self.inflight_cached,
-            Class::Compute => &self.inflight_compute,
-            Class::Write => &self.inflight_write,
-        }
-    }
-}
-
-/// A counting semaphore: the per-class concurrency gate.
-struct Gate {
-    limit: usize,
-    busy: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl Gate {
-    fn new(limit: usize) -> Self {
-        Self {
-            limit: limit.max(1),
-            busy: Mutex::new(0),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// Acquires a permit, waiting at most `wait`. Returns whether a
-    /// permit was obtained.
-    fn acquire(&self, wait: Duration) -> bool {
-        let deadline = Instant::now() + wait;
-        let mut busy = self.busy.lock().expect("gate lock");
-        while *busy >= self.limit {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return false;
-            }
-            busy = self
-                .freed
-                .wait_timeout(busy, remaining)
-                .expect("gate lock")
-                .0;
-        }
-        *busy += 1;
-        true
-    }
-
-    fn release(&self) {
-        *self.busy.lock().expect("gate lock") -= 1;
-        self.freed.notify_one();
-    }
-}
-
-/// The per-class gates one `serve_with` call shares across its pool.
-/// The compute class (`/compare`, `/diagram`, `/venn` misses) gets
-/// half the workers, so expensive sweeps cannot occupy every worker
-/// and starve cheap requests; the write class (`POST`/`DELETE`) gets a
-/// quarter, bounding writers waiting on the serialized write path.
-/// Cache hits never reach a gate: a saturated class degrades to
-/// serving cached bodies, not to shedding them.
-pub(crate) struct ClassGates {
-    compute: Gate,
-    write: Gate,
-}
-
-impl ClassGates {
-    pub(crate) fn for_workers(workers: usize) -> Self {
-        let workers = workers.max(1);
-        Self {
-            compute: Gate::new(workers / 2),
-            write: Gate::new(workers / 4),
-        }
-    }
-}
-
-/// An RAII gate permit, released on drop — including on handler
-/// panics (route runs under `catch_unwind`), so an unwinding worker
-/// can never leak a permit and shrink a class forever.
-struct Permit<'a> {
-    gate: &'a Gate,
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        self.gate.release();
-    }
-}
-
-/// An RAII in-flight gauge bump (one per routed request, by class).
-pub(crate) struct GaugeGuard<'a>(&'a AtomicUsize);
-
-impl<'a> GaugeGuard<'a> {
-    pub(crate) fn new(gauge: &'a AtomicUsize) -> Self {
-        gauge.fetch_add(1, Ordering::Relaxed);
-        Self(gauge)
-    }
-}
-
-impl Drop for GaugeGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Per-request routing context: the request's class gate and absolute
-/// deadline (when configured).
-pub(crate) struct RequestContext<'a> {
-    pub(crate) options: &'a ServeOptions,
-    pub(crate) gates: &'a ClassGates,
-    /// The resolved endpoint's cost class.
-    pub(crate) class: Class,
-    pub(crate) deadline: Option<Instant>,
-    /// The request's lifecycle trace, when telemetry is on.
-    pub(crate) trace: Option<&'a Trace>,
-}
-
-impl RequestContext<'_> {
-    /// The one path the expensive part of every request takes: acquire
-    /// the class's concurrency permit ([`Class::Cached`] has no gate),
-    /// re-check the deadline, run `work`, stamp `evaluated`. `Err` =
-    /// shed: the class stayed saturated for the whole allowed wait
-    /// (the remaining deadline, or one idle timeout when deadlines are
-    /// off), or the deadline passed while waiting.
-    pub(crate) fn evaluate<T>(&self, work: impl FnOnce() -> T) -> Result<T, ShedReason> {
-        let gate = match self.class {
-            Class::Cached => None,
-            Class::Compute => Some(&self.gates.compute),
-            Class::Write => Some(&self.gates.write),
-        };
-        let _permit = match gate {
-            Some(gate) => {
-                let wait = match self.deadline {
-                    Some(d) => d.saturating_duration_since(Instant::now()),
-                    None => self.options.idle_timeout,
-                };
-                if !gate.acquire(wait) {
-                    return Err(ShedReason::ClassSaturated);
-                }
-                if let Some(trace) = self.trace {
-                    trace.stamp(Stage::GateAcquired);
-                }
-                Some(Permit { gate })
-            }
-            None => None,
-        };
-        if self.deadline.is_some_and(|d| Instant::now() > d) {
-            return Err(ShedReason::Deadline);
-        }
-        let out = work();
-        if let Some(trace) = self.trace {
-            trace.stamp(Stage::Evaluated);
-        }
-        Ok(out)
-    }
-}
-
-/// A fully serialized HTTP response: the keep-alive rendering (status
-/// line + headers + body, no `Connection` header — HTTP/1.1 defaults
-/// to persistent) plus the offset where the body starts, so the
-/// closing variant can reuse the body bytes without re-rendering.
-#[derive(Clone)]
-pub struct CachedResponse {
-    status: u16,
-    bytes: Arc<[u8]>,
-    body_start: usize,
-    /// The `Content-Type` this response was framed with — the closing
-    /// variant re-frames the head and must preserve it.
-    pub(crate) content_type: &'static str,
-    /// Strong validator (quoted FNV-1a of the body), present only on
-    /// cached `200`s — the revalidation (`If-None-Match` → `304`)
-    /// surface.
-    etag: Option<Arc<str>>,
-    /// Extra pre-rendered header lines (`Name: value\r\n`), carried so
-    /// the closing variant re-emits them — the replica's
-    /// `Frost-Primary` redirect hint rides here.
-    extra: Option<Arc<str>>,
-}
-
-impl CachedResponse {
-    /// The HTTP status code.
-    pub fn status(&self) -> u16 {
-        self.status
-    }
-
-    /// The serialized keep-alive response.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// The serialized keep-alive response, by shared handle (the
-    /// event loop queues it for writing without a copy).
-    pub(crate) fn shared_bytes(&self) -> Arc<[u8]> {
-        Arc::clone(&self.bytes)
-    }
-
-    /// The response body (shared with [`bytes`](Self::bytes)).
-    pub fn body(&self) -> &[u8] {
-        &self.bytes[self.body_start..]
-    }
-
-    /// The entity tag, when this response carries one.
-    pub fn etag(&self) -> Option<&str> {
-        self.etag.as_deref()
-    }
-}
-
-impl CacheWeight for CachedResponse {
-    fn weight(&self) -> usize {
-        self.bytes.len()
-    }
-}
-
 /// The shared server state: the store behind a [`RwLock`], the result
 /// cache in front of it, and the (optional) durable writer behind one
 /// writer lock.
@@ -640,8 +265,6 @@ pub struct ServerState {
     json_renders: AtomicU64,
     connections: AtomicU64,
     overload: OverloadStats,
-    /// The shed-window clock's epoch (server start).
-    started: Instant,
     /// Traces, latency histograms, and the `/metrics` registry (wired
     /// to the durable writer's WAL histograms when one exists).
     telemetry: Arc<Telemetry>,
@@ -678,7 +301,6 @@ impl ServerState {
             json_renders: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             overload: OverloadStats::default(),
-            started: Instant::now(),
             telemetry: Arc::new(Telemetry::new(wal_stats)),
             hub,
         }
@@ -697,6 +319,12 @@ impl ServerState {
     /// Whether writes are WAL-backed.
     pub fn is_durable(&self) -> bool {
         self.writer.lock().is_some()
+    }
+
+    /// Runs `f` on the durable store (`None` when volatile) under the
+    /// writer lock, so no append or compaction interleaves with it.
+    pub(crate) fn with_writer<R>(&self, f: impl FnOnce(Option<&DurableStore>) -> R) -> R {
+        f(self.writer.lock().as_ref())
     }
 
     /// Flips the server into drain mode (used by graceful shutdown):
@@ -853,10 +481,7 @@ impl ServerState {
     /// is byte-identical to the primary's) and committed.
     pub fn apply_replicated(&self, op: &WalOp) -> std::io::Result<()> {
         if !self.is_durable() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "replica has no durable store",
-            ));
+            return Err(no_durable_store());
         }
         self.apply_write(|_| Ok(op))
             .map_err(|e| std::io::Error::other(format!("replicated write failed: {e}")))
@@ -871,10 +496,7 @@ impl ServerState {
     pub fn install_snapshot(&self, bytes: &[u8]) -> std::io::Result<()> {
         let mut writer = self.writer.lock();
         let Some(current) = writer.as_ref() else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "replica has no durable store",
-            ));
+            return Err(no_durable_store());
         };
         let path = current.snapshot_path().to_path_buf();
         let policy = current.policy();
@@ -949,35 +571,11 @@ impl ServerState {
         &self.overload
     }
 
-    /// Seconds since start-up: the shed-window clock.
-    fn clock_secs(&self) -> u64 {
-        self.started.elapsed().as_secs()
-    }
-
-    pub(crate) fn note_admitted(&self) {
-        self.overload.note_admitted(self.clock_secs());
-    }
-
-    pub(crate) fn note_shed(&self, reason: ShedReason) {
-        self.overload.note_shed(reason, self.clock_secs());
-    }
-
     /// Whether the WAL writer refused further appends after an earlier
     /// disk failure (see `DurableStore::poisoned`). Volatile stores
     /// report `false`.
     pub fn wal_poisoned(&self) -> bool {
         self.writer.lock().as_ref().is_some_and(|d| d.poisoned())
-    }
-
-    /// The shed rate over the trailing window, or `0.0` while the
-    /// window holds too few events to be meaningful.
-    pub fn recent_shed_rate(&self) -> f64 {
-        let (shed, total) = self.overload.window_counts(self.clock_secs());
-        if total < READY_MIN_WINDOW_EVENTS {
-            0.0
-        } else {
-            shed as f64 / total as f64
-        }
     }
 
     /// Caps the response cache at `total_bytes`; eviction is
@@ -1307,289 +905,6 @@ pub fn run_daemon(
 }
 
 // ---------------------------------------------------------------------
-// Request parsing
-// ---------------------------------------------------------------------
-
-/// A parsed request: the head plus (for `POST`/`DELETE`) its body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedRequest {
-    /// The request method, verbatim (`GET`, `POST`, …).
-    pub method: String,
-    /// The request target (path + query, undecoded).
-    pub target: String,
-    /// Whether the client wants the connection kept open afterwards:
-    /// HTTP/1.1 unless `Connection: close`; HTTP/1.0 never (we do not
-    /// implement 1.0-style opt-in keep-alive).
-    pub keep_alive: bool,
-    /// Declared `Content-Length` (0 when absent).
-    pub content_length: usize,
-    /// The `If-None-Match` header, verbatim, when present — drives
-    /// `304 Not Modified` revalidation against cached entity tags.
-    pub if_none_match: Option<String>,
-    /// The request body (`content_length` bytes, filled in by
-    /// [`RequestBuffer::next_request`] once fully buffered).
-    pub body: Vec<u8>,
-}
-
-/// One step of incremental parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Parsed {
-    /// A complete request head was consumed from the buffer.
-    Request(ParsedRequest),
-    /// No complete head is buffered yet — read more bytes.
-    Incomplete,
-    /// The buffered bytes can never become a valid request; respond
-    /// `400` (message attached) and close the connection.
-    Error(&'static str),
-}
-
-/// An incremental HTTP/1.1 request-head buffer: bytes arrive in
-/// arbitrary splits ([`extend`](Self::extend)), complete heads are
-/// consumed in arrival order ([`next_request`](Self::next_request)) —
-/// one read may carry a fraction of a head or several pipelined heads,
-/// and both sides of that spectrum land in the same code path.
-///
-/// The scan for the head terminator resumes where the previous call
-/// stopped, so re-parsing after a tiny read is `O(new bytes)`, not
-/// `O(buffered bytes)`.
-#[derive(Debug, Default)]
-pub struct RequestBuffer {
-    buf: Vec<u8>,
-    /// Bytes before this offset were consumed by earlier requests.
-    consumed: usize,
-    /// Terminator scan position (always ≥ `consumed`).
-    scan: usize,
-    /// Head terminator already located for a request whose body has
-    /// not fully arrived yet, so re-parsing after each body read is
-    /// `O(1)`, not a rescan of the head.
-    head_end: Option<usize>,
-    /// Arrival timestamps keyed by buffer offset: `(start, when)`
-    /// records that bytes at `start..` (up to the next entry) arrived
-    /// at `when`. A pipelined request's deadline clocks from the
-    /// arrival of *its own first byte*, not from whenever its
-    /// predecessor's response finished writing.
-    arrivals: std::collections::VecDeque<(usize, Instant)>,
-    /// Arrival of the first byte of the most recently consumed head.
-    last_arrival: Option<Instant>,
-}
-
-impl RequestBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends freshly read bytes.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.extend_at(bytes, Instant::now());
-    }
-
-    /// [`extend`](Self::extend) with an explicit arrival timestamp for
-    /// the appended bytes.
-    pub fn extend_at(&mut self, bytes: &[u8], arrived: Instant) {
-        self.prune_arrivals();
-        // Reclaim consumed space before growing: a long-lived
-        // keep-alive connection must not accumulate every head it ever
-        // parsed.
-        if self.consumed > 0 && (self.consumed == self.buf.len() || self.consumed >= 4096) {
-            self.buf.drain(..self.consumed);
-            self.scan -= self.consumed;
-            if let Some(e) = &mut self.head_end {
-                *e -= self.consumed;
-            }
-            for (start, _) in &mut self.arrivals {
-                *start = start.saturating_sub(self.consumed);
-            }
-            self.consumed = 0;
-        }
-        if !bytes.is_empty() {
-            self.arrivals.push_back((self.buf.len(), arrived));
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Drops arrival entries wholly behind the consumed frontier,
-    /// keeping the latest such entry as the floor for offsets between
-    /// it and the next one.
-    fn prune_arrivals(&mut self) {
-        while self.arrivals.len() >= 2 && self.arrivals[1].0 <= self.consumed {
-            self.arrivals.pop_front();
-        }
-    }
-
-    /// Arrival time of the read that delivered the byte at `offset`.
-    fn arrival_at(&self, offset: usize) -> Option<Instant> {
-        self.arrivals
-            .iter()
-            .rev()
-            .find(|(start, _)| *start <= offset)
-            .map(|&(_, at)| at)
-    }
-
-    /// When the first *unconsumed* byte arrived (`None` when nothing
-    /// is pending) — the deadline clock for a buffered pipelined head.
-    pub fn pending_arrival(&self) -> Option<Instant> {
-        if self.pending() == 0 {
-            return None;
-        }
-        self.arrival_at(self.consumed)
-    }
-
-    /// When the first byte of the most recently consumed request
-    /// arrived — its deadline clock.
-    pub fn last_arrival(&self) -> Option<Instant> {
-        self.last_arrival
-    }
-
-    /// Unconsumed bytes currently buffered.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.consumed
-    }
-
-    /// Tries to consume the next complete request (head, plus its body
-    /// when a `Content-Length` is declared).
-    pub fn next_request(&mut self) -> Parsed {
-        let head_start = self.consumed;
-        let end = match self.head_end {
-            Some(e) => e,
-            None => match self.find_head_end() {
-                Some(e) => e,
-                None => {
-                    if self.pending() > MAX_REQUEST_BYTES {
-                        return Parsed::Error("request head too large");
-                    }
-                    return Parsed::Incomplete;
-                }
-            },
-        };
-        if end - self.consumed > MAX_REQUEST_BYTES {
-            return Parsed::Error("request head too large");
-        }
-        let head = &self.buf[self.consumed..end];
-        let parsed = parse_head(head);
-        if let Parsed::Request(mut request) = parsed {
-            if request.content_length > MAX_BODY_BYTES {
-                return Parsed::Error("request body too large");
-            }
-            let body_end = end + request.content_length;
-            if self.buf.len() < body_end {
-                // Remember the located head so the next call (after
-                // more body bytes arrive) skips the terminator scan.
-                self.head_end = Some(end);
-                return Parsed::Incomplete;
-            }
-            request.body = self.buf[end..body_end].to_vec();
-            self.head_end = None;
-            self.last_arrival = self.arrival_at(head_start);
-            self.consumed = body_end;
-            self.scan = body_end;
-            return Parsed::Request(request);
-        }
-        self.head_end = None;
-        self.consumed = end;
-        self.scan = end;
-        parsed
-    }
-
-    /// Finds the exclusive end offset of the first complete head
-    /// (`\r\n\r\n` or bare `\n\n`), resuming from the previous scan.
-    fn find_head_end(&mut self) -> Option<usize> {
-        // Back up over a possibly split terminator at the old read
-        // boundary, but never into a previously consumed head.
-        let from = self.scan.saturating_sub(3).max(self.consumed);
-        for i in from..self.buf.len() {
-            if self.buf[i] != b'\n' {
-                continue;
-            }
-            if i > self.consumed && self.buf[i - 1] == b'\n' {
-                return Some(i + 1);
-            }
-            if i >= self.consumed + 3
-                && self.buf[i - 1] == b'\r'
-                && self.buf[i - 2] == b'\n'
-                && self.buf[i - 3] == b'\r'
-            {
-                return Some(i + 1);
-            }
-        }
-        self.scan = self.buf.len();
-        None
-    }
-}
-
-/// Parses one complete request head (request line + headers, including
-/// the trailing blank line).
-fn parse_head(head: &[u8]) -> Parsed {
-    let text = String::from_utf8_lossy(head);
-    let mut lines = text.lines();
-    let Some(request_line) = lines.next().filter(|l| !l.trim().is_empty()) else {
-        return Parsed::Error("empty request line");
-    };
-    let mut parts = request_line.split(' ').filter(|p| !p.is_empty());
-    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-        return Parsed::Error("malformed request line");
-    };
-    let version = parts.next().unwrap_or("HTTP/1.1");
-    if !version.starts_with("HTTP/1.") {
-        return Parsed::Error("unsupported protocol version");
-    }
-    let http10 = version == "HTTP/1.0";
-    let mut keep_alive = !http10;
-    let mut content_length = 0usize;
-    let mut if_none_match = None;
-    for line in lines {
-        let line = line.trim_end_matches('\r');
-        if line.is_empty() {
-            break;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Parsed::Error("malformed header line");
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "connection" => {
-                // Token list; "close" wins over anything else.
-                let tokens = value.split(',').map(|t| t.trim().to_ascii_lowercase());
-                for token in tokens {
-                    match token.as_str() {
-                        "close" => keep_alive = false,
-                        // 1.0-style opt-in keep-alive is not
-                        // implemented: the response would need an
-                        // explicit Connection: keep-alive echo the
-                        // cached rendering does not carry.
-                        "keep-alive" if http10 => keep_alive = false,
-                        _ => {}
-                    }
-                }
-            }
-            "content-length" => match value.parse::<usize>() {
-                Ok(n) => content_length = n,
-                Err(_) => return Parsed::Error("bad Content-Length"),
-            },
-            "transfer-encoding" => {
-                return Parsed::Error("chunked request bodies are not supported");
-            }
-            "if-none-match" => if_none_match = Some(value.to_string()),
-            _ => {}
-        }
-    }
-    // Bodies belong to the write methods; a GET carrying one is
-    // either a confused client or request smuggling — refuse it.
-    if method == "GET" && content_length > 0 {
-        return Parsed::Error("request bodies are not supported on GET");
-    }
-    Parsed::Request(ParsedRequest {
-        method: method.to_string(),
-        target: target.to_string(),
-        keep_alive,
-        content_length,
-        if_none_match,
-        body: Vec::new(),
-    })
-}
-
-// ---------------------------------------------------------------------
 // Request execution (worker side)
 // ---------------------------------------------------------------------
 
@@ -1603,22 +918,15 @@ fn execute(
     gates: &ClassGates,
 ) -> event_loop::Done {
     let trace = work.trace.as_deref();
+    // Sheds are counted by the event loop as it writes them.
     // Graceful shutdown: requests still queued were never served —
     // a clean 503 instead of a silent drop.
     if state.is_draining() {
-        state.note_shed(ShedReason::Draining);
-        if let Some(trace) = trace {
-            trace.set_status(503);
-        }
         return event_loop::Done::Shed(ShedReason::Draining);
     }
     // The admission contract, re-checked after queue wait: a request
     // past its deadline is never evaluated.
     if work.deadline.is_some_and(|d| Instant::now() > d) {
-        state.note_shed(ShedReason::Deadline);
-        if let Some(trace) = trace {
-            trace.set_status(503);
-        }
         return event_loop::Done::Shed(ShedReason::Deadline);
     }
     let ctx = RequestContext {
@@ -1644,17 +952,11 @@ fn execute(
             let payload = revalidate(payload, request);
             if let Some(trace) = trace {
                 trace.stamp(Stage::Serialized);
-                trace.set_status(payload.status);
+                trace.set_status(payload.status());
             }
             event_loop::Done::Response(payload)
         }
-        Ok(Err(reason)) => {
-            state.note_shed(reason);
-            if let Some(trace) = trace {
-                trace.set_status(503);
-            }
-            event_loop::Done::Shed(reason)
-        }
+        Ok(Err(reason)) => event_loop::Done::Shed(reason),
         Err(_) => {
             if let Some(trace) = trace {
                 trace.set_status(500);
@@ -1664,341 +966,12 @@ fn execute(
     }
 }
 
-/// `ETag` revalidation on the response cache: when a `200` carries
-/// an entity tag and the request's `If-None-Match` matches it, the
-/// body is replaced by a `304 Not Modified` — the client's cached copy
-/// is current, so only headers go over the wire.
-pub(crate) fn revalidate(payload: CachedResponse, request: &ParsedRequest) -> CachedResponse {
-    let (Some(etag), Some(candidates)) =
-        (payload.etag.as_deref(), request.if_none_match.as_deref())
-    else {
-        return payload;
-    };
-    if payload.status == 200 && etag_matches(candidates, etag) {
-        // Bodyless (`Content-Length: 0` keeps the in-repo client's
-        // framing exact), echoing the tag it validated.
-        encode(304, Vec::new(), CONTENT_TYPE_JSON, Some(etag.into()), None)
-    } else {
-        payload
-    }
-}
-
-/// Whether an `If-None-Match` header value matches `etag`: a
-/// comma-separated list of (possibly `W/`-prefixed) quoted tags, or
-/// `*`. Weak comparison — revalidation only decides whether bytes
-/// must be resent.
-fn etag_matches(candidates: &str, etag: &str) -> bool {
-    candidates.split(',').any(|candidate| {
-        let candidate = candidate.trim();
-        candidate == "*" || candidate.strip_prefix("W/").unwrap_or(candidate) == etag
-    })
-}
-
-/// The canned shed response for `reason`: a `503` with `Retry-After`
-/// and `Connection: close`, pre-serialized so the reject path
-/// allocates and formats nothing.
-pub(crate) fn shed_response_bytes(reason: ShedReason) -> &'static [u8] {
-    static PAYLOADS: std::sync::OnceLock<[Vec<u8>; 4]> = std::sync::OnceLock::new();
-    let idx = match reason {
-        ShedReason::QueueFull => 0,
-        ShedReason::Deadline => 1,
-        ShedReason::ClassSaturated => 2,
-        ShedReason::Draining => 3,
-    };
-    &PAYLOADS.get_or_init(|| {
-        [
-            ShedReason::QueueFull,
-            ShedReason::Deadline,
-            ShedReason::ClassSaturated,
-            ShedReason::Draining,
-        ]
-        .map(|r| {
-            let body = error_body(r.message());
-            format!(
-                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
-                 Content-Length: {}\r\nRetry-After: {RETRY_AFTER_SECS}\r\n\
-                 Connection: close\r\n\r\n{body}",
-                body.len()
-            )
-            .into_bytes()
-        })
-    })[idx]
-}
-
-/// The default response content type (every JSON endpoint).
-pub(crate) const CONTENT_TYPE_JSON: &str = "application/json";
-
-/// The Prometheus text exposition format version `/metrics` serves.
-pub(crate) const CONTENT_TYPE_PROMETHEUS: &str = "text/plain; version=0.0.4";
-
-/// The replication stream content type (`/replication/wal` and
-/// `/replication/snapshot` bodies are binary: preamble + raw bytes).
-pub(crate) const CONTENT_TYPE_BINARY: &str = "application/octet-stream";
-
-/// The one response-head rendering both framings share; the closing
-/// variant only adds the `Connection: close` header (HTTP/1.1
-/// defaults to persistent, so the keep-alive form carries none).
-fn response_head(
-    status: u16,
-    content_length: usize,
-    close: bool,
-    etag: Option<&str>,
-    content_type: &str,
-    extra: Option<&str>,
-) -> String {
-    let reason = match status {
-        200 => "OK",
-        304 => "Not Modified",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        503 => "Service Unavailable",
-        _ => "Internal Server Error",
-    };
-    let connection = if close { "Connection: close\r\n" } else { "" };
-    let etag = match etag {
-        Some(tag) => format!("ETag: {tag}\r\n"),
-        None => String::new(),
-    };
-    let extra = extra.unwrap_or("");
-    format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {content_length}\r\n{etag}{extra}{connection}\r\n"
+/// A replicated write or snapshot sent to a volatile store.
+fn no_durable_store() -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        "replica has no durable store",
     )
-}
-
-/// The one response encoder: frames `body` in its keep-alive form —
-/// status line, `Content-Type`, `Content-Length`, then the `ETag` and
-/// any extra pre-rendered header lines (the replica write rejection's
-/// `Frost-Primary` hint) when given. [`close_variant_bytes`] re-frames
-/// the same fields with `Connection: close`.
-pub(crate) fn encode(
-    status: u16,
-    body: impl Into<Vec<u8>>,
-    content_type: &'static str,
-    etag: Option<Arc<str>>,
-    extra: Option<Arc<str>>,
-) -> CachedResponse {
-    let body = body.into();
-    let head = response_head(
-        status,
-        body.len(),
-        false,
-        etag.as_deref(),
-        content_type,
-        extra.as_deref(),
-    );
-    let mut bytes = Vec::with_capacity(head.len() + body.len());
-    bytes.extend_from_slice(head.as_bytes());
-    let body_start = bytes.len();
-    bytes.extend_from_slice(&body);
-    CachedResponse {
-        status,
-        bytes: Arc::from(bytes),
-        body_start,
-        content_type,
-        etag,
-        extra,
-    }
-}
-
-/// The strong entity tag of a cacheable body: its quoted FNV-1a 64-bit
-/// hash — cheap, dependency-free, and stable across runs, which is all
-/// an entity tag needs.
-pub(crate) fn entity_tag(body: &[u8]) -> Arc<str> {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in body {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("\"{hash:016x}\"").into()
-}
-
-/// Re-frames a response with `Connection: close`, sharing nothing —
-/// used for the final response on a closing connection.
-pub(crate) fn close_variant_bytes(payload: &CachedResponse) -> Vec<u8> {
-    let body = payload.body();
-    let head = response_head(
-        payload.status,
-        body.len(),
-        true,
-        payload.etag(),
-        payload.content_type,
-        payload.extra.as_deref(),
-    );
-    let mut bytes = Vec::with_capacity(head.len() + body.len());
-    bytes.extend_from_slice(head.as_bytes());
-    bytes.extend_from_slice(body);
-    bytes
-}
-
-pub(crate) fn error_body(message: &str) -> String {
-    serde_json::to_string(&Value::object([(
-        "error".to_string(),
-        Value::from(message),
-    )]))
-}
-
-impl ServerState {
-    /// A write sent to a replica: `503`, with the `Frost-Primary` header
-    /// naming where to retry when the primary is known.
-    pub(crate) fn replica_rejection(&self) -> CachedResponse {
-        let extra = self
-            .hub
-            .primary_hint()
-            .map(|h| Arc::from(format!("Frost-Primary: {h}\r\n")));
-        let body = error_body("replica: writes must go to the primary");
-        encode(503, body, CONTENT_TYPE_JSON, None, extra)
-    }
-
-    /// The `/readyz` body + status: ready (200) only while the store is
-    /// loaded, the WAL has not been poisoned by a disk failure, and the
-    /// recent shed rate is below the configured threshold.
-    pub(crate) fn readyz_response(&self, options: &ServeOptions) -> CachedResponse {
-        let poisoned = self.wal_poisoned();
-        let shed_rate = self.recent_shed_rate();
-        let draining = self.is_draining();
-        let hub = &self.hub;
-        let is_replica = !hub.is_primary();
-        let role = if is_replica { "replica" } else { "primary" };
-        let lag = hub.lag();
-        // The lag gate takes a stale replica out of rotation; primaries
-        // (lag zero by definition) are never gated by it.
-        let lag_exceeded = is_replica
-            && options
-                .max_replica_lag
-                .is_some_and(|max_ms| lag.ms > max_ms);
-        let ready = !poisoned && !draining && !lag_exceeded && shed_rate <= SHED_READY_THRESHOLD;
-        let (_, applied_offset, applied_records) = hub.position();
-        let body = serde_json::to_string(&Value::object([
-            ("ready".to_string(), Value::from(ready)),
-            ("store_loaded".to_string(), Value::from(true)),
-            ("wal_poisoned".to_string(), Value::from(poisoned)),
-            ("draining".to_string(), Value::from(draining)),
-            ("recent_shed_rate".to_string(), Value::from(shed_rate)),
-            ("role".to_string(), Value::from(role)),
-            (
-                "applied_offset_bytes".to_string(),
-                Value::from(applied_offset),
-            ),
-            ("applied_records".to_string(), Value::from(applied_records)),
-            ("replication_lag_bytes".to_string(), Value::from(lag.bytes)),
-            (
-                "replication_lag_records".to_string(),
-                Value::from(lag.records),
-            ),
-            ("replication_lag_ms".to_string(), Value::from(lag.ms)),
-            (
-                "replication_lag_exceeded".to_string(),
-                Value::from(lag_exceeded),
-            ),
-            (
-                "replication_connected".to_string(),
-                Value::from(hub.connected()),
-            ),
-        ]));
-        encode(
-            if ready { 200 } else { 503 },
-            body,
-            CONTENT_TYPE_JSON,
-            None,
-            None,
-        )
-    }
-
-    /// `GET /replication/wal?from=<offset>`: the long-poll WAL tail. The
-    /// reply is a [`StreamPreamble`] followed by the raw CRC-framed WAL
-    /// bytes from `from` to the durable length — exactly the bytes a
-    /// single-node recovery would replay. When the caller is current the
-    /// request is held open (condvar, no locks) up to `wait_ms` waiting
-    /// for the next append; a snapshot-epoch mismatch answers immediately
-    /// with empty frames so the caller re-bootstraps.
-    ///
-    /// The poll doubles as the replication acknowledgement: a caller
-    /// asking for bytes past `from` has everything before `from` durable,
-    /// which is what `--sync-replication` writers wait on.
-    pub(crate) fn replication_wal_response(
-        &self,
-        from: u64,
-        wait_ms: u64,
-        snap: Option<SnapshotId>,
-    ) -> Result<CachedResponse, (u16, String)> {
-        let volatile = || {
-            (
-                400,
-                error_body("store is volatile (no WAL): replication unavailable"),
-            )
-        };
-        // A volatile store has no WAL to wait on: answer before the
-        // long-poll instead of holding a worker for `wait_ms`.
-        if !self.is_durable() {
-            return Err(volatile());
-        }
-        let hub = &self.hub;
-        let (current_snap, _, _) = hub.position();
-        let snap = snap.unwrap_or(current_snap);
-        hub.note_poll(snap, from);
-        let wait = Duration::from_millis(wait_ms.min(MAX_POLL_WAIT_MS));
-        hub.wait_for_data(from, snap, wait);
-        // Serve under the writer lock so position and file bytes stay
-        // consistent — no append or compaction can race the read.
-        let writer = self.writer.lock();
-        let d = writer.as_ref().ok_or_else(volatile)?;
-        let snapshot_id = d.snapshot_id();
-        let wal_len = d.wal_len();
-        let records = d.wal_records();
-        let frames: Vec<u8> = if snap == snapshot_id && from >= WAL_HEADER_LEN && from < wal_len {
-            match d.read_wal() {
-                Ok(bytes) => bytes
-                    .get(from as usize..)
-                    .map(<[u8]>::to_vec)
-                    .unwrap_or_default(),
-                Err(e) => return Err((500, error_body(&format!("WAL read failed: {e}")))),
-            }
-        } else {
-            Vec::new()
-        };
-        drop(writer);
-        hub.add_streamed(frames.len() as u64);
-        let preamble = StreamPreamble {
-            primary: hub.is_primary(),
-            snapshot: snapshot_id,
-            wal_len,
-            records,
-        };
-        let mut body = Vec::with_capacity(replication::STREAM_PREAMBLE_LEN + frames.len());
-        body.extend_from_slice(&preamble.encode());
-        body.extend_from_slice(&frames);
-        Ok(encode(200, body, CONTENT_TYPE_BINARY, None, None))
-    }
-
-    /// `GET /replication/snapshot`: preamble + the exact current FROSTB
-    /// snapshot bytes — the replica bootstrap payload. Served under the
-    /// writer lock so a concurrent compaction cannot swap the file
-    /// mid-read.
-    pub(crate) fn replication_snapshot_response(&self) -> Result<CachedResponse, (u16, String)> {
-        let writer = self.writer.lock();
-        let Some(d) = writer.as_ref() else {
-            return Err((
-                400,
-                error_body("store is volatile (no snapshot): replication unavailable"),
-            ));
-        };
-        let bytes = d
-            .read_snapshot()
-            .map_err(|e| (500, error_body(&format!("snapshot read failed: {e}"))))?;
-        let preamble = StreamPreamble {
-            primary: self.hub.is_primary(),
-            snapshot: d.snapshot_id(),
-            wal_len: d.wal_len(),
-            records: d.wal_records(),
-        };
-        drop(writer);
-        self.hub.add_streamed(bytes.len() as u64);
-        let mut body = Vec::with_capacity(replication::STREAM_PREAMBLE_LEN + bytes.len());
-        body.extend_from_slice(&preamble.encode());
-        body.extend_from_slice(&bytes);
-        Ok(encode(200, body, CONTENT_TYPE_BINARY, None, None))
-    }
 }
 
 fn durable_error(e: DurableError) -> (u16, String) {
@@ -2033,157 +1006,11 @@ impl std::fmt::Display for WriteError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overload::GaugeGuard;
+    use crate::response::json_response;
+    use crate::route::Class;
     use crate::telemetry::Registry;
     use frost_storage::api::Request;
-
-    fn parse_all(bytes: &[u8]) -> Vec<Parsed> {
-        let mut buffer = RequestBuffer::new();
-        buffer.extend(bytes);
-        let mut out = Vec::new();
-        loop {
-            match buffer.next_request() {
-                Parsed::Incomplete => break,
-                done @ Parsed::Error(_) => {
-                    out.push(done);
-                    break;
-                }
-                request => out.push(request),
-            }
-        }
-        out
-    }
-
-    fn get_request(target: &str, keep_alive: bool) -> ParsedRequest {
-        ParsedRequest {
-            method: "GET".into(),
-            target: target.into(),
-            keep_alive,
-            content_length: 0,
-            if_none_match: None,
-            body: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn parses_single_and_pipelined_heads() {
-        let got = parse_all(b"GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /b HTTP/1.1\r\n\r\n");
-        assert_eq!(
-            got,
-            vec![
-                Parsed::Request(get_request("/a", true)),
-                Parsed::Request(get_request("/b", true)),
-            ]
-        );
-    }
-
-    #[test]
-    fn post_bodies_are_consumed_and_split_safely() {
-        let mut buffer = RequestBuffer::new();
-        buffer.extend(
-            b"POST /experiments?dataset=d&name=n HTTP/1.1\r\nContent-Length: 12\r\n\r\nid1,",
-        );
-        // Head complete, body partial: not a request yet.
-        assert_eq!(buffer.next_request(), Parsed::Incomplete);
-        assert_eq!(
-            buffer.next_request(),
-            Parsed::Incomplete,
-            "stable while waiting"
-        );
-        buffer.extend(b"id2\na,");
-        assert_eq!(buffer.next_request(), Parsed::Incomplete);
-        // Final body bytes plus a pipelined GET behind them.
-        buffer.extend(b"b\nGET /datasets HTTP/1.1\r\n\r\n");
-        let Parsed::Request(post) = buffer.next_request() else {
-            panic!("complete POST must parse")
-        };
-        assert_eq!(post.method, "POST");
-        assert_eq!(post.content_length, 12);
-        assert_eq!(post.body, b"id1,id2\na,b\n".to_vec());
-        let Parsed::Request(get) = buffer.next_request() else {
-            panic!("pipelined GET must parse")
-        };
-        assert_eq!(get.target, "/datasets");
-    }
-
-    #[test]
-    fn oversized_body_is_rejected() {
-        let mut buffer = RequestBuffer::new();
-        buffer.extend(
-            format!(
-                "POST /experiments HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-                MAX_BODY_BYTES + 1
-            )
-            .as_bytes(),
-        );
-        assert!(matches!(buffer.next_request(), Parsed::Error(_)));
-    }
-
-    #[test]
-    fn connection_close_and_http10_disable_keep_alive() {
-        let close = parse_all(b"GET / HTTP/1.1\r\nConnection: Close\r\n\r\n");
-        assert_eq!(close, vec![Parsed::Request(get_request("/", false))]);
-        let old = parse_all(b"GET / HTTP/1.0\r\n\r\n");
-        assert!(matches!(
-            &old[0],
-            Parsed::Request(r) if !r.keep_alive
-        ));
-        let old_ka = parse_all(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n");
-        assert!(
-            matches!(&old_ka[0], Parsed::Request(r) if !r.keep_alive),
-            "1.0 opt-in keep-alive is not implemented and must close"
-        );
-    }
-
-    #[test]
-    fn bare_lf_terminators_parse() {
-        let got = parse_all(b"GET /x HTTP/1.1\nHost: y\n\n");
-        assert!(matches!(&got[0], Parsed::Request(r) if r.target == "/x"));
-    }
-
-    #[test]
-    fn malformed_heads_are_errors() {
-        assert!(matches!(parse_all(b"GARBAGE\r\n\r\n")[0], Parsed::Error(_)));
-        assert!(matches!(parse_all(b"\r\n\r\n")[0], Parsed::Error(_)));
-        assert!(matches!(
-            parse_all(b"GET / SPDY/3\r\n\r\n")[0],
-            Parsed::Error(_)
-        ));
-        assert!(matches!(
-            parse_all(b"GET / HTTP/1.1\r\nContent-Length: 5\r\n\r\n")[0],
-            Parsed::Error(_)
-        ));
-        assert!(matches!(
-            parse_all(b"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")[0],
-            Parsed::Error(_)
-        ));
-        assert!(matches!(
-            parse_all(b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n")[0],
-            Parsed::Error(_)
-        ));
-    }
-
-    #[test]
-    fn oversized_head_is_rejected_before_completion() {
-        let mut buffer = RequestBuffer::new();
-        buffer.extend(b"GET /");
-        buffer.extend(&vec![b'a'; MAX_REQUEST_BYTES + 1]);
-        assert!(matches!(buffer.next_request(), Parsed::Error(_)));
-    }
-
-    #[test]
-    fn buffer_compacts_consumed_heads() {
-        let mut buffer = RequestBuffer::new();
-        let request = b"GET /loop HTTP/1.1\r\n\r\n";
-        for _ in 0..1_000 {
-            buffer.extend(request);
-            assert!(matches!(buffer.next_request(), Parsed::Request(_)));
-        }
-        assert!(
-            buffer.buf.capacity() < 64 * 1024,
-            "buffer must not grow with served request count (capacity {})",
-            buffer.buf.capacity()
-        );
-    }
 
     /// Drives a distinct value into every counter and gauge `/stats`
     /// reports, then hands the state to `check` while the live gauges
@@ -2196,7 +1023,7 @@ mod tests {
         }
         ov.queue_dequeued(); // depth 2, high-water mark 3
         for _ in 0..4 {
-            state.note_admitted();
+            ov.note_admitted();
         }
         for (reason, n) in [
             (ShedReason::QueueFull, 5),
@@ -2205,7 +1032,7 @@ mod tests {
             (ShedReason::Draining, 8),
         ] {
             for _ in 0..n {
-                state.note_shed(reason);
+                ov.shed(reason, None);
             }
         }
         for _ in 0..3 {
@@ -2229,7 +1056,7 @@ mod tests {
             assert!(cache.get(&format!("miss{i}")).is_none());
         }
         for key in ["a", "bb"] {
-            let payload = encode(200, key, CONTENT_TYPE_JSON, None, None);
+            let payload = json_response(200, key);
             cache.insert(key, payload, cache.begin());
         }
         for _ in 0..15 {

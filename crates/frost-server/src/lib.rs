@@ -48,7 +48,10 @@ pub mod client;
 mod event_loop;
 pub mod http;
 pub mod json;
+pub mod overload;
 pub mod replication;
+pub mod request;
+pub mod response;
 pub mod route;
 pub mod telemetry;
 

@@ -14,6 +14,9 @@
 //!   replication body so the replica can detect snapshot-epoch changes
 //!   (the primary compacted) and learn the primary's current position
 //!   for lag accounting.
+//! - [`wal_response`] and [`snapshot_response`] — the primary's two
+//!   replication endpoints, each a preamble followed by raw bytes read
+//!   under the writer lock.
 //! - [`ReplicationHub`] — shared state between the HTTP handlers and
 //!   the replica apply thread: role, positions, condvars for long-poll
 //!   wakeup (primary side) and semi-sync write acknowledgement.
@@ -25,16 +28,19 @@
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use frost_storage::durable::{DurableError, DurableStore};
 use frost_storage::snapshot;
-use frost_storage::wal::{self, SnapshotId};
+use frost_storage::wal::{self, SnapshotId, WAL_HEADER_LEN};
 
 use crate::client;
 use crate::http::ServerState;
+use crate::response::{encode, error_body, CachedResponse, CONTENT_TYPE_BINARY, CONTENT_TYPE_JSON};
 use crate::route::Endpoint::{ReplicationSnapshot, ReplicationWal};
+use crate::route::Target;
 
 // ---------------------------------------------------------------------
 // Stream preamble
@@ -116,6 +122,121 @@ impl StreamPreamble {
 pub fn split_preamble(body: &[u8]) -> Result<(StreamPreamble, &[u8]), String> {
     let preamble = StreamPreamble::decode(body)?;
     Ok((preamble, &body[STREAM_PREAMBLE_LEN..]))
+}
+
+// ---------------------------------------------------------------------
+// Serving side: the primary's endpoints
+// ---------------------------------------------------------------------
+
+/// Longest a `/replication/wal` long poll is held open waiting for new
+/// frames (the `wait_ms` parameter is clamped to this).
+const MAX_POLL_WAIT_MS: u64 = 10_000;
+
+/// `GET /replication/wal?from=<offset>[&wait_ms=][&snap_len=&snap_crc=]`:
+/// the long-poll WAL tail. The reply is a [`StreamPreamble`] followed
+/// by the raw CRC-framed WAL bytes from `from` to the durable length —
+/// exactly the bytes a single-node recovery would replay. When the
+/// caller is current the request is held open (condvar, no locks) up
+/// to `wait_ms` waiting for the next append; a snapshot-epoch mismatch
+/// answers immediately with empty frames so the caller re-bootstraps.
+///
+/// The poll doubles as the replication acknowledgement: a caller
+/// asking for bytes past `from` has everything before `from` durable,
+/// which is what `--sync-replication` writers wait on.
+pub(crate) fn wal_response(
+    state: &ServerState,
+    params: &Target,
+) -> Result<CachedResponse, (u16, String)> {
+    let from = params.parse("from", "", |s| s.parse::<u64>().ok())?;
+    let wait_ms = params.parse("wait_ms", &REPLICA_POLL_WAIT_MS.to_string(), |s| {
+        s.parse::<u64>().ok()
+    })?;
+    // The snapshot epoch the caller's WAL applies over; `None`
+    // (parameters absent) means "whatever the server has".
+    let snap = match (params.get("snap_len"), params.get("snap_crc")) {
+        (Some(len), Some(crc)) => Some(SnapshotId {
+            len: len
+                .parse()
+                .map_err(|_| (400, error_body("bad snap_len value")))?,
+            crc: crc
+                .parse()
+                .map_err(|_| (400, error_body("bad snap_crc value")))?,
+        }),
+        _ => None,
+    };
+    // A volatile store has no WAL to wait on: answer before the
+    // long-poll instead of holding a worker for `wait_ms`.
+    if !state.is_durable() {
+        return Err(volatile("WAL"));
+    }
+    let hub = state.hub();
+    let snap = snap.unwrap_or(hub.position().0);
+    hub.note_poll(snap, from);
+    let wait = Duration::from_millis(wait_ms.min(MAX_POLL_WAIT_MS));
+    hub.wait_for_data(from, snap, wait);
+    stream_body(state, "WAL", |d| {
+        if snap != d.snapshot_id() || from < WAL_HEADER_LEN || from >= d.wal_len() {
+            return Ok(Vec::new());
+        }
+        Ok(d.read_wal()?
+            .get(from as usize..)
+            .map(<[u8]>::to_vec)
+            .unwrap_or_default())
+    })
+}
+
+/// `GET /replication/snapshot`: preamble + the exact current FROSTB
+/// snapshot bytes — the replica bootstrap payload.
+pub(crate) fn snapshot_response(state: &ServerState) -> Result<CachedResponse, (u16, String)> {
+    stream_body(state, "snapshot", DurableStore::read_snapshot)
+}
+
+/// The one replication body: `read`'s bytes behind a preamble naming
+/// the position they belong to, both taken under the writer lock so
+/// no append or compaction can race the read.
+fn stream_body(
+    state: &ServerState,
+    what: &str,
+    read: impl FnOnce(&DurableStore) -> Result<Vec<u8>, DurableError>,
+) -> Result<CachedResponse, (u16, String)> {
+    let hub = state.hub();
+    let (preamble, bytes) = state.with_writer(|d| {
+        let d = d.ok_or_else(|| volatile(what))?;
+        let bytes = read(d).map_err(|e| (500, error_body(&format!("{what} read failed: {e}"))))?;
+        let preamble = StreamPreamble {
+            primary: hub.is_primary(),
+            snapshot: d.snapshot_id(),
+            wal_len: d.wal_len(),
+            records: d.wal_records(),
+        };
+        Ok::<_, (u16, String)>((preamble, bytes))
+    })?;
+    hub.add_streamed(bytes.len() as u64);
+    let mut body = Vec::with_capacity(STREAM_PREAMBLE_LEN + bytes.len());
+    body.extend_from_slice(&preamble.encode());
+    body.extend_from_slice(&bytes);
+    Ok(encode(200, body, CONTENT_TYPE_BINARY, None, None))
+}
+
+/// The answer of a replication endpoint on a volatile store, which has
+/// no `what` to ship.
+fn volatile(what: &str) -> (u16, String) {
+    (
+        400,
+        error_body(&format!(
+            "store is volatile (no {what}): replication unavailable"
+        )),
+    )
+}
+
+/// A write sent to a replica: `503`, with the `Frost-Primary` header
+/// naming where to retry when the primary is known.
+pub(crate) fn replica_rejection(hub: &ReplicationHub) -> CachedResponse {
+    let extra = hub
+        .primary_hint()
+        .map(|h| Arc::from(format!("Frost-Primary: {h}\r\n")));
+    let body = error_body("replica: writes must go to the primary");
+    encode(503, body, CONTENT_TYPE_JSON, None, extra)
 }
 
 // ---------------------------------------------------------------------
@@ -591,7 +712,6 @@ fn sleep_interruptible(shutdown: &AtomicBool, total: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn snap(len: u64, crc: u32) -> SnapshotId {
         SnapshotId { len, crc }

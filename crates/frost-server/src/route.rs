@@ -24,18 +24,20 @@
 //! `cached` class is never gated; `compute` and `write` take a permit
 //! of their class gate, and only on a cache miss.
 
-use crate::http::{
-    encode, error_body, revalidate, CachedResponse, GaugeGuard, ParsedRequest, RequestContext,
-    ServerState, ShedReason, CONTENT_TYPE_JSON, CONTENT_TYPE_PROMETHEUS,
-};
+use crate::http::ServerState;
 use crate::json;
+use crate::overload::{self, GaugeGuard, RequestContext, ShedReason};
 use crate::replication;
+use crate::request::ParsedRequest;
+use crate::response::{
+    encode, entity_tag, error_body, json_response, revalidate, CachedResponse, CONTENT_TYPE_JSON,
+    CONTENT_TYPE_PROMETHEUS,
+};
 use crate::telemetry::{Registry, Stage, Trace};
 use frost_core::diagram::{DiagramEngine, MAX_DIAGRAM_SAMPLES, MAX_NAIVE_DIAGRAM_SAMPLES};
 use frost_core::metrics::PairMetric;
 use frost_storage::api::{self, RatioKind, Request};
 use frost_storage::store::StoreError;
-use frost_storage::wal::SnapshotId;
 use serde_json::Value;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -47,7 +49,7 @@ const SYNC_ACK_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Endpoint cost classes: each is gated independently so one class
 /// cannot starve another (compute gets half the workers, writes a
-/// quarter; see `http::ClassGates`).
+/// quarter; see `overload::ClassGates`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Class {
     /// Cheap GETs (cache probes, listings, health, stats) — never
@@ -263,7 +265,7 @@ impl Endpoint {
 /// A request target, percent-decoded into one buffer: one allocation
 /// for the text and one for the parameter offsets, however many
 /// parameters there are.
-struct Target {
+pub(crate) struct Target {
     /// The path, then each query key and its value, back to back.
     text: String,
     path_end: usize,
@@ -307,7 +309,7 @@ impl Target {
     }
 
     /// The first value of `key`.
-    fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.params().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
@@ -317,7 +319,9 @@ impl Target {
             .ok_or_else(|| (400, error_body(&format!("missing query parameter {key:?}"))))
     }
 
-    fn parse<T>(
+    /// The value of `key` (`default` when absent) through `parse`; a
+    /// value it refuses is the `400` to answer.
+    pub(crate) fn parse<T>(
         &self,
         key: &str,
         default: &str,
@@ -424,11 +428,6 @@ impl From<ShedReason> for Stop {
 
 type Handled = Result<CachedResponse, Stop>;
 
-/// An untagged JSON response.
-fn json_response(status: u16, body: String) -> CachedResponse {
-    encode(status, body, CONTENT_TYPE_JSON, None, None)
-}
-
 /// Answers one resolved request with its serialized response, or sheds
 /// it.
 ///
@@ -456,7 +455,7 @@ pub(crate) fn route(
     if request.method != "GET" && endpoint != Endpoint::Promote && !state.hub().is_primary() {
         // Replicas reject writes before any gate or permit: cheap, and
         // the Frost-Primary header tells the client where to retry.
-        return Ok(state.replica_rejection());
+        return Ok(replication::replica_rejection(state.hub()));
     }
     let handled = match endpoint {
         _ if endpoint.is_read() => read(route, state, ctx),
@@ -483,9 +482,11 @@ pub(crate) fn route(
             200,
             serde_json::to_string(&Value::object([("ok".to_string(), Value::from(true))])),
         )),
-        Endpoint::Readyz => Ok(state.readyz_response(ctx.options)),
-        Endpoint::ReplicationWal => replication_wal(route, state),
-        Endpoint::ReplicationSnapshot => state.replication_snapshot_response().map_err(Stop::from),
+        Endpoint::Readyz => Ok(overload::readyz_response(state, ctx.options)),
+        Endpoint::ReplicationWal => {
+            replication::wal_response(state, &route.target).map_err(Stop::from)
+        }
+        Endpoint::ReplicationSnapshot => replication::snapshot_response(state).map_err(Stop::from),
         // `Other`; every read was taken by the first arm.
         _ => Err(unrouted(route, &request.method).into()),
     };
@@ -544,7 +545,7 @@ pub(crate) fn serve_hit(
         trace.stamp(Stage::CacheProbe);
     }
     let hit = probed?;
-    state.note_admitted();
+    state.overload().note_admitted();
     let payload = revalidate(hit, request);
     if let Some(trace) = trace {
         trace.stamp(Stage::Serialized);
@@ -565,7 +566,7 @@ fn read(route: &Route, state: &ServerState, ctx: &RequestContext) -> Handled {
         .evaluate(|| state.with_store(|s| api::handle(s, request)))?
         .map_err(store_error)?;
     let body = state.rendered(&response);
-    let etag = crate::http::entity_tag(body.as_bytes());
+    let etag = entity_tag(body.as_bytes());
     let payload = encode(200, body, CONTENT_TYPE_JSON, Some(etag), None);
     cache.insert_scoped(key, payload.clone(), observed);
     Ok(payload)
@@ -864,31 +865,6 @@ fn debug(route: &Route, ctx: &RequestContext) -> Handled {
     }
 }
 
-/// `GET /replication/wal?from=<offset>[&wait_ms=][&snap_len=&snap_crc=]`.
-fn replication_wal(route: &Route, state: &ServerState) -> Handled {
-    let params = &route.target;
-    let from = params.parse("from", "", |s| s.parse::<u64>().ok())?;
-    let wait_ms = params.parse(
-        "wait_ms",
-        &replication::REPLICA_POLL_WAIT_MS.to_string(),
-        |s| s.parse::<u64>().ok(),
-    )?;
-    // The snapshot epoch the caller's WAL applies over; `None`
-    // (parameters absent) means "whatever the server has".
-    let snap = match (params.get("snap_len"), params.get("snap_crc")) {
-        (Some(len), Some(crc)) => Some(SnapshotId {
-            len: len
-                .parse()
-                .map_err(|_| (400, error_body("bad snap_len value")))?,
-            crc: crc
-                .parse()
-                .map_err(|_| (400, error_body("bad snap_crc value")))?,
-        }),
-        _ => None,
-    };
-    Ok(state.replication_wal_response(from, wait_ms, snap)?)
-}
-
 /// Builds an unambiguous cache key: every component is
 /// length-prefixed, so user-controlled names (which may contain any
 /// byte, including the separators) cannot alias another request's
@@ -922,7 +898,8 @@ pub(crate) fn store_error(e: StoreError) -> (u16, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{close_variant_bytes, ClassGates, CONTENT_TYPE_BINARY};
+    use crate::overload::ClassGates;
+    use crate::response::{close_variant_bytes, CONTENT_TYPE_BINARY};
     use crate::ServeOptions;
     use frost_core::clustering::Clustering;
     use frost_core::dataset::{Dataset, Experiment, Schema};
