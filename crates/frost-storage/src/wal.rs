@@ -464,6 +464,48 @@ pub struct StreamScan {
     pub consumed: usize,
 }
 
+/// One step of reading the frame at an offset.
+enum Frame {
+    /// The offset is the end of the bytes.
+    End,
+    /// The bytes there do not delimit a whole frame: its length varint
+    /// is truncated or malformed, or the frame runs past the end.
+    Partial,
+    /// A whole frame ending at `end`, and its op — or why it is bad (a
+    /// checksum mismatch or an undecodable op).
+    Whole {
+        end: usize,
+        op: Result<WalOp, String>,
+    },
+}
+
+/// The one frame reader: reads the frame at `pos`
+/// (`varint(len) | payload | crc32`). What a partial or bad frame
+/// means is the caller's tail policy.
+fn next_frame(bytes: &[u8], pos: usize) -> Frame {
+    if pos == bytes.len() {
+        return Frame::End;
+    }
+    let Some((len, payload_start)) = lenient_varint(bytes, pos) else {
+        return Frame::Partial;
+    };
+    let Some(end) = (len as usize)
+        .checked_add(4)
+        .and_then(|n| payload_start.checked_add(n))
+        .filter(|&e| e <= bytes.len())
+    else {
+        return Frame::Partial;
+    };
+    let payload = &bytes[payload_start..end - 4];
+    let stored_crc = u32::from_le_bytes(bytes[end - 4..end].try_into().unwrap());
+    let op = if crc32(payload) != stored_crc {
+        Err("frame checksum mismatch".to_string())
+    } else {
+        WalOp::decode(payload).map_err(|e| format!("undecodable op: {e}"))
+    };
+    Frame::Whole { end, op }
+}
+
 /// Scans a *headerless* run of WAL frames as shipped over the
 /// replication stream: decodes every complete frame from the front and
 /// reports how many bytes they covered. An incomplete final frame is
@@ -474,41 +516,15 @@ pub struct StreamScan {
 pub fn scan_stream(bytes: &[u8]) -> Result<StreamScan, WalError> {
     let mut ops = Vec::new();
     let mut pos = 0usize;
-    loop {
-        if pos == bytes.len() {
-            return Ok(StreamScan { ops, consumed: pos });
-        }
-        // An undecodable or truncated length varint can't delimit a
-        // frame yet: wait for more bytes.
-        let Some((len, payload_start)) = lenient_varint(bytes, pos) else {
-            return Ok(StreamScan { ops, consumed: pos });
-        };
-        let Some(frame_end) = (len as usize)
-            .checked_add(4)
-            .and_then(|n| payload_start.checked_add(n))
-            .filter(|&e| e <= bytes.len())
-        else {
-            return Ok(StreamScan { ops, consumed: pos });
-        };
-        let payload = &bytes[payload_start..payload_start + len as usize];
-        let stored_crc = u32::from_le_bytes(bytes[frame_end - 4..frame_end].try_into().unwrap());
-        if crc32(payload) != stored_crc {
-            return Err(WalError::Corrupted {
-                offset: pos as u64,
-                reason: "frame checksum mismatch".into(),
-            });
-        }
-        match WalOp::decode(payload) {
-            Ok(op) => ops.push(op),
-            Err(e) => {
-                return Err(WalError::Corrupted {
-                    offset: pos as u64,
-                    reason: format!("undecodable op: {e}"),
-                })
-            }
-        }
-        pos = frame_end;
+    while let Frame::Whole { end, op } = next_frame(bytes, pos) {
+        let op = op.map_err(|reason| WalError::Corrupted {
+            offset: pos as u64,
+            reason,
+        })?;
+        ops.push(op);
+        pos = end;
     }
+    Ok(StreamScan { ops, consumed: pos })
 }
 
 /// Scans WAL bytes: validates the header, decodes the longest valid
@@ -518,69 +534,39 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, WalError> {
     let snapshot_id = decode_header(bytes)?;
     let mut ops = Vec::new();
     let mut pos = WAL_HEADER_LEN as usize;
-    loop {
-        if pos == bytes.len() {
-            return Ok(WalScan {
-                snapshot_id,
-                ops,
-                tail: TailState::Clean,
-                valid_len: pos as u64,
-            });
-        }
-        let torn = |ops: Vec<WalOp>| {
-            Ok(WalScan {
-                snapshot_id,
-                ops,
-                tail: TailState::TornTail {
-                    valid_len: pos as u64,
-                },
-                valid_len: pos as u64,
-            })
-        };
-        // A frame whose length cannot be decoded, or which extends past
-        // EOF, cannot be delimited: torn tail.
-        let Some((len, payload_start)) = lenient_varint(bytes, pos) else {
-            return torn(ops);
-        };
-        let Some(frame_end) = (len as usize)
-            .checked_add(4)
-            .and_then(|n| payload_start.checked_add(n))
-            .filter(|&e| e <= bytes.len())
-        else {
-            return torn(ops);
-        };
-        let payload = &bytes[payload_start..payload_start + len as usize];
-        let stored_crc = u32::from_le_bytes(bytes[frame_end - 4..frame_end].try_into().unwrap());
-        let bad = if crc32(payload) != stored_crc {
-            Some("frame checksum mismatch".to_string())
-        } else {
-            match WalOp::decode(payload) {
-                Ok(op) => {
-                    ops.push(op);
-                    None
-                }
-                Err(e) => Some(format!("undecodable op: {e}")),
+    let tail = loop {
+        match next_frame(bytes, pos) {
+            Frame::End => break TailState::Clean,
+            Frame::Whole { end, op: Ok(op) } => {
+                ops.push(op);
+                pos = end;
             }
-        };
-        if let Some(reason) = bad {
-            // A bad final frame is a torn append; a bad frame with
-            // bytes after it is corruption and must be loud.
-            return if frame_end == bytes.len() {
-                torn(ops)
-            } else {
-                Ok(WalScan {
-                    snapshot_id,
-                    ops,
-                    tail: TailState::Corrupt {
-                        offset: pos as u64,
-                        reason,
-                    },
+            // A bad frame with bytes after it is corruption and must be
+            // loud.
+            Frame::Whole {
+                end,
+                op: Err(reason),
+            } if end < bytes.len() => {
+                break TailState::Corrupt {
+                    offset: pos as u64,
+                    reason,
+                }
+            }
+            // A frame that cannot be delimited, or a bad final frame,
+            // is a torn append.
+            Frame::Partial | Frame::Whole { .. } => {
+                break TailState::TornTail {
                     valid_len: pos as u64,
-                })
-            };
+                }
+            }
         }
-        pos = frame_end;
-    }
+    };
+    Ok(WalScan {
+        snapshot_id,
+        ops,
+        tail,
+        valid_len: pos as u64,
+    })
 }
 
 #[cfg(test)]
