@@ -505,7 +505,7 @@ fn main() {
     // vs the production four-lane merge (PairSet::intersection_len
     // dispatches to it at near-equal sizes) on identical data with a
     // ~50% hit rate. Sizes are fixed (the kernel is data-shape
-    // independent); CRITERION_MEASUREMENT_MS keeps smoke runs quick.
+    // independent).
     let equal_sizes = [4_096usize, 32_768, 262_144];
     {
         let mut g = c.benchmark_group("equal_merge");
