@@ -400,10 +400,15 @@ impl ServerState {
         self.responses
             .invalidate_scopes([scope.as_str(), "sys:experiments"]);
         if let Some(d) = writer.as_ref() {
-            self.hub
-                .publish(d.snapshot_id(), d.wal_len(), d.wal_records());
+            self.publish(d);
         }
         Ok(())
+    }
+
+    /// Publishes `d`'s durable position to the replication hub.
+    fn publish(&self, d: &DurableStore) {
+        self.hub
+            .publish(d.snapshot_id(), d.wal_len(), d.wal_records());
     }
 
     /// `POST /experiments`: parses the CSV against the store, then
@@ -456,8 +461,7 @@ impl ServerState {
         };
         let store = self.store.read();
         d.compact(&store).map_err(durable_error)?;
-        self.hub
-            .publish(d.snapshot_id(), d.wal_len(), d.wal_records());
+        self.publish(d);
         Ok(api::Response::Saved {
             datasets: store.dataset_names().len(),
             experiments: store.experiment_names(None).len(),
@@ -505,15 +509,8 @@ impl ServerState {
         let (store, mut durable, _report) = DurableStore::open(&path, policy)
             .map_err(|e| std::io::Error::other(format!("reopen after bootstrap failed: {e}")))?;
         durable.set_wal_stats(stats);
-        {
-            let mut guard = self.store.write();
-            *guard = store;
-        }
-        self.hub.publish(
-            durable.snapshot_id(),
-            durable.wal_len(),
-            durable.wal_records(),
-        );
+        *self.store.write() = store;
+        self.publish(&durable);
         *writer = Some(durable);
         self.responses.invalidate();
         Ok(())
@@ -533,11 +530,8 @@ impl ServerState {
             let mut writer = self.writer.lock();
             if let Some(d) = writer.as_mut() {
                 d.sync().map_err(durable_error)?;
-                let store = self.store.read();
-                d.compact(&store).map_err(durable_error)?;
-                drop(store);
-                self.hub
-                    .publish(d.snapshot_id(), d.wal_len(), d.wal_records());
+                d.compact(&self.store.read()).map_err(durable_error)?;
+                self.publish(d);
             }
         }
         Ok(serde_json::to_string(&Value::object([
