@@ -313,3 +313,49 @@ fn disabled_telemetry_still_serves_metrics_and_empty_traces() {
     assert!(traces.is_empty(), "no traces when telemetry is disabled");
     handle.shutdown();
 }
+
+/// A shed is traced as a `503` whichever side decided it: the event
+/// loop (a pipelined request already past its deadline when admitted)
+/// or a worker (a miss that found its class gate saturated).
+#[test]
+fn shed_requests_are_traced_as_503() {
+    use std::io::{Read, Write};
+    let handle = start(ServeOptions {
+        workers: 2, // one compute permit
+        request_deadline: Some(Duration::from_millis(250)),
+        debug_sleep: true,
+        ..ServeOptions::default()
+    });
+    let addr = handle.addr();
+    // The sleeper holds the compute permit past the deadline (it is
+    // served late); `/datasets` waits buffered behind it.
+    let mut pipelined = std::net::TcpStream::connect(addr).unwrap();
+    pipelined
+        .write_all(b"GET /debug/sleep?ms=600 HTTP/1.1\r\n\r\nGET /datasets HTTP/1.1\r\n\r\n")
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let mut conn = Connection::open(&addr.to_string()).unwrap();
+    let (status, body) = conn.get("/venn?experiments=e1,e2").unwrap();
+    assert_eq!(status, 503, "{body}");
+    let mut answers = Vec::new();
+    pipelined.read_to_end(&mut answers).unwrap();
+    let answers = String::from_utf8(answers).unwrap();
+    assert!(answers.starts_with("HTTP/1.1 200 OK"), "{answers}");
+    assert!(
+        answers.contains("HTTP/1.1 503 Service Unavailable"),
+        "{answers}"
+    );
+
+    let mut conn = Connection::open(&addr.to_string()).unwrap();
+    let (_, body) = conn.get("/debug/traces").unwrap();
+    let doc: Value = serde_json::from_str(&body).expect("trace dump is JSON");
+    let traces = doc.get("traces").and_then(Value::as_array).expect("traces");
+    for endpoint in ["venn", "datasets"] {
+        let trace = traces
+            .iter()
+            .find(|t| t.get("endpoint").and_then(Value::as_str) == Some(endpoint))
+            .unwrap_or_else(|| panic!("no {endpoint} trace in {body}"));
+        assert_eq!(trace.get("status"), Some(&Value::from(503u64)), "{trace:?}");
+    }
+    handle.shutdown();
+}
