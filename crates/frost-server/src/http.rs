@@ -4,7 +4,7 @@
 //!
 //! This module wires the server together and owns its state: the
 //! options ([`ServeOptions`]), the store, cache and write sequence
-//! ([`ServerState`]), the worker side of a request ([`execute`]),
+//! ([`ServerState`]), the worker side of a request (`execute`),
 //! start-up ([`serve_with`], [`run_daemon`]) and shutdown. Each wire
 //! format and policy lives in the module that owns it:
 //! [`crate::request`] parses heads, [`crate::response`] renders every

@@ -19,6 +19,15 @@
 //!   holds fully serialized response bytes, served by a single
 //!   `write_all` on the hot path, with content-derived `ETag`
 //!   revalidation (`304`) on top.
+//! * [`request`] — the incremental request-head parser
+//!   ([`RequestBuffer`](request::RequestBuffer)): split reads,
+//!   pipelined heads, and the size caps.
+//! * [`response`] — the one response encoder: keep-alive and
+//!   `Connection: close` framing, `ETag` revalidation, error bodies and
+//!   the four canned `503` sheds.
+//! * [`overload`] — the overload policy: the dispatch-queue and
+//!   shed counters, the per-class concurrency gates, request deadlines
+//!   and the `/readyz` answer.
 //! * [`route`] — the route table: each request is resolved to one
 //!   [`Endpoint`](route::Endpoint) when its head completes, and that
 //!   endpoint names its handler, cost class, telemetry label and cache
@@ -34,10 +43,11 @@
 //!   traces (`GET /debug/traces`, `--slow-request-ms`), lock-free
 //!   latency histograms keyed by endpoint × cost class, and the
 //!   Prometheus text exposition behind `GET /metrics`.
-//! * [`replication`] — WAL-shipping primary/replica roles: replicas
-//!   bootstrap from the primary's FROSTB snapshot, tail its FROSTW
-//!   WAL over a long-poll endpoint, and serve the full read surface;
-//!   `POST /replication/promote` flips a replica into a primary.
+//! * [`replication`] — WAL-shipping primary/replica roles: the
+//!   primary serves its FROSTB snapshot and a long-poll tail of its
+//!   FROSTW WAL, replicas bootstrap from the one and apply the other
+//!   and serve the full read surface; `POST /replication/promote`
+//!   flips a replica into a primary.
 //!
 //! Start-up pairs with the `FROSTB` snapshot format
 //! ([`frost_storage::snapshot`]): `frostd` accepts either a CSV store

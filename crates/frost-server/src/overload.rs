@@ -3,8 +3,8 @@
 //!
 //! Admission runs in the event loop (a bounded dispatch queue, a
 //! request deadline) and in the workers (per-class concurrency gates):
-//! [`RequestContext::evaluate`] is the one path the expensive part of
-//! every request takes. Every shed is counted by [`OverloadStats::shed`]
+//! `RequestContext::evaluate` is the one path the expensive part of
+//! every request takes. Every shed is counted by `OverloadStats::shed`
 //! and answered with one of the canned `503`s. The counters feed
 //! `/stats`, `/metrics` and the shed-rate window behind `/readyz`.
 

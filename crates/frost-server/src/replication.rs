@@ -14,7 +14,7 @@
 //!   replication body so the replica can detect snapshot-epoch changes
 //!   (the primary compacted) and learn the primary's current position
 //!   for lag accounting.
-//! - [`wal_response`] and [`snapshot_response`] — the primary's two
+//! - `wal_response` and `snapshot_response` — the primary's two
 //!   replication endpoints, each a preamble followed by raw bytes read
 //!   under the writer lock.
 //! - [`ReplicationHub`] — shared state between the HTTP handlers and

@@ -1,12 +1,12 @@
 //! Response encoding: the one place a response head is rendered.
 //!
 //! Every answer the server writes is a [`CachedResponse`] framed by
-//! [`encode`] in its keep-alive form, or re-framed by
-//! [`close_variant_bytes`] with `Connection: close` for the last
+//! `encode` in its keep-alive form, or re-framed by
+//! `close_variant_bytes` with `Connection: close` for the last
 //! response on a connection. Cacheable `200`s carry a content-derived
-//! strong `ETag` ([`entity_tag`]), and [`revalidate`] turns a matching
+//! strong `ETag` (`entity_tag`), and `revalidate` turns a matching
 //! `If-None-Match` into a bodyless `304`. The four canned sheds are
-//! the same encoder's output, rendered once ([`shed_bytes`]).
+//! the same encoder's output, rendered once (`shed_bytes`).
 
 use crate::overload::{ShedReason, RETRY_AFTER_SECS};
 use crate::request::ParsedRequest;
