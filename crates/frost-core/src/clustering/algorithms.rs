@@ -28,20 +28,16 @@
 //! `O(records)`.
 
 use super::{Adjacency, Clustering, UnionFind};
-use crate::dataset::{similarity_key, RecordId, RecordPair, ScoredPair};
+use crate::dataset::{key_pair, RecordId, RecordPair, ScoredPair, SimilarityOrder};
 use std::collections::HashMap;
 
 /// The pairs by similarity descending (unscored pairs last, ties
-/// broken by pair order for determinism), sorted on a total-order
-/// integer key: `-0.0` ranks with `+0.0`, and NaN with the unscored
-/// pairs.
+/// broken by pair order for determinism), in the diagram sweep's
+/// [`SimilarityOrder`]: `-0.0` ranks with `+0.0`, and NaN with the
+/// unscored pairs.
 fn by_similarity_desc(pairs: &[ScoredPair]) -> Vec<RecordPair> {
-    let mut keyed: Vec<(std::cmp::Reverse<u64>, RecordPair)> = pairs
-        .iter()
-        .map(|sp| (std::cmp::Reverse(similarity_key(sp.similarity)), sp.pair))
-        .collect();
-    keyed.sort_unstable();
-    keyed.into_iter().map(|(_, pair)| pair).collect()
+    let order = SimilarityOrder::new(pairs);
+    order.keys().iter().map(|&k| key_pair(k)).collect()
 }
 
 /// Transitive closure: connected components of the match graph.

@@ -200,11 +200,10 @@ impl Experiment {
     /// Ties break by pair, so the order is total and deterministic.
     ///
     /// This is the order the diagram algorithms (Appendix D) consume
-    /// matches in.
+    /// matches in: the optimized sweep sorts the same 16-byte keys and
+    /// reads them directly, and this gathers the matches from them.
     pub fn pairs_by_similarity_desc(&self) -> Vec<ScoredPair> {
-        let mut out = self.pairs.clone();
-        out.sort_unstable_by_key(|sp| (std::cmp::Reverse(similarity_key(sp.similarity)), sp.pair));
-        out
+        SimilarityOrder::new(&self.pairs).scored_pairs()
     }
 
     /// Keeps only matches with `similarity ≥ threshold` (unscored pairs are
@@ -301,11 +300,145 @@ impl PairDedup {
     }
 }
 
+/// Matches in descending similarity order, ties broken by pair, as
+/// one sorted 16-byte key per match: the order every sweep over
+/// similarities (the Appendix D diagrams, the center clusterings)
+/// consumes.
+///
+/// A key holds `!similarity_key` in its high 64 bits and the packed
+/// pair `lo << 32 | hi` in its low 64, so ascending keys are
+/// descending similarities, and the keys sort as plain integers. A key
+/// decodes back to its pair exactly, and to its match exactly unless
+/// the match is *irregular*: a NaN, `-0.0` or `-∞` score shares its key
+/// with an unscored or `+0.0` one, and the key carries no
+/// [`PairOrigin`]. Irregular matches are looked up in the experiment's
+/// own list, which an experiment without closure pairs or such scores
+/// never needs.
+#[derive(Debug)]
+pub(crate) struct SimilarityOrder<'a> {
+    pairs: &'a [ScoredPair],
+    keys: Vec<u128>,
+}
+
+/// The similarity key of unscored, NaN and `-∞` scores.
+const NEG_INFINITY_KEY: u64 = 0x000f_ffff_ffff_ffff;
+/// The similarity key of `±0.0`.
+const ZERO_KEY: u64 = 1 << 63;
+
+impl<'a> SimilarityOrder<'a> {
+    /// Keys `pairs` and sorts the keys.
+    pub(crate) fn new(pairs: &'a [ScoredPair]) -> Self {
+        let mut keys: Vec<u128> = pairs.iter().map(order_key).collect();
+        keys.sort_unstable();
+        Self { pairs, keys }
+    }
+
+    /// The sorted keys; [`key_pair`] decodes one.
+    pub(crate) fn keys(&self) -> &[u128] {
+        &self.keys
+    }
+
+    /// The sorted keys, moved out.
+    pub(crate) fn into_keys(self) -> Vec<u128> {
+        self.keys
+    }
+
+    /// The matches in order: a gather over the keys.
+    pub(crate) fn scored_pairs(&self) -> Vec<ScoredPair> {
+        let mut out: Vec<ScoredPair> = self.keys.iter().map(|&k| decode(k)).collect();
+        for (at, sp) in self.irregular() {
+            out[at] = *sp;
+        }
+        out
+    }
+
+    /// The similarity of the match at each of `positions` (ascending),
+    /// exact to the bit. Only when one of them holds an ambiguous key
+    /// does this take one pass over the matches.
+    pub(crate) fn similarities_at(&self, positions: &[usize]) -> Vec<Option<f64>> {
+        let mut out: Vec<Option<f64>> = positions
+            .iter()
+            .map(|&at| decode(self.keys[at]).similarity)
+            .collect();
+        let ambiguous = |at: usize| {
+            let k = similarity_key_of(self.keys[at]);
+            k == NEG_INFINITY_KEY || k == ZERO_KEY
+        };
+        if positions.iter().any(|&at| ambiguous(at)) {
+            for (at, sp) in self.irregular() {
+                let from = positions.partition_point(|&p| p < at);
+                let to = positions.partition_point(|&p| p <= at);
+                out[from..to].fill(sp.similarity);
+            }
+        }
+        out
+    }
+
+    /// Every match its key does not decode to, with its position.
+    fn irregular(&self) -> impl Iterator<Item = (usize, &'a ScoredPair)> + '_ {
+        self.pairs
+            .iter()
+            .filter(|sp| !decodes_exactly(sp))
+            .map(|sp| {
+                let at = self.keys.binary_search(&order_key(sp));
+                (at.expect("every match is keyed"), sp)
+            })
+    }
+}
+
+/// A match's [`SimilarityOrder`] key.
+#[inline]
+fn order_key(sp: &ScoredPair) -> u128 {
+    let pair = (u64::from(sp.pair.lo().0) << 32) | u64::from(sp.pair.hi().0);
+    (u128::from(!similarity_key(sp.similarity)) << 64) | u128::from(pair)
+}
+
+/// The `(lo, hi)` record ids of the pair a [`SimilarityOrder`] key was
+/// made from.
+#[inline]
+pub(crate) fn key_ids(key: u128) -> (RecordId, RecordId) {
+    (RecordId((key >> 32) as u32), RecordId(key as u32))
+}
+
+/// The pair a [`SimilarityOrder`] key was made from.
+#[inline]
+pub(crate) fn key_pair(key: u128) -> RecordPair {
+    RecordPair::from(key_ids(key))
+}
+
+#[inline]
+fn similarity_key_of(key: u128) -> u64 {
+    !((key >> 64) as u64)
+}
+
+/// The regular match a key stands for: a matcher pair, unscored on the
+/// `-∞` key, else scored with the one non-negative-zero, non-NaN score
+/// of its key.
+fn decode(key: u128) -> ScoredPair {
+    let k = similarity_key_of(key);
+    ScoredPair {
+        pair: key_pair(key),
+        similarity: (k != NEG_INFINITY_KEY).then(|| {
+            // Inverts `similarity_key`.
+            f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
+        }),
+        origin: PairOrigin::Matcher,
+    }
+}
+
+/// Whether `decode` of the match's key gives the match back.
+fn decodes_exactly(sp: &ScoredPair) -> bool {
+    sp.origin == PairOrigin::Matcher
+        && sp.similarity.is_none_or(|s| {
+            !(s.is_nan() || s == f64::NEG_INFINITY || (s == 0.0 && s.is_sign_negative()))
+        })
+}
+
 /// Maps a similarity to a `u64` whose order is the numeric order.
 /// Unscored pairs rank with `-∞`, `-0.0` ranks with `+0.0`, and NaN,
 /// which has no place in that order, ranks with unscored pairs rather
 /// than breaking the sort.
-pub(crate) fn similarity_key(similarity: Option<f64>) -> u64 {
+fn similarity_key(similarity: Option<f64>) -> u64 {
     let s = match similarity {
         Some(s) if !s.is_nan() => s + 0.0,
         _ => f64::NEG_INFINITY,
@@ -370,6 +503,57 @@ mod tests {
             .map(|sp| sp.pair.lo().0)
             .collect();
         assert_eq!(order, [10, 4, 6, 12, 0, 2, 8]);
+    }
+
+    #[test]
+    fn ambiguous_keys_are_the_shared_ones() {
+        for score in [
+            None,
+            Some(f64::NEG_INFINITY),
+            Some(f64::NAN),
+            Some(-f64::NAN),
+        ] {
+            assert_eq!(similarity_key(score), NEG_INFINITY_KEY);
+        }
+        for score in [0.0, -0.0] {
+            assert_eq!(similarity_key(Some(score)), ZERO_KEY);
+        }
+    }
+
+    /// Every match whose key is shared or carries no origin comes back
+    /// exactly, to the bits of a NaN payload and the sign of a zero.
+    #[test]
+    fn order_gathers_irregular_matches_exactly() {
+        let pairs = [
+            ScoredPair::scored((0u32, 1u32), f64::from_bits(0xfff8_0000_0000_0123)),
+            ScoredPair::unscored((2u32, 3u32)),
+            ScoredPair::scored((4u32, 5u32), -0.0),
+            ScoredPair::scored((6u32, 7u32), 0.0),
+            ScoredPair::scored((8u32, 9u32), f64::NEG_INFINITY),
+            ScoredPair {
+                pair: RecordPair::from((10u32, 11u32)),
+                similarity: Some(0.75),
+                origin: PairOrigin::Closure,
+            },
+            ScoredPair::closure((12u32, 13u32)),
+            ScoredPair::scored((14u32, 15u32), -1.5),
+            ScoredPair::scored((16u32, 17u32), f64::INFINITY),
+        ];
+        let bits = |sp: &ScoredPair| (sp.pair, sp.similarity.map(f64::to_bits), sp.origin);
+        let order = SimilarityOrder::new(&pairs);
+        let gathered: Vec<_> = order.scored_pairs().iter().map(bits).collect();
+        let expected: Vec<_> = [8, 5, 2, 3, 7, 0, 1, 4, 6]
+            .map(|i| bits(&pairs[i]))
+            .to_vec();
+        assert_eq!(gathered, expected);
+        let positions = [0, 2, 2, 3, 5, 5, 8];
+        let similarities: Vec<_> = order
+            .similarities_at(&positions)
+            .into_iter()
+            .map(|s| s.map(f64::to_bits))
+            .collect();
+        let expected: Vec<_> = positions.iter().map(|&at| expected[at].1).collect();
+        assert_eq!(similarities, expected);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 pub mod chunked;
 mod csv;
 mod experiment;
-mod hash;
+pub(crate) mod hash;
 mod native;
 mod pair;
 pub mod pairset;
@@ -19,7 +19,7 @@ mod schema;
 
 pub use chunked::ChunkedPairSet;
 pub use csv::{parse_csv, read_csv, write_csv, CsvError, CsvOptions, CsvRow};
-pub(crate) use experiment::similarity_key;
+pub(crate) use experiment::{key_ids, key_pair, SimilarityOrder};
 pub use experiment::{Experiment, PairDedup, PairOrigin, ScoredPair};
 pub use pair::RecordPair;
 pub use pairset::PairSet;

@@ -73,10 +73,12 @@ impl DiagramEngine {
     /// Computes `s` confusion matrices for the experiment against the
     /// ground truth over a dataset of `n` records.
     ///
-    /// The experiment's matches are sorted by similarity descending
-    /// internally; the experiment clustering at each point is the
-    /// transitive closure of the applied prefix (Frost's experiments are
-    /// clusterings, §1.2).
+    /// The engine walks the experiment's matches by similarity
+    /// descending, ties broken by pair: the optimized engine sorts
+    /// 16-byte integer keys and sweeps them, the naive one gathers
+    /// [`Experiment::pairs_by_similarity_desc`] from the same sort. The
+    /// experiment clustering at each point is the transitive closure of
+    /// the applied prefix (Frost's experiments are clusterings, §1.2).
     ///
     /// # Panics
     /// Panics if `s < 2` or the ground truth does not cover `n` records.
@@ -133,19 +135,17 @@ impl DiagramEngine {
             "ground truth covers {} records, dataset has {n}",
             truth.num_records()
         );
-        let matches = experiment.pairs_by_similarity_desc();
-        let shards = if shard_points && n + matches.len() >= PARALLEL_SWEEP_MIN_MATCHES {
-            rayon::current_num_threads()
-        } else {
-            1
-        };
-        match (self, shards) {
-            (DiagramEngine::Naive, 0..=1) => naive::confusion_series(n, truth, &matches, s),
-            (DiagramEngine::Naive, _) => {
-                naive::confusion_series_sharded(n, truth, &matches, s, shards)
-            }
-            (DiagramEngine::Optimized, _) => optimized::confusion_series(truth, &matches, s),
+        if self == DiagramEngine::Optimized {
+            return optimized::experiment_series(truth, experiment.pairs(), s);
         }
+        let matches = experiment.pairs_by_similarity_desc();
+        if shard_points && n + matches.len() >= PARALLEL_SWEEP_MIN_MATCHES {
+            let shards = rayon::current_num_threads();
+            if shards > 1 {
+                return naive::confusion_series_sharded(n, truth, &matches, s, shards);
+            }
+        }
+        naive::confusion_series(n, truth, &matches, s)
     }
 
     /// Computes the confusion-matrix series of several experiments

@@ -19,9 +19,26 @@
 //! only its counts: every experiment cluster carries a tally of how many
 //! of its records fall into each ground-truth cluster, so joining
 //! clusters `A` and `B` adds exactly `Σ_g |A ∩ g|·|B ∩ g|` true
-//! positives. Tallies merge small-to-large, and singleton clusters keep
-//! theirs implicit (`{truth(r): 1}`), so a sweep allocates nothing per
-//! record. The whole series costs `O(n + m·α(n) + m log m + s)` for `n`
+//! positives.
+//!
+//! A tally is an inline run of up to `INLINE` = 8 `(ground-truth
+//! cluster, count)` entries, scanned linearly; a cluster that spans more
+//! ground-truth clusters spills to an open-addressing table under the
+//! keyed hash of the import path's tables, since the uploader chooses
+//! which ground-truth clusters meet in one tally. Tallies merge
+//! small-to-large and emptied ones are reused, and singleton clusters
+//! keep theirs implicit (`{truth(r): 1}`), so a sweep allocates nothing
+//! per record and only spilled tallies allocate at all.
+//!
+//! The sweep order is one sort of 16-byte integer keys (the
+//! experiment's `SimilarityOrder`): the similarity's order key above
+//! the packed pair, so the sweep reads record ids straight from the
+//! sorted keys. A sample point's threshold decodes from its key; the
+//! two keys that stand for more than one score (unscored, NaN and `-∞`;
+//! `±0.0`) are resolved against the experiment's matches, in one pass
+//! that only a sweep with such a key at a sample boundary takes.
+//!
+//! The whole series costs `O(n + m·α(n) + m log m + s)` for `n`
 //! records, `m` matches and `s` sample points, counting the sort.
 //!
 //! The sweep runs on the calling thread: it is a single pass, and
@@ -30,15 +47,106 @@
 
 use super::{sample_boundaries, threshold_at, DiagramPoint};
 use crate::clustering::{Clustering, UnionFind};
-use crate::dataset::{RecordId, ScoredPair};
+use crate::dataset::hash::{max_load, table_size, SeededHash};
+use crate::dataset::{key_ids, RecordId, ScoredPair, SimilarityOrder};
 use crate::metrics::confusion::{total_pairs, ConfusionMatrix};
-use std::collections::HashMap;
 
 /// Marks a root without a tally: a singleton cluster.
 const SINGLETON: u32 = u32::MAX;
 
-/// Ground-truth cluster → number of the cluster's records in it.
-type Tally = HashMap<u32, u32>;
+/// Entries a tally holds inline before it spills to a table.
+const INLINE: usize = 8;
+
+/// Ground-truth cluster → number of an experiment cluster's records in
+/// it. No entry has a count of 0.
+#[derive(Debug, Clone)]
+enum Tally {
+    /// The first `len` entries are in use.
+    Inline {
+        len: u8,
+        entries: [(u32, u32); INLINE],
+    },
+    /// Linear probing over `slots`; a count of 0 marks an empty slot.
+    Spilled { slots: Vec<(u32, u32)>, len: usize },
+}
+
+impl Tally {
+    const EMPTY: Tally = Tally::Inline {
+        len: 0,
+        entries: [(0, 0); INLINE],
+    };
+
+    /// Number of ground-truth clusters in the tally.
+    fn len(&self) -> usize {
+        match self {
+            Tally::Inline { len, .. } => usize::from(*len),
+            Tally::Spilled { len, .. } => *len,
+        }
+    }
+
+    /// The `(ground-truth cluster, count)` entries.
+    fn entries(&self) -> impl Iterator<Item = &(u32, u32)> {
+        let slots = match self {
+            Tally::Inline { len, entries } => &entries[..usize::from(*len)],
+            Tally::Spilled { slots, .. } => &slots[..],
+        };
+        slots.iter().filter(|e| e.1 != 0)
+    }
+
+    /// Adds `count` records of ground-truth cluster `g`; returns how
+    /// many the tally held before.
+    #[inline]
+    fn add(&mut self, hash: &SeededHash, g: u32, count: u32) -> u32 {
+        match self {
+            Tally::Inline { len, entries } => {
+                let used = usize::from(*len);
+                if let Some(entry) = entries[..used].iter_mut().find(|e| e.0 == g) {
+                    entry.1 += count;
+                    return entry.1 - count;
+                }
+                if used < INLINE {
+                    entries[used] = (g, count);
+                    *len += 1;
+                    return 0;
+                }
+                let mut slots = vec![(0, 0); table_size(2 * INLINE)];
+                for &(g, count) in entries.iter() {
+                    *probe(&mut slots, hash, g) = (g, count);
+                }
+                *self = Tally::Spilled { slots, len: INLINE };
+                self.add(hash, g, count)
+            }
+            Tally::Spilled { slots, len } => {
+                if max_load(*len, slots.len()) {
+                    let grown = vec![(0, 0); slots.len() * 2];
+                    let old = std::mem::replace(slots, grown);
+                    for (g, count) in old.into_iter().filter(|e| e.1 != 0) {
+                        *probe(slots, hash, g) = (g, count);
+                    }
+                }
+                let slot = probe(slots, hash, g);
+                let before = slot.1;
+                if before == 0 {
+                    *len += 1;
+                }
+                *slot = (g, before + count);
+                before
+            }
+        }
+    }
+}
+
+/// The slot of `g` in `slots`: its entry, or the empty slot it would
+/// take.
+#[inline]
+fn probe<'s>(slots: &'s mut [(u32, u32)], hash: &SeededHash, g: u32) -> &'s mut (u32, u32) {
+    let mask = slots.len() - 1;
+    let mut i = hash.u64(u64::from(g)) as usize & mask;
+    while slots[i].1 != 0 && slots[i].0 != g {
+        i = (i + 1) & mask;
+    }
+    &mut slots[i]
+}
 
 /// The state of an optimized sweep after some prefix of the matches:
 /// the experiment clustering as a union-find, plus one ground-truth
@@ -53,6 +161,8 @@ pub(crate) struct SweepState {
     tallies: Vec<Tally>,
     /// Emptied tallies, reused before new ones are allocated.
     free: Vec<u32>,
+    /// Keys the spilled tallies' tables.
+    hash: SeededHash,
     /// Pairs sharing a cluster in both the experiment and the ground
     /// truth.
     true_positives: u64,
@@ -72,6 +182,7 @@ impl SweepState {
             tally_of: vec![SINGLETON; n],
             tallies: Vec::new(),
             free: Vec::new(),
+            hash: SeededHash::new(),
             true_positives: 0,
             truth_pairs: truth.pair_count(),
             all_pairs: total_pairs(n),
@@ -91,11 +202,15 @@ impl SweepState {
         ConfusionMatrix::new(tp, predicted - tp, fn_, self.all_pairs - predicted - fn_)
     }
 
-    /// Applies `matches` in order. `truth` must be the clustering the
-    /// state was created from.
-    pub(crate) fn apply(&mut self, truth: &Clustering, matches: &[ScoredPair]) {
-        for sp in matches {
-            self.union(truth, sp.pair.lo(), sp.pair.hi());
+    /// Applies `matches`, given as record ids, in order. `truth` must
+    /// be the clustering the state was created from.
+    pub(crate) fn apply(
+        &mut self,
+        truth: &Clustering,
+        matches: impl IntoIterator<Item = (RecordId, RecordId)>,
+    ) {
+        for (a, b) in matches {
+            self.union(truth, a, b);
         }
     }
 
@@ -120,15 +235,12 @@ impl SweepState {
                     } else {
                         (tb, ta)
                     };
-                let mut moved = std::mem::take(&mut self.tallies[small as usize]);
+                let moved = std::mem::replace(&mut self.tallies[small as usize], Tally::EMPTY);
                 let into = &mut self.tallies[big as usize];
-                for (&g, &count) in &moved {
-                    let slot = into.entry(g).or_insert(0);
-                    self.true_positives += u64::from(*slot) * u64::from(count);
-                    *slot += count;
+                for &(g, count) in moved.entries() {
+                    let before = into.add(&self.hash, g, count);
+                    self.true_positives += u64::from(before) * u64::from(count);
                 }
-                moved.clear();
-                self.tallies[small as usize] = moved;
                 self.free.push(small);
                 big
             }
@@ -139,46 +251,93 @@ impl SweepState {
     /// Adds one record of ground-truth cluster `g` to tally `t`: it
     /// pairs with every record of `g` already there.
     fn add_record(&mut self, t: u32, g: u32) -> u32 {
-        let slot = self.tallies[t as usize].entry(g).or_insert(0);
-        self.true_positives += u64::from(*slot);
-        *slot += 1;
+        let before = self.tallies[t as usize].add(&self.hash, g, 1);
+        self.true_positives += u64::from(before);
         t
     }
 
     /// An empty tally, recycled when one is free.
     fn fresh_tally(&mut self) -> u32 {
         self.free.pop().unwrap_or_else(|| {
-            self.tallies.push(Tally::default());
+            self.tallies.push(Tally::EMPTY);
             (self.tallies.len() - 1) as u32
         })
     }
 }
 
-/// Algorithm 1: computes `s` confusion matrices in one pass.
-/// `matches` must already be sorted by similarity descending, and
+/// Algorithm 1: computes `s` confusion matrices in one pass over
+/// `matches`, in their order, which must be by similarity descending.
 /// `truth` covers the dataset's records.
 pub fn confusion_series(truth: &Clustering, matches: &[ScoredPair], s: usize) -> Vec<DiagramPoint> {
     let boundaries = sample_boundaries(matches.len(), s);
-    sweep_points(SweepState::new(truth), truth, matches, 0, &boundaries)
+    let thresholds = boundaries.iter().map(|&k| threshold_at(matches, k));
+    sweep_points(
+        SweepState::new(truth),
+        truth,
+        matches.iter().map(|sp| sp.pair.ids()),
+        0,
+        &boundaries,
+        thresholds,
+    )
 }
 
-/// Steps `state`, which has applied `matches[..applied]`, to every
-/// prefix length in `boundaries` (ascending, none below `applied`) and
-/// reads one point at each.
+/// Algorithm 1 over an experiment's matches: sorts their
+/// [`SimilarityOrder`] keys and sweeps the keys.
+pub(crate) fn experiment_series(
+    truth: &Clustering,
+    matches: &[ScoredPair],
+    s: usize,
+) -> Vec<DiagramPoint> {
+    let order = SimilarityOrder::new(matches);
+    let boundaries = sample_boundaries(matches.len(), s);
+    let thresholds = thresholds(&order, &boundaries);
+    sweep_points(
+        SweepState::new(truth),
+        truth,
+        order.keys().iter().map(|&k| key_ids(k)),
+        0,
+        &boundaries,
+        thresholds,
+    )
+}
+
+/// The threshold of every prefix length in `boundaries` (ascending):
+/// `+∞` for none, else the last applied match's similarity, `-∞` when
+/// it has none.
+pub(crate) fn thresholds(order: &SimilarityOrder, boundaries: &[usize]) -> Vec<f64> {
+    let empty = boundaries.partition_point(|&k| k == 0);
+    let last: Vec<usize> = boundaries[empty..].iter().map(|&k| k - 1).collect();
+    let similarities = order.similarities_at(&last);
+    std::iter::repeat_n(f64::INFINITY, empty)
+        .chain(
+            similarities
+                .into_iter()
+                .map(|s| s.unwrap_or(f64::NEG_INFINITY)),
+        )
+        .collect()
+}
+
+/// Steps `state`, which has applied the first `applied` matches, to
+/// every prefix length in `boundaries` (ascending, none below
+/// `applied`) and reads one point at each. `matches` yields the
+/// matches from position `applied` on, and `thresholds` one threshold
+/// per boundary.
 pub(crate) fn sweep_points(
     mut state: SweepState,
     truth: &Clustering,
-    matches: &[ScoredPair],
+    mut matches: impl Iterator<Item = (RecordId, RecordId)>,
     mut applied: usize,
     boundaries: &[usize],
+    thresholds: impl IntoIterator<Item = f64>,
 ) -> Vec<DiagramPoint> {
     boundaries
         .iter()
-        .map(|&k| {
-            state.apply(truth, &matches[applied..k]);
+        .zip(thresholds)
+        .map(|(&k, threshold)| {
+            state.apply(truth, matches.by_ref().take(k - applied));
             applied = k;
             DiagramPoint {
-                threshold: threshold_at(matches, k),
+                threshold,
                 matches_applied: k,
                 matrix: state.matrix(),
             }
@@ -190,8 +349,8 @@ pub(crate) fn sweep_points(
 mod tests {
     use super::*;
 
-    fn matched(a: u32, b: u32) -> ScoredPair {
-        ScoredPair::unscored((a, b))
+    fn matched(a: u32, b: u32) -> [(RecordId, RecordId); 1] {
+        [(RecordId(a), RecordId(b))]
     }
 
     /// Applies `steps` one match at a time and checks `(TP, TP + FP)`
@@ -199,7 +358,7 @@ mod tests {
     fn assert_steps(truth: &Clustering, steps: &[(u32, u32, u64, u64)]) {
         let mut state = SweepState::new(truth);
         for (i, &(a, b, tp, predicted)) in steps.iter().enumerate() {
-            state.apply(truth, &[matched(a, b)]);
+            state.apply(truth, matched(a, b));
             assert_eq!(
                 (state.true_positives, state.predicted_pairs()),
                 (tp, predicted),
@@ -248,7 +407,7 @@ mod tests {
         let mut state = SweepState::new(&truth);
         let mut applied = Vec::new();
         for (a, b) in seq {
-            state.apply(&truth, &[matched(a, b)]);
+            state.apply(&truth, matched(a, b));
             applied.push((a, b));
             let experiment = Clustering::from_pairs(8, applied.iter().copied());
             let expected = experiment.intersect(&truth);
@@ -263,15 +422,65 @@ mod tests {
     fn tallies_merge_and_recycle() {
         let truth = Clustering::from_assignment(&[0, 1, 0, 1, 0, 2, 2]);
         let mut state = SweepState::new(&truth);
-        state.apply(&truth, &[matched(0, 1), matched(2, 3), matched(4, 2)]);
+        state.apply(
+            &truth,
+            [matched(0, 1), matched(2, 3), matched(4, 2)].concat(),
+        );
         assert_eq!(state.true_positives, 1); // {2,4}
         assert_eq!(state.tallies.len(), 2);
-        state.apply(&truth, &[matched(1, 3)]);
+        state.apply(&truth, matched(1, 3));
         // {0,1} ∪ {2,3,4}: g0 1·2, g1 1·1 → TP 1 + 3.
         assert_eq!(state.true_positives, 4);
         assert_eq!(state.free.len(), 1);
-        state.apply(&truth, &[matched(5, 6)]);
+        state.apply(&truth, matched(5, 6));
         assert_eq!(state.true_positives, 5);
         assert_eq!(state.tallies.len(), 2, "the freed tally was reused");
+    }
+
+    /// Two hubs each grow a cluster across every ground-truth cluster,
+    /// so both tallies spill and their tables grow, and then a bridge
+    /// merges the two spilled tallies. Every point equals the naive
+    /// re-clustering, on both the pre-sorted and the keyed entry point.
+    #[test]
+    fn spilled_tallies_match_reclustering() {
+        let n = 400u32;
+        let golds = 37u32; // > INLINE, and more than a first table holds
+        let truth = Clustering::from_assignment(&(0..n).map(|r| r % golds).collect::<Vec<_>>());
+        let (hub_a, hub_b) = (0u32, 200u32);
+        let mut triples: Vec<(u32, u32, f64)> = (1..150u32)
+            .flat_map(|i| {
+                let score = 1.0 - f64::from(i) / 1_000.0;
+                [(hub_a, i, score), (hub_b, hub_b + i, score)]
+            })
+            .collect();
+        triples.push((hub_a, hub_b, 0.5)); // the bridge
+        triples.push((149, 349, 0.4)); // already joined: changes nothing
+        triples.push((360, 370, 0.3));
+        let e = crate::dataset::Experiment::from_scored_pairs("hubs", triples);
+        let sorted = e.pairs_by_similarity_desc();
+        let s = sorted.len() + 1;
+        let keyed = experiment_series(&truth, e.pairs(), s);
+        assert_eq!(confusion_series(&truth, &sorted, s), keyed);
+        for point in &keyed {
+            let k = point.matches_applied;
+            let experiment =
+                Clustering::from_pairs(n as usize, sorted[..k].iter().map(|sp| sp.pair));
+            assert_eq!(
+                point.matrix,
+                ConfusionMatrix::from_clusterings(&experiment, &truth),
+                "after {k} matches"
+            );
+        }
+
+        let mut state = SweepState::new(&truth);
+        state.apply(&truth, sorted[..2 * 149].iter().map(|sp| sp.pair.ids()));
+        let spilled = |state: &SweepState, hub: u32| {
+            let t = state.tally_of[state.experiment.clone().find(RecordId(hub)).index()];
+            matches!(state.tallies[t as usize], Tally::Spilled { len, .. } if len == golds as usize)
+        };
+        assert!(spilled(&state, hub_a) && spilled(&state, hub_b));
+        state.apply(&truth, [(RecordId(hub_a), RecordId(hub_b))]);
+        assert!(spilled(&state, hub_a));
+        assert_eq!(state.free.len(), 1, "the absorbed tally is free");
     }
 }

@@ -17,11 +17,14 @@
 //! from scratch and replaying the entire prefix. For a stride `c`,
 //! backward jumps cost `O(|D| + (range + c/s·|Matches|))` instead of
 //! `O(|D| + |Matches|)`, at `O(s/c · |D|)` memory for the checkpoints.
+//!
+//! The timeline keeps the matches as the optimized sweep sorts them,
+//! one 16-byte key each, and the threshold of every sample point.
 
-use super::optimized::{sweep_points, SweepState};
+use super::optimized::{sweep_points, thresholds, SweepState};
 use super::{sample_boundaries, DiagramPoint};
 use crate::clustering::Clustering;
-use crate::dataset::{Experiment, ScoredPair};
+use crate::dataset::{key_ids, Experiment, SimilarityOrder};
 
 /// One stored checkpoint: the state after applying a prefix of matches.
 struct Checkpoint {
@@ -33,8 +36,11 @@ struct Checkpoint {
 /// A reusable, checkpointed threshold timeline over one experiment.
 pub struct DiagramTimeline {
     truth: Clustering,
-    matches: Vec<ScoredPair>,
+    /// The matches' sorted `SimilarityOrder` keys.
+    keys: Vec<u128>,
     boundaries: Vec<usize>,
+    /// The threshold of every sample point.
+    thresholds: Vec<f64>,
     checkpoints: Vec<Checkpoint>,
 }
 
@@ -52,15 +58,20 @@ impl DiagramTimeline {
         assert!(s >= 2, "a timeline needs at least two sample points");
         assert!(stride >= 1, "stride must be at least 1");
         assert_eq!(truth.num_records(), n, "ground truth size mismatch");
-        let matches = experiment.pairs_by_similarity_desc();
-        let boundaries = sample_boundaries(matches.len(), s);
+        let order = SimilarityOrder::new(experiment.pairs());
+        let boundaries = sample_boundaries(experiment.len(), s);
+        let thresholds = thresholds(&order, &boundaries);
+        let keys = order.into_keys();
         let mut state = SweepState::new(truth);
         let mut checkpoints = vec![Checkpoint {
             point: 0,
             state: state.clone(),
         }];
         for (i, window) in boundaries.windows(2).enumerate() {
-            state.apply(truth, &matches[window[0]..window[1]]);
+            state.apply(
+                truth,
+                keys[window[0]..window[1]].iter().map(|&k| key_ids(k)),
+            );
             let point = i + 1;
             if point % stride == 0 && point + 1 < boundaries.len() {
                 checkpoints.push(Checkpoint {
@@ -71,8 +82,9 @@ impl DiagramTimeline {
         }
         Self {
             truth: truth.clone(),
-            matches,
+            keys,
             boundaries,
+            thresholds,
             checkpoints,
         }
     }
@@ -112,12 +124,14 @@ impl DiagramTimeline {
             .rev()
             .find(|c| c.point <= from_point)
             .expect("checkpoint 0 always exists");
+        let applied = self.boundaries[checkpoint.point];
         sweep_points(
             checkpoint.state.clone(),
             &self.truth,
-            &self.matches,
-            self.boundaries[checkpoint.point],
+            self.keys[applied..].iter().map(|&k| key_ids(k)),
+            applied,
             &self.boundaries[from_point..=to_point],
+            self.thresholds[from_point..=to_point].iter().copied(),
         )
     }
 
