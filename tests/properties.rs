@@ -6,7 +6,7 @@ use frost::core::dataset::{
     parse_csv, write_csv, CsvOptions, Experiment, PairSet, RecordId, RecordPair, ScoredPair,
 };
 use frost::core::diagram::timeline::DiagramTimeline;
-use frost::core::diagram::DiagramEngine;
+use frost::core::diagram::{naive, DiagramEngine, DiagramPoint};
 use frost::core::explore::setops::venn_regions;
 use frost::core::metrics::cluster as cm;
 use frost::core::metrics::confusion::{total_pairs, ConfusionMatrix};
@@ -37,27 +37,37 @@ fn diagram_draws() -> impl Strategy<Value = Draws> {
         1u32..60,
         prop::collection::vec(0u32..1_000_000, 240),
         0u8..5,
-        prop::collection::vec((0u32..1_000_000, 0u32..1_000_000, 0u8..11, 0u8..8), 0..400),
+        prop::collection::vec((0u32..1_000_000, 0u32..1_000_000, 0u8..16, 0u8..8), 0..400),
     )
 }
+
+/// Scores of draws 11 to 15: the values whose sort key is shared with
+/// another score or with unscored pairs, and the infinities.
+const ODD_SCORES: [f64; 5] = [
+    f64::NAN,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    // A negative NaN with a payload.
+    f64::from_bits(0xfff8_0000_0000_0123),
+];
 
 /// Builds `(n, truth, experiment)` from raw draws. `n` records fall into
 /// at most `k` ground-truth clusters. Each draw `(a, b, score, hub)`
 /// becomes a match: `score < 10` scores it `score / 10` (so ties are the
-/// norm), 10 leaves it unscored, and `hub < hubs` replaces `a` by hub
-/// record `hub`. With a few hubs and hundreds of draws, the closure
-/// grows one giant cluster that absorbs clusters of every size.
+/// norm), 10 leaves it unscored, 11 to 15 score it from [`ODD_SCORES`],
+/// and `hub < hubs` replaces `a` by hub record `hub`. With a few hubs
+/// and hundreds of draws, the closure grows one giant cluster that
+/// absorbs clusters of every size.
 fn diagram_input((n, k, labels, hubs, draws): Draws) -> (usize, Clustering, Experiment) {
     let labels: Vec<u32> = labels[..n as usize].iter().map(|l| l % k).collect();
     let matches = draws.into_iter().filter_map(|(a, b, score, hub)| {
         let a = if hub < hubs { u32::from(hub) } else { a % n };
         let b = b % n;
-        (a != b).then(|| {
-            if score < 10 {
-                ScoredPair::scored((a, b), f64::from(score) / 10.0)
-            } else {
-                ScoredPair::unscored((a, b))
-            }
+        (a != b).then(|| match score {
+            0..10 => ScoredPair::scored((a, b), f64::from(score) / 10.0),
+            10 => ScoredPair::unscored((a, b)),
+            _ => ScoredPair::scored((a, b), ODD_SCORES[usize::from(score - 11)]),
         })
     });
     (
@@ -81,18 +91,49 @@ fn similarity_desc_by_comparator(e: &Experiment) -> Vec<ScoredPair> {
     out
 }
 
+/// The sweep order by a comparator that is total on every score: NaN
+/// ranks with unscored pairs and `-∞`, `-0.0` with `+0.0`, and ties
+/// break by pair.
+fn similarity_desc_reference(e: &Experiment) -> Vec<ScoredPair> {
+    let rank = |sp: &ScoredPair| match sp.similarity {
+        Some(s) if !s.is_nan() => s + 0.0,
+        _ => f64::NEG_INFINITY,
+    };
+    let mut out = e.pairs().to_vec();
+    out.sort_by(|a, b| {
+        rank(b)
+            .total_cmp(&rank(a))
+            .then_with(|| a.pair.cmp(&b.pair))
+    });
+    out
+}
+
+/// A series with each threshold as its bits: `DiagramPoint`'s
+/// `PartialEq` fails on a NaN threshold even when both sides agree.
+fn by_bits(series: &[DiagramPoint]) -> Vec<(u64, usize, ConfusionMatrix)> {
+    series
+        .iter()
+        .map(|p| (p.threshold.to_bits(), p.matches_applied, p.matrix))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Optimized and naive sweeps agree at larger `n`, under score
-    /// ties, unscored pairs, and hub-shaped inputs whose closure is one
-    /// giant cluster (ground-truth tallies merging small-to-large).
+    /// Optimized and naive sweeps agree with a naive sweep over the
+    /// reference order at larger `n`, under score ties, unscored pairs,
+    /// NaN, signed-zero and infinite scores (thresholds to the bit),
+    /// and hub-shaped inputs whose closure is one giant cluster
+    /// (ground-truth tallies spilling and merging small-to-large).
     #[test]
     fn diagram_engines_agree_at_scale(draws in diagram_draws(), s in 2usize..40) {
         let (n, truth, e) = diagram_input(draws);
-        let a = DiagramEngine::Naive.confusion_series(n, &truth, &e, s);
-        let b = DiagramEngine::Optimized.confusion_series(n, &truth, &e, s);
-        prop_assert_eq!(a, b);
+        let reference =
+            by_bits(&naive::confusion_series(n, &truth, &similarity_desc_reference(&e), s));
+        for engine in DiagramEngine::ALL {
+            let series = engine.confusion_series(n, &truth, &e, s);
+            prop_assert_eq!(by_bits(&series), reference.clone(), "{:?}", engine);
+        }
     }
 
     /// Every range a checkpointed timeline answers is the matching slice
@@ -105,12 +146,12 @@ proptest! {
         ranges in prop::collection::vec((0usize..1_000, 0usize..1_000), 1..8),
     ) {
         let (n, truth, e) = diagram_input(draws);
-        let full = DiagramEngine::Naive.confusion_series(n, &truth, &e, s);
+        let full = by_bits(&DiagramEngine::Naive.confusion_series(n, &truth, &e, s));
         let timeline = DiagramTimeline::build(n, &truth, &e, s, stride);
         for (from, len) in ranges {
             let from = from % s;
             let to = from + len % (s - from);
-            prop_assert_eq!(timeline.range(from, to).as_slice(), &full[from..=to]);
+            prop_assert_eq!(by_bits(&timeline.range(from, to)), &full[from..=to]);
         }
     }
 
