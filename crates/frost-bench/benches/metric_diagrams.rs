@@ -3,9 +3,12 @@
 //! per-threshold baseline, across dataset sizes.
 //!
 //! Run `cargo bench -p frost-bench`. Sizes are scaled versions of the
-//! paper's rows; set `FROST_SCALE` to adjust.
+//! paper's rows; set `FROST_SCALE` to adjust. The `served_shape` group
+//! is not scaled: it sweeps the two experiment shapes `frostd` serves a
+//! cold `/diagram` for (see [`bench_served_shapes`]).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use frost_core::clustering::Clustering;
 use frost_core::dataset::Experiment;
 use frost_core::diagram::DiagramEngine;
 use frost_datagen::experiments::synthetic_experiment;
@@ -113,5 +116,107 @@ fn bench_multi_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engines, bench_multi_sweep);
+/// SplitMix64, so the served-shape inputs are the same on every run.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i + 1));
+        }
+    }
+}
+
+/// One optimized `s = 250` sweep over each of the two shapes a served
+/// cold `/diagram` sweeps, on 20 000 records in gold clusters of 1–4
+/// (about 0.75 gold pairs per record):
+///
+/// * `sparse` — about as many matches as gold pairs, 80 % of them gold
+///   pairs and the rest pairs between neighbouring gold clusters, so
+///   every closure stays within four gold clusters;
+/// * `hub` — 48 hub records with 280 random partners each: the closure
+///   is one giant cluster spanning thousands of gold clusters, which
+///   catches a ground-truth tally whose merge has turned quadratic.
+fn bench_served_shapes(c: &mut Criterion) {
+    const RECORDS: usize = 20_000;
+    let mut rng = Rng(0x5eed);
+    let mut labels = Vec::with_capacity(RECORDS);
+    let mut members: Vec<Vec<u32>> = Vec::new();
+    while labels.len() < RECORDS {
+        let size = [1, 1, 1, 1, 2, 2, 2, 3, 3, 4][rng.below(10)].min(RECORDS - labels.len());
+        labels.extend(std::iter::repeat_n(members.len() as u32, size));
+        members.push(Vec::new());
+    }
+    rng.shuffle(&mut labels);
+    for (r, &g) in labels.iter().enumerate() {
+        members[g as usize].push(r as u32);
+    }
+    let truth = Clustering::from_assignment(&labels);
+
+    let mut gold: Vec<(u32, u32)> = truth.intra_pairs().map(|p| (p.lo().0, p.hi().0)).collect();
+    rng.shuffle(&mut gold);
+    let trues = gold.len() * 4 / 5;
+    let mut sparse: Vec<(u32, u32, f64)> = gold[..trues]
+        .iter()
+        .map(|&(a, b)| (a, b, 0.45 + 0.55 * rng.unit()))
+        .collect();
+    while sparse.len() < gold.len() {
+        let a = rng.below(RECORDS) as u32;
+        let other = (labels[a as usize] & !3) | rng.below(4) as u32;
+        if let Some(candidates) = members.get(other as usize) {
+            let b = candidates[rng.below(candidates.len())];
+            if labels[b as usize] != labels[a as usize] {
+                sparse.push((a, b, 0.8 * rng.unit()));
+            }
+        }
+    }
+    let hubs = 48u32;
+    let hub: Vec<(u32, u32, f64)> = (0..hubs)
+        .flat_map(|h| (0..280).map(move |_| h))
+        .map(|h| {
+            let partner = hubs + rng.below(RECORDS - hubs as usize) as u32;
+            (h, partner, rng.unit())
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("served_shape");
+    for (shape, triples) in [("sparse", sparse), ("hub", hub)] {
+        let experiment = Experiment::from_scored_pairs(shape, triples);
+        let id = format!("{shape}-n{RECORDS}-m{}", experiment.len());
+        group.bench_function(BenchmarkId::new("optimized_s250", id), |b| {
+            b.iter(|| {
+                DiagramEngine::Optimized.confusion_series_sequential(
+                    RECORDS,
+                    &truth,
+                    &experiment,
+                    250,
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_engines,
+    bench_multi_sweep,
+    bench_served_shapes
+);
 criterion_main!(benches);
