@@ -14,6 +14,9 @@ use frost_core::diagram::DiagramEngine;
 use frost_datagen::experiments::synthetic_experiment;
 use frost_datagen::generator::generate;
 use frost_datagen::presets::{altosight_x4, cora, freedb_cds, songs_100k};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 fn bench_engines(c: &mut Criterion) {
     let scale: f64 = std::env::var("FROST_SCALE")
@@ -116,33 +119,6 @@ fn bench_multi_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// SplitMix64, so the served-shape inputs are the same on every run.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            items.swap(i, self.below(i + 1));
-        }
-    }
-}
-
 /// One optimized `s = 250` sweep over each of the two shapes a served
 /// cold `/diagram` sweeps, on 20 000 records in gold clusters of 1–4
 /// (about 0.75 gold pairs per record):
@@ -155,44 +131,41 @@ impl Rng {
 ///   catches a ground-truth tally whose merge has turned quadratic.
 fn bench_served_shapes(c: &mut Criterion) {
     const RECORDS: usize = 20_000;
-    let mut rng = Rng(0x5eed);
+    let mut rng = StdRng::seed_from_u64(0x5eed);
     let mut labels = Vec::with_capacity(RECORDS);
     let mut members: Vec<Vec<u32>> = Vec::new();
     while labels.len() < RECORDS {
-        let size = [1, 1, 1, 1, 2, 2, 2, 3, 3, 4][rng.below(10)].min(RECORDS - labels.len());
+        let size = [1, 1, 1, 1, 2, 2, 2, 3, 3, 4][rng.gen_range(0..10)].min(RECORDS - labels.len());
         labels.extend(std::iter::repeat_n(members.len() as u32, size));
         members.push(Vec::new());
     }
-    rng.shuffle(&mut labels);
+    labels.shuffle(&mut rng);
     for (r, &g) in labels.iter().enumerate() {
         members[g as usize].push(r as u32);
     }
     let truth = Clustering::from_assignment(&labels);
 
     let mut gold: Vec<(u32, u32)> = truth.intra_pairs().map(|p| (p.lo().0, p.hi().0)).collect();
-    rng.shuffle(&mut gold);
+    gold.shuffle(&mut rng);
     let trues = gold.len() * 4 / 5;
     let mut sparse: Vec<(u32, u32, f64)> = gold[..trues]
         .iter()
-        .map(|&(a, b)| (a, b, 0.45 + 0.55 * rng.unit()))
+        .map(|&(a, b)| (a, b, rng.gen_range(0.45..1.0)))
         .collect();
     while sparse.len() < gold.len() {
-        let a = rng.below(RECORDS) as u32;
-        let other = (labels[a as usize] & !3) | rng.below(4) as u32;
+        let a = rng.gen_range(0..RECORDS as u32);
+        let other = (labels[a as usize] & !3) | rng.gen_range(0..4u32);
         if let Some(candidates) = members.get(other as usize) {
-            let b = candidates[rng.below(candidates.len())];
+            let b = candidates[rng.gen_range(0..candidates.len())];
             if labels[b as usize] != labels[a as usize] {
-                sparse.push((a, b, 0.8 * rng.unit()));
+                sparse.push((a, b, rng.gen_range(0.0..0.8)));
             }
         }
     }
     let hubs = 48u32;
     let hub: Vec<(u32, u32, f64)> = (0..hubs)
         .flat_map(|h| (0..280).map(move |_| h))
-        .map(|h| {
-            let partner = hubs + rng.below(RECORDS - hubs as usize) as u32;
-            (h, partner, rng.unit())
-        })
+        .map(|h| (h, rng.gen_range(hubs..RECORDS as u32), rng.gen::<f64>()))
         .collect();
 
     let mut group = c.benchmark_group("served_shape");
