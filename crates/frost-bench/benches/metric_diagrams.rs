@@ -50,70 +50,13 @@ fn bench_engines(c: &mut Criterion) {
             ),
             &(),
             |b, _| {
-                // Sequential entry point: the bench compares the two
-                // algorithms, not the host's thread count.
-                b.iter(|| {
-                    DiagramEngine::Optimized.confusion_series_sequential(
-                        n,
-                        &gen.truth,
-                        &experiment,
-                        s,
-                    )
-                })
+                b.iter(|| DiagramEngine::Optimized.confusion_series(n, &gen.truth, &experiment, s))
             },
         );
         group.bench_with_input(
             BenchmarkId::new("naive", format!("{}-n{n}-m{matches}", preset.config.name)),
             &(),
-            |b, _| {
-                b.iter(|| {
-                    DiagramEngine::Naive.confusion_series_sequential(n, &gen.truth, &experiment, s)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-/// The multi-experiment N-Metrics sweep: 6 independent experiments on
-/// one dataset, swept with `confusion_series_multi`, at 1 thread vs
-/// all hardware threads (the vendored rayon re-reads
-/// `RAYON_NUM_THREADS` per call, so the bench can vary it in-process).
-fn bench_multi_sweep(c: &mut Criterion) {
-    let scale: f64 = std::env::var("FROST_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.1);
-    let s = 100;
-    let preset = cora(scale.max(0.5));
-    let gen = generate(&preset.config);
-    let n = gen.dataset.len();
-    let experiments: Vec<Experiment> = (0..6)
-        .map(|i| {
-            synthetic_experiment(
-                format!("sweep-{i}"),
-                &gen.truth,
-                preset.matched_pairs,
-                0.7,
-                preset.config.seed + i,
-            )
-        })
-        .collect();
-    let refs: Vec<&Experiment> = experiments.iter().collect();
-    let hw = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1);
-    let mut group = c.benchmark_group("multi_sweep");
-    group.sample_size(10);
-    for threads in [1usize, hw.max(2)] {
-        group.bench_with_input(
-            BenchmarkId::new("optimized_x6", format!("{threads}-threads")),
-            &threads,
-            |b, &threads| {
-                std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-                b.iter(|| DiagramEngine::Optimized.confusion_series_multi(n, &gen.truth, &refs, s));
-                std::env::remove_var("RAYON_NUM_THREADS");
-            },
+            |b, _| b.iter(|| DiagramEngine::Naive.confusion_series(n, &gen.truth, &experiment, s)),
         );
     }
     group.finish();
@@ -173,23 +116,11 @@ fn bench_served_shapes(c: &mut Criterion) {
         let experiment = Experiment::from_scored_pairs(shape, triples);
         let id = format!("{shape}-n{RECORDS}-m{}", experiment.len());
         group.bench_function(BenchmarkId::new("optimized_s250", id), |b| {
-            b.iter(|| {
-                DiagramEngine::Optimized.confusion_series_sequential(
-                    RECORDS,
-                    &truth,
-                    &experiment,
-                    250,
-                )
-            })
+            b.iter(|| DiagramEngine::Optimized.confusion_series(RECORDS, &truth, &experiment, 250))
         });
     }
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_engines,
-    bench_multi_sweep,
-    bench_served_shapes
-);
+criterion_group!(benches, bench_engines, bench_served_shapes);
 criterion_main!(benches);

@@ -1,9 +1,8 @@
 //! Pair-set engine benchmarks: the two-level `RoaringPairSet` vs the
 //! single-level `ChunkedPairSet` vs packed `PairSet` vs the seed's
 //! `HashSet<RecordPair>` baseline, plus galloping-threshold tuning,
-//! memory footprints, the rayon-sharded diagram sweep, and
-//! matching-pipeline core scaling — the measurements behind this
-//! repo's `BENCH_pairset.json`.
+//! memory footprints and matching-pipeline core scaling — the
+//! measurements behind this repo's `BENCH_pairset.json`.
 //!
 //! ```text
 //! cargo bench -p frost-bench --bench pairset            # smoke scale
@@ -32,9 +31,7 @@
 //!    the uniform-2.5m shape the two-level engine must hold ≤ 2.4
 //!    bytes/pair *and* an intersection/union/venn3 geomean ≥ 1× vs
 //!    packed — the claim that motivated the second chunk level.
-//! 5. **Diagram sweep scaling**: `confusion_series_multi` over six
-//!    experiments at 1/2/4 rayon threads.
-//! 6. **Pipeline scaling**: one full matching pipeline at 1, 2 and all
+//! 5. **Pipeline scaling**: one full matching pipeline at 1, 2 and all
 //!    hardware threads.
 //!
 //! Regression gate: when `FROST_BENCH_BASELINE=<path>` is set, the run
@@ -48,7 +45,6 @@
 
 use criterion::{black_box, Criterion};
 use frost_core::dataset::{ChunkedPairSet, Experiment, PairSet, RecordPair, RoaringPairSet};
-use frost_core::diagram::DiagramEngine;
 use frost_core::explore::setops::{venn_regions, SetExpression};
 use frost_core::metrics::confusion::{total_pairs, ConfusionMatrix};
 use frost_datagen::experiments::synthetic_experiment;
@@ -195,9 +191,6 @@ fn mean_of(c: &Criterion, id: &str) -> f64 {
 /// Time budget of each set-operation measurement: one mean per
 /// operation over as many iterations as fit.
 const SET_OPS_BUDGET_MS: u64 = 700;
-
-/// Timed runs per thread count of the diagram sweep; the best counts.
-const SWEEP_TRIALS: usize = 3;
 
 /// Ops measured per workload and engine.
 const OPS: [&str; 6] = [
@@ -551,52 +544,6 @@ fn main() {
         g.finish();
     }
 
-    // Section 4: diagram sweep scaling — six independent experiments
-    // on one dataset, swept via confusion_series_multi at 1/2/4 rayon
-    // threads (the vendored rayon re-reads RAYON_NUM_THREADS per
-    // call). On a single-CPU host the extra threads are
-    // oversubscribed and the speedup stays ≈ 1.
-    let sweep_records = ((12_000f64) * scale).max(2_000.0) as usize;
-    let sweep_gen = generate(&GeneratorConfig::small("sweep-bench", sweep_records, 29));
-    let sweep_pairs = ((40_000f64) * scale).max(5_000.0) as usize;
-    let sweep_exps: Vec<Experiment> = (0..6)
-        .map(|i| synthetic_experiment(format!("s{i}"), &sweep_gen.truth, sweep_pairs, 0.7, 40 + i))
-        .collect();
-    let sweep_refs: Vec<&Experiment> = sweep_exps.iter().collect();
-    let sweep_s = 100;
-    let mut sweep_times: Vec<(usize, f64)> = Vec::new();
-    let mut sweep_reference: Option<Vec<Vec<frost_core::diagram::DiagramPoint>>> = None;
-    for threads in [1usize, 2, 4] {
-        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-        // Warm-up, then best-of-SWEEP_TRIALS wall clock.
-        let _ = DiagramEngine::Optimized.confusion_series_multi(
-            sweep_records,
-            &sweep_gen.truth,
-            &sweep_refs,
-            sweep_s,
-        );
-        let mut best = f64::INFINITY;
-        for _ in 0..SWEEP_TRIALS {
-            let t = Instant::now();
-            let out = DiagramEngine::Optimized.confusion_series_multi(
-                sweep_records,
-                &sweep_gen.truth,
-                &sweep_refs,
-                sweep_s,
-            );
-            best = best.min(t.elapsed().as_secs_f64());
-            match &sweep_reference {
-                None => sweep_reference = Some(out),
-                Some(r) => assert_eq!(r, &out, "thread count changed sweep results"),
-            }
-        }
-        println!(
-            "diagram sweep (6 experiments × {sweep_s} samples) {threads:>2} thread(s): {best:.3}s"
-        );
-        sweep_times.push((threads, best));
-    }
-    std::env::remove_var("RAYON_NUM_THREADS");
-
     // Section 5: pipeline scaling across cores.
     let hw = frost_bench::nproc();
     let pipe_records = ((12_000f64) * scale).max(1_000.0) as usize;
@@ -836,21 +783,6 @@ intersection/union/venn3 geomean vs packed {sparse_vs_packed:.2}×, vs chunked {
         ]));
     }
 
-    let sweep_base = sweep_times.first().map(|&(_, s)| s).unwrap_or(0.0);
-    let sweep_entries: Vec<Value> = sweep_times
-        .iter()
-        .map(|&(threads, secs)| {
-            Value::object([
-                ("threads".to_string(), Value::from(threads)),
-                ("seconds".to_string(), Value::from(secs)),
-                (
-                    "speedup_vs_1_thread".to_string(),
-                    Value::from(if secs > 0.0 { sweep_base / secs } else { 0.0 }),
-                ),
-            ])
-        })
-        .collect();
-
     let base_secs = pipeline_times.first().map(|&(_, s, _)| s).unwrap_or(0.0);
     let scaling_entries: Vec<Value> = pipeline_times
         .iter()
@@ -878,7 +810,6 @@ intersection/union/venn3 geomean vs packed {sparse_vs_packed:.2}×, vs chunked {
                     "set_operations_budget_ms".to_string(),
                     Value::from(SET_OPS_BUDGET_MS),
                 ),
-                ("diagram_sweep".to_string(), Value::from(SWEEP_TRIALS)),
                 ("pipeline_scaling".to_string(), Value::from(1usize)),
             ]),
         ),
@@ -928,16 +859,6 @@ intersection/union/venn3 geomean vs packed {sparse_vs_packed:.2}×, vs chunked {
                     "shared_constant".to_string(),
                     Value::from(frost_core::dataset::pairset::GALLOP_RATIO),
                 ),
-            ]),
-        ),
-        (
-            "diagram_sweep".to_string(),
-            Value::object([
-                ("experiments".to_string(), Value::from(sweep_exps.len())),
-                ("samples".to_string(), Value::from(sweep_s)),
-                ("records".to_string(), Value::from(sweep_records)),
-                ("pairs_per_experiment".to_string(), Value::from(sweep_pairs)),
-                ("scaling".to_string(), Value::Array(sweep_entries)),
             ]),
         ),
         (

@@ -45,19 +45,15 @@ fn main() {
             preset.config.seed ^ 0xbead,
         );
 
-        // Measure: optimized vs naive. The sequential entry point
-        // keeps this an algorithm-vs-algorithm comparison: the
-        // production confusion_series shards the naive engine's sample
-        // points across threads, which would fold host parallelism
-        // into the paper's Table 1 ratio. (The optimized engine is a
-        // single pass and never shards.)
+        // Measure: optimized vs naive. Both engines run on this
+        // thread, so the ratio compares the algorithms, not the host's
+        // parallelism.
         let t0 = Instant::now();
-        let optimized =
-            DiagramEngine::Optimized.confusion_series_sequential(n, &gen.truth, &experiment, s);
+        let optimized = DiagramEngine::Optimized.confusion_series(n, &gen.truth, &experiment, s);
         let custom_time = t0.elapsed();
 
         let t1 = Instant::now();
-        let naive = DiagramEngine::Naive.confusion_series_sequential(n, &gen.truth, &experiment, s);
+        let naive = DiagramEngine::Naive.confusion_series(n, &gen.truth, &experiment, s);
         let naive_time = t1.elapsed();
 
         assert_eq!(
@@ -79,21 +75,17 @@ fn main() {
     }
 
     // Multi-experiment sweep: per-dataset series are independent, so
-    // they shard across rayon tasks. (Each dataset has its own ground
-    // truth here, so the shards are hand-rolled scoped tasks rather
-    // than one confusion_series_multi call; the N-Metrics view over
-    // one dataset uses the latter — see the pairset bench's
-    // diagram_sweep section for thread-scaling numbers.)
+    // the caller can run them side by side on rayon tasks; each sweep
+    // itself stays on its task's thread.
     // Warm-up pass so the sequential/parallel comparison below is not
-    // skewed by cold caches. Both sides use the sequential sweep, so
-    // the rayon branch parallelizes across datasets only.
+    // skewed by cold caches.
     for (n, truth, e) in &sweeps {
-        let _ = DiagramEngine::Optimized.confusion_series_sequential(*n, truth, e, s);
+        let _ = DiagramEngine::Optimized.confusion_series(*n, truth, e, s);
     }
     let t_seq = Instant::now();
     let sequential: Vec<_> = sweeps
         .iter()
-        .map(|(n, truth, e)| DiagramEngine::Optimized.confusion_series_sequential(*n, truth, e, s))
+        .map(|(n, truth, e)| DiagramEngine::Optimized.confusion_series(*n, truth, e, s))
         .collect();
     let seq_time = t_seq.elapsed();
     use rayon::prelude::*;
@@ -101,7 +93,7 @@ fn main() {
     let parallel: Vec<_> = sweeps
         .par_iter()
         .with_min_len(1)
-        .map(|(n, truth, e)| DiagramEngine::Optimized.confusion_series_sequential(*n, truth, e, s))
+        .map(|(n, truth, e)| DiagramEngine::Optimized.confusion_series(*n, truth, e, s))
         .collect();
     let par_time = t_par.elapsed();
     assert_eq!(sequential, parallel, "sharded sweep changed the results");

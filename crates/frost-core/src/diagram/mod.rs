@@ -17,7 +17,11 @@
 //!   carry ground-truth tallies, so every union updates the
 //!   true-positive count directly. The series costs
 //!   `O(n + m·α(n) + m log m + s)` for `n = |D|` records, `m = |Matches|`
-//!   and `s` samples, and runs on the calling thread.
+//!   and `s` samples.
+//!
+//! Every engine runs on the calling thread. Sweeps of different
+//! experiments are independent, so a caller that wants parallelism runs
+//! them side by side itself.
 //!
 //! Sampling follows the paper: rather than stepping the threshold by a
 //! constant amount (which concentrates points wherever scores cluster),
@@ -80,53 +84,18 @@ impl DiagramEngine {
     /// experiment clustering at each point is the transitive closure of
     /// the applied prefix (Frost's experiments are clusterings, §1.2).
     ///
+    /// Both engines run on the calling thread. A caller that wants
+    /// parallelism runs independent sweeps itself, as `table1_runtime`
+    /// and `fig7_timeline` do.
+    ///
     /// # Panics
     /// Panics if `s < 2` or the ground truth does not cover `n` records.
-    ///
-    /// A *huge* naive series is itself sharded across rayon tasks:
-    /// when the sweep's work (`records + matches`) reaches
-    /// [`PARALLEL_SWEEP_MIN_MATCHES`], the sample points, which the
-    /// naive engine recomputes from scratch anyway, are computed in
-    /// parallel. Results are identical to the sequential sweep. The
-    /// optimized engine is a single pass and always runs on the
-    /// calling thread.
     pub fn confusion_series(
         self,
         n: usize,
         truth: &Clustering,
         experiment: &Experiment,
         s: usize,
-    ) -> Vec<DiagramPoint> {
-        self.series_one(n, truth, experiment, s, true)
-    }
-
-    /// [`confusion_series`](Self::confusion_series) without the naive
-    /// engine's point-level sharding: the whole sweep runs on the
-    /// calling thread. For callers that manage their own parallelism
-    /// around independent sweeps (nesting scoped-thread fan-outs
-    /// oversubscribes) or that time the underlying algorithms
-    /// apples-to-apples.
-    pub fn confusion_series_sequential(
-        self,
-        n: usize,
-        truth: &Clustering,
-        experiment: &Experiment,
-        s: usize,
-    ) -> Vec<DiagramPoint> {
-        self.series_one(n, truth, experiment, s, false)
-    }
-
-    /// [`confusion_series`](Self::confusion_series) with point-level
-    /// sharding opt-in — the multi-experiment sweep disables it inside
-    /// its own rayon tasks (the vendored rayon spawns scoped threads
-    /// per call, so nesting would oversubscribe).
-    fn series_one(
-        self,
-        n: usize,
-        truth: &Clustering,
-        experiment: &Experiment,
-        s: usize,
-        shard_points: bool,
     ) -> Vec<DiagramPoint> {
         assert!(s >= 2, "a diagram needs at least two sample points");
         assert_eq!(
@@ -135,67 +104,27 @@ impl DiagramEngine {
             "ground truth covers {} records, dataset has {n}",
             truth.num_records()
         );
-        if self == DiagramEngine::Optimized {
-            return optimized::experiment_series(truth, experiment.pairs(), s);
-        }
-        let matches = experiment.pairs_by_similarity_desc();
-        if shard_points && n + matches.len() >= PARALLEL_SWEEP_MIN_MATCHES {
-            let shards = rayon::current_num_threads();
-            if shards > 1 {
-                return naive::confusion_series_sharded(n, truth, &matches, s, shards);
+        match self {
+            DiagramEngine::Optimized => optimized::experiment_series(truth, experiment.pairs(), s),
+            DiagramEngine::Naive => {
+                naive::confusion_series(n, truth, &experiment.pairs_by_similarity_desc(), s)
             }
         }
-        naive::confusion_series(n, truth, &matches, s)
     }
 
-    /// Computes the confusion-matrix series of several experiments
-    /// against the same ground truth — the multi-experiment sweep
-    /// behind the N-Metrics view, Table 1 and the timeline figures.
-    ///
-    /// Experiments are independent, so they are sharded across rayon
-    /// tasks (one scoped thread per experiment, capped at the thread
-    /// count). Sweeps whose total work falls below
-    /// [`PARALLEL_SWEEP_MIN_MATCHES`] run on the calling thread —
-    /// spawning costs more than it saves on tiny diagrams.
-    ///
-    /// Returns one series per experiment, in input order.
-    ///
-    /// # Panics
-    /// As [`confusion_series`](Self::confusion_series), for any input.
-    pub fn confusion_series_multi(
+    /// Forwards to [`confusion_series`](Self::confusion_series). Kept
+    /// only because the perfbench replay calls it by this name.
+    #[doc(hidden)]
+    pub fn confusion_series_sequential(
         self,
         n: usize,
         truth: &Clustering,
-        experiments: &[&Experiment],
+        experiment: &Experiment,
         s: usize,
-    ) -> Vec<Vec<DiagramPoint>> {
-        use rayon::prelude::*;
-        // Per-sweep work is O(n + matches·…) for both engines, so the
-        // gate counts both terms.
-        let total_work: usize = experiments.iter().map(|e| e.len() + n).sum();
-        if total_work < PARALLEL_SWEEP_MIN_MATCHES || experiments.len() < 2 {
-            // Sequential over experiments — a single huge naive series
-            // still shards its own sample points.
-            return experiments
-                .iter()
-                .map(|e| self.series_one(n, truth, e, s, true))
-                .collect();
-        }
-        experiments
-            .par_iter()
-            .with_min_len(1)
-            .map(|e| self.series_one(n, truth, e, s, false))
-            .collect()
+    ) -> Vec<DiagramPoint> {
+        self.confusion_series(n, truth, experiment, s)
     }
 }
-
-/// Minimum sweep work (`records + matches`) before a diagram sweep
-/// fans out to threads — summed over all experiments for
-/// [`DiagramEngine::confusion_series_multi`], per series for the
-/// naive engine's point-sharded [`DiagramEngine::confusion_series`].
-/// Below this, one sweep is microseconds of work and thread spawning
-/// dominates end to end. A single optimized series never fans out.
-pub const PARALLEL_SWEEP_MIN_MATCHES: usize = 4_096;
 
 /// The most sample points a diagram request may ask for. A series
 /// holds one point per sample, so the server rejects larger counts
@@ -256,8 +185,8 @@ impl MetricDiagram {
         }
     }
 
-    /// The ROC curve (1−specificity on x via recall pairing is *not* what
-    /// the paper plots; it plots sensitivity against specificity, §4.5.1).
+    /// The ROC-style curve the paper plots (§4.5.1): specificity on x,
+    /// sensitivity (recall) on y, not the textbook 1 − specificity.
     pub fn roc() -> Self {
         Self {
             x: PairMetric::Specificity,
@@ -470,84 +399,36 @@ mod tests {
         DiagramEngine::Optimized.confusion_series(4, &truth_ab_cd(), &paper_experiment(), 1);
     }
 
-    /// The sharded multi-experiment sweep returns exactly the
-    /// per-experiment series, in input order — on both the sequential
-    /// small-work path and the rayon path.
+    /// Both engines agree on a 5 000-record path, at sample counts
+    /// from the minimum to Table 1's, through the slice entries and the
+    /// public entry point alike.
     #[test]
-    fn multi_sweep_equals_individual_sweeps() {
-        // Tiny: below the parallel gate.
-        let truth = truth_ab_cd();
-        let small = [paper_experiment(), paper_experiment()];
-        let refs: Vec<&Experiment> = small.iter().collect();
-        let multi = DiagramEngine::Optimized.confusion_series_multi(4, &truth, &refs, 3);
-        for (series, e) in multi.iter().zip(&refs) {
-            assert_eq!(
-                series,
-                &DiagramEngine::Optimized.confusion_series(4, &truth, e, 3)
-            );
-        }
-        // Large enough to cross PARALLEL_SWEEP_MIN_MATCHES.
-        let n = 6_000usize;
-        let assignment: Vec<u32> = (0..n as u32).map(|i| i / 3).collect();
-        let big_truth = Clustering::from_assignment(&assignment);
-        let mk = |seed: u32| {
-            Experiment::from_scored_pairs(
-                format!("e{seed}"),
-                (0..n as u32 - 1).map(|i| {
-                    let s =
-                        ((i.wrapping_mul(2654435761).wrapping_add(seed)) % 1000) as f64 / 1000.0;
-                    (i, i + 1, s)
-                }),
-            )
-        };
-        let big = [mk(1), mk(2), mk(3)];
-        let refs: Vec<&Experiment> = big.iter().collect();
-        for engine in [DiagramEngine::Naive, DiagramEngine::Optimized] {
-            let multi = engine.confusion_series_multi(n, &big_truth, &refs, 5);
-            assert_eq!(multi.len(), 3);
-            for (series, e) in multi.iter().zip(&refs) {
-                assert_eq!(series, &engine.confusion_series(n, &big_truth, e, 5));
-            }
-        }
-    }
-
-    /// Point-level sharding of one naive series returns exactly the
-    /// sequential sweep, across shard counts that divide the points
-    /// unevenly (including more shards than points), and equals the
-    /// optimized sweep.
-    #[test]
-    fn sharded_series_equals_sequential() {
+    fn engines_agree_on_a_long_path() {
         let n = 5_000usize;
         let assignment: Vec<u32> = (0..n as u32).map(|i| i / 4).collect();
         let truth = Clustering::from_assignment(&assignment);
         let e = Experiment::from_scored_pairs(
-            "sharded",
+            "path",
             (0..n as u32 - 1).map(|i| {
                 let s = ((i.wrapping_mul(2654435761).wrapping_add(7)) % 1000) as f64 / 1000.0;
                 (i, i + 1, s)
             }),
         );
         let matches = e.pairs_by_similarity_desc();
-        for s in [2usize, 3, 7, 100] {
-            let seq_naive = naive::confusion_series(n, &truth, &matches, s);
+        for s in [2usize, 3, 7, 9, 100] {
+            let naive = naive::confusion_series(n, &truth, &matches, s);
             assert_eq!(
                 optimized::confusion_series(&truth, &matches, s),
-                seq_naive,
+                naive,
                 "optimized s={s}"
             );
-            for shards in [1usize, 2, 3, 5, s + 3] {
+            for engine in DiagramEngine::ALL {
                 assert_eq!(
-                    naive::confusion_series_sharded(n, &truth, &matches, s, shards),
-                    seq_naive,
-                    "naive s={s} shards={shards}"
+                    engine.confusion_series(n, &truth, &e, s),
+                    naive,
+                    "{engine:?} s={s}"
                 );
             }
-        }
-        // The public entry point (which gates on work and thread
-        // count) agrees too.
-        let direct = naive::confusion_series(n, &truth, &matches, 9);
-        for engine in [DiagramEngine::Naive, DiagramEngine::Optimized] {
-            assert_eq!(engine.confusion_series(n, &truth, &e, 9), direct);
         }
     }
 }

@@ -28,27 +28,6 @@ pub fn confusion_series(
         .collect()
 }
 
-/// [`confusion_series`] with the sample points sharded across rayon
-/// tasks. Every point is recomputed from scratch anyway, so the points
-/// are embarrassingly parallel and the output is trivially identical
-/// to the sequential sweep.
-pub fn confusion_series_sharded(
-    n: usize,
-    truth: &Clustering,
-    matches: &[ScoredPair],
-    s: usize,
-    shards: usize,
-) -> Vec<DiagramPoint> {
-    use rayon::prelude::*;
-    let boundaries = sample_boundaries(matches.len(), s);
-    let min_len = boundaries.len().div_ceil(shards.max(1)).max(1);
-    boundaries
-        .par_iter()
-        .with_min_len(min_len)
-        .map(|&k| point_at(n, truth, matches, k))
-        .collect()
-}
-
 /// One sample point: fresh clustering of the first `k` matches.
 fn point_at(n: usize, truth: &Clustering, matches: &[ScoredPair], k: usize) -> DiagramPoint {
     let experiment = Clustering::from_pairs(n, matches[..k].iter().map(|sp| sp.pair));
