@@ -671,6 +671,21 @@ pub fn serve(addr: &str, state: Arc<ServerState>, workers: usize) -> std::io::Re
     )
 }
 
+/// Accept-queue depth the listener asks for. A burst of connects
+/// larger than the queue waits out a one-second SYN retransmit per
+/// overflowed connect; the kernel caps the depth at
+/// `net.core.somaxconn`.
+const LISTEN_BACKLOG: i32 = 1024;
+
+/// Binds a non-blocking listener on `addr` with a
+/// [`LISTEN_BACKLOG`]-deep accept queue.
+fn bind_listener(addr: &str) -> std::io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
+    polling::set_backlog(&listener, LISTEN_BACKLOG)?;
+    listener.set_nonblocking(true)?;
+    Ok(listener)
+}
+
 /// Binds `addr` and serves keep-alive connections until the handle is
 /// shut down or dropped: `options.event_threads` readiness loops own
 /// every socket, `options.workers` pool threads evaluate the complete
@@ -687,8 +702,7 @@ pub fn serve_with(
              store has no WAL to replicate into",
         ));
     }
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
+    let listener = bind_listener(addr)?;
     let local = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
     state.set_cache_budget(options.cache_budget);
@@ -1005,6 +1019,32 @@ mod tests {
     use crate::route::Class;
     use crate::telemetry::Registry;
     use frost_storage::api::Request;
+
+    /// A burst of sequential connects to a listener nobody accepts on
+    /// fills only the accept queue: 512 of them must all be
+    /// established, where std's default backlog of 128 leaves the
+    /// 130th waiting on a SYN retransmit.
+    #[test]
+    fn listener_queues_a_connect_burst_without_accepting() {
+        const BURST: usize = 512;
+        let somaxconn = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok());
+        if somaxconn.is_none_or(|cap| cap < BURST) {
+            eprintln!("skipped: net.core.somaxconn {somaxconn:?} is below {BURST}");
+            return;
+        }
+        let listener = bind_listener("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut open = Vec::with_capacity(BURST);
+        for i in 0..BURST {
+            match std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(300)) {
+                Ok(stream) => open.push(stream),
+                Err(e) => panic!("connect {} of {BURST} without an accept: {e}", i + 1),
+            }
+        }
+        assert_eq!(open.len(), BURST);
+    }
 
     /// Drives a distinct value into every counter and gauge `/stats`
     /// reports, then hands the state to `check` while the live gauges
