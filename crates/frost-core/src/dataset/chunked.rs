@@ -2,7 +2,7 @@
 //! vectorizable kernels.
 //!
 //! [`ChunkedPairSet`] partitions the packed `(lo << 32) | hi` key space
-//! of [`PairSet`](super::PairSet) by the high 32 bits: all pairs sharing
+//! of [`PairSet`] by the high 32 bits: all pairs sharing
 //! a `lo` record id land in one *chunk*, keyed by `lo` and stored as one
 //! of two container kinds (the roaring-bitmap design of Chambi et al.,
 //! applied to the pair universe `[D]²`):
@@ -42,7 +42,7 @@
 //!   on dense chunks: 512 pairs per cache line versus 8 for packed
 //!   `u64`s.
 //! * **array × array** — the same branchless linear merge as
-//!   [`PairSet`](super::PairSet), switching to galloping (exponential
+//!   [`PairSet`], switching to galloping (exponential
 //!   probe + binary search from the smaller side) when the size ratio
 //!   exceeds [`GALLOP_RATIO`](super::pairset::GALLOP_RATIO) — one
 //!   constant shared by both engines.
@@ -69,7 +69,7 @@
 //! two-level [`RoaringPairSet`](super::roaring::RoaringPairSet) —
 //! chunk key = packed `u64 >> 16`, `u16` low halves, 12-byte arena
 //! directory — exists for exactly that shape and shares this module's
-//! [`words`] kernels and promotion constant; see the
+//! `words` kernels and promotion constant; see the
 //! [`roaring`](super::roaring) module docs for the trade-off between
 //! all three engines.
 
@@ -79,7 +79,7 @@ use std::fmt;
 
 /// Element count above which a chunk promotes to a bitmap container
 /// (roaring's break-even constant) — provided the bitmap is actually
-/// smaller than the array it replaces (see [`bitmap_wins`]).
+/// smaller than the array it replaces (see `bitmap_wins`).
 pub const ARRAY_MAX: usize = 4096;
 
 /// One chunk's element storage: the set of `hi` partner ids for a fixed

@@ -50,7 +50,7 @@ pub const GALLOP_RATIO: usize = 4;
 
 /// Minimum small-side length before a near-equal-size intersection
 /// switches from the two-lane bidirectional merge to the four-lane
-/// split merge ([`four_lane_intersect`]): below this, the split's
+/// split merge (`four_lane_intersect`): below this, the split's
 /// binary search costs more than the extra dependency chains recover.
 pub const FOUR_LANE_MIN: usize = 32;
 
@@ -173,7 +173,7 @@ impl PairSet {
 
     /// `self ∪ other` by linear merge. The output is pre-sized to the
     /// exact upper bound `n + m` and shrunk afterwards per the
-    /// [module shrink policy](SHRINK_SLACK_DENOM).
+    /// module shrink policy (`SHRINK_SLACK_DENOM`).
     pub fn union(&self, other: &PairSet) -> PairSet {
         let (a, b) = (&self.packed, &other.packed);
         let mut out = Vec::with_capacity(a.len() + b.len());
@@ -202,7 +202,7 @@ impl PairSet {
     }
 
     /// `self ∩ other`: bidirectional linear merge, the unrolled
-    /// four-lane merge ([`four_lane_intersect`]) when the sizes are
+    /// four-lane merge (`four_lane_intersect`) when the sizes are
     /// near-equal, or galloping from the smaller side when the sizes
     /// differ by at least [`GALLOP_RATIO`]×.
     pub fn intersection(&self, other: &PairSet) -> PairSet {
@@ -296,7 +296,7 @@ impl PairSet {
 
     /// `self \ other` by linear merge. Pre-sized to the exact upper
     /// bound `n`, shrunk afterwards per the
-    /// [module shrink policy](SHRINK_SLACK_DENOM).
+    /// module shrink policy (`SHRINK_SLACK_DENOM`).
     pub fn difference(&self, other: &PairSet) -> PairSet {
         let (a, b) = (&self.packed, &other.packed);
         let mut out = Vec::with_capacity(a.len());

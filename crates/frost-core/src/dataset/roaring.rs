@@ -53,7 +53,7 @@
 //!   slices (a multiple of the 8-word unroll, so the vectorized loops
 //!   run tail-free).
 //! * **array × array** — the bidirectional two-lane merge shared with
-//!   [`PairSet`](super::PairSet) (`intersect_into`, generic over the
+//!   [`PairSet`] (`intersect_into`, generic over the
 //!   element width), switching to galloping at the shared
 //!   [`GALLOP_RATIO`](super::pairset::GALLOP_RATIO); `intersection_len`
 //!   runs the same kernel with counters — allocation-free.

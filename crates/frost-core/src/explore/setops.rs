@@ -179,7 +179,7 @@ const DENSE_COUNT_SETS: usize = 8;
 /// counter of its mask. The sets are borrowed, so the caller merges
 /// sets it already holds without cloning them; beyond the merge's
 /// per-set cursors the work space is 2 KiB for up to
-/// [`DENSE_COUNT_SETS`] sets and one entry per occurring mask above.
+/// `DENSE_COUNT_SETS` sets and one entry per occurring mask above.
 ///
 /// # Panics
 /// Panics on more than [`MAX_VENN_SETS`](crate::dataset::MAX_VENN_SETS)

@@ -41,7 +41,7 @@
 //!
 //! # Connection model
 //!
-//! Connections are owned by [`crate::event_loop`]'s poll threads
+//! Connections are owned by the event loop's poll threads
 //! (`--event-threads`) from `accept` to close, not by workers: the
 //! first loop accepts and deals connections round-robin, sockets are
 //! non-blocking, and each event thread multiplexes its share of
@@ -51,7 +51,7 @@
 //! per-connection [`RequestBuffer`]. A complete
 //! cacheable `GET` is probed against the response cache on the event
 //! thread, and a hit is written right there. Only misses and uncached
-//! requests are dispatched to the worker pool (via [`execute`]); the
+//! requests are dispatched to the worker pool (via `execute`); the
 //! finished response is queued back to the event thread, which writes
 //! it out under write-readiness. One request per connection is
 //! in flight at a time, so pipelined responses go out in request order
@@ -88,7 +88,7 @@
 //! owns the counters ([`OverloadStats`], the cache, the render and
 //! connection counts) but names and renders none of them itself.
 //!
-//! Bodies are rendered by [`json::response_to_json`], so an HTTP
+//! Bodies are rendered by [`crate::json::response_to_json`], so an HTTP
 //! response is byte-identical to rendering the in-process
 //! [`api::handle`] result — the invariant the loopback golden tests
 //! pin, including across reused connections and pipelined clients.
@@ -479,7 +479,7 @@ impl ServerState {
     }
 
     /// Applies one replicated WAL record through the primary's
-    /// [write sequence](Self::apply_write): a record that fails to prepare
+    /// write sequence (`apply_write`): a record that fails to prepare
     /// leaves the local WAL and store untouched, and one that prepares
     /// is appended (the op codec is deterministic, so the local frame
     /// is byte-identical to the primary's) and committed.

@@ -1,5 +1,6 @@
-//! The canonical JSON rendering of [`api::Response`] values, plus the
-//! query-parameter parsers for the enum-typed request fields.
+//! The canonical JSON rendering of [`frost_storage::api::Response`]
+//! values, plus the query-parameter parsers for the enum-typed request
+//! fields.
 //!
 //! `frostd` and the in-process reference path share these functions,
 //! so an HTTP body is byte-identical to rendering

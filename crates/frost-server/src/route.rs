@@ -3,15 +3,15 @@
 //! class, telemetry label, cache key and invalidation scopes, and
 //! whether a write appends to the WAL.
 //!
-//! The event loop calls [`resolve`] once, when a request head
+//! The event loop calls `resolve` once, when a request head
 //! completes, and the request's trace carries its [`Endpoint`] as the
 //! `endpoint`/`class` label pair of `/metrics` and `/debug/traces`.
 //! A cacheable read is then probed once, on the event thread, by
-//! [`serve_hit`]: a hit is answered there, with only the cache key
+//! `serve_hit`: a hit is answered there, with only the cache key
 //! built. Everything else — a miss, a bad parameter, a non-read —
-//! rides the dispatch queue to a worker, which answers with [`route`]
-//! and never probes the response tier itself. Neither does transport work: a resolved request in,
-//! a serialized response (or a shed) out.
+//! rides the dispatch queue to a worker, which answers with `route`
+//! and never probes the response tier itself. Neither does transport
+//! work: a resolved request in, a serialized response (or a shed) out.
 //!
 //! # Endpoints
 //!
@@ -133,7 +133,7 @@ struct Row {
 }
 
 impl Endpoint {
-    /// Every endpoint, in index order — also the order [`resolve`]
+    /// Every endpoint, in index order — also the order `resolve`
     /// tries them in.
     pub const ALL: [Endpoint; ENDPOINT_COUNT] = [
         Endpoint::Datasets,

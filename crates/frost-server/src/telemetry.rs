@@ -274,7 +274,7 @@ impl TraceRing {
 // ---------------------------------------------------------------------
 
 /// Everything the telemetry layer accumulates, owned by
-/// [`ServerState`](crate::ServerState) and shared with the event loops
+/// [`ServerState`] and shared with the event loops
 /// and workers.
 pub struct Telemetry {
     enabled: AtomicBool,

@@ -6,7 +6,7 @@
 //! the *at-rest* format for a long-lived server: one sequential read
 //! restores the full store **including the import-time artifacts**
 //! (per-experiment clusterings and prebuilt
-//! [`RoaringPairSet`](frost_core::dataset::RoaringPairSet) arenas), so
+//! [`RoaringPairSet`] arenas), so
 //! `frostd` start-up skips CSV parsing, id interning, union-find and
 //! pair-set packing entirely.
 //!
