@@ -416,16 +416,16 @@ mod tests {
         );
         let matches = e.pairs_by_similarity_desc();
         for s in [2usize, 3, 7, 9, 100] {
-            let naive = naive::confusion_series(n, &truth, &matches, s);
+            let expected = naive::confusion_series(n, &truth, &matches, s);
             assert_eq!(
                 optimized::confusion_series(&truth, &matches, s),
-                naive,
+                expected,
                 "optimized s={s}"
             );
             for engine in DiagramEngine::ALL {
                 assert_eq!(
                     engine.confusion_series(n, &truth, &e, s),
-                    naive,
+                    expected,
                     "{engine:?} s={s}"
                 );
             }

@@ -1036,14 +1036,13 @@ mod tests {
         }
         let listener = bind_listener("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let mut open = Vec::with_capacity(BURST);
-        for i in 0..BURST {
-            match std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(300)) {
-                Ok(stream) => open.push(stream),
-                Err(e) => panic!("connect {} of {BURST} without an accept: {e}", i + 1),
-            }
-        }
-        assert_eq!(open.len(), BURST);
+        // Held open to the end, so every connect adds to the queue.
+        let _open: Vec<_> = (1..=BURST)
+            .map(|i| {
+                std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(300))
+                    .unwrap_or_else(|e| panic!("connect {i} of {BURST} without an accept: {e}"))
+            })
+            .collect();
     }
 
     /// Drives a distinct value into every counter and gauge `/stats`
