@@ -29,11 +29,6 @@ fn main() {
         "{:<16} {:>10} {:>14} {:>12} {:>12} {:>9}",
         "Dataset", "Records", "Matched pairs", "Custom", "Naive", "Speedup"
     );
-    let mut sweeps: Vec<(
-        usize,
-        frost_core::clustering::Clustering,
-        frost_core::dataset::Experiment,
-    )> = Vec::new();
     for preset in table1_presets(scale) {
         let gen = materialize(&preset);
         let n = gen.dataset.len();
@@ -71,41 +66,8 @@ fn main() {
             fmt_duration(naive_time),
             speedup
         );
-        sweeps.push((n, gen.truth, experiment));
     }
 
-    // Multi-experiment sweep: per-dataset series are independent, so
-    // the caller can run them side by side on rayon tasks; each sweep
-    // itself stays on its task's thread.
-    // Warm-up pass so the sequential/parallel comparison below is not
-    // skewed by cold caches.
-    for (n, truth, e) in &sweeps {
-        let _ = DiagramEngine::Optimized.confusion_series(*n, truth, e, s);
-    }
-    let t_seq = Instant::now();
-    let sequential: Vec<_> = sweeps
-        .iter()
-        .map(|(n, truth, e)| DiagramEngine::Optimized.confusion_series(*n, truth, e, s))
-        .collect();
-    let seq_time = t_seq.elapsed();
-    use rayon::prelude::*;
-    let t_par = Instant::now();
-    let parallel: Vec<_> = sweeps
-        .par_iter()
-        .with_min_len(1)
-        .map(|(n, truth, e)| DiagramEngine::Optimized.confusion_series(*n, truth, e, s))
-        .collect();
-    let par_time = t_par.elapsed();
-    assert_eq!(sequential, parallel, "sharded sweep changed the results");
-    println!();
-    println!(
-        "All {} optimized sweeps: sequential {}, rayon-sharded {} ({:.2}x, {} threads)",
-        sweeps.len(),
-        fmt_duration(seq_time),
-        fmt_duration(par_time),
-        seq_time.as_secs_f64() / par_time.as_secs_f64().max(1e-9),
-        rayon::current_num_threads()
-    );
     println!();
     println!("Paper (Snowman v3.2.0, TypeScript, i5 laptop):");
     println!("  Altosight X4       835    4 005   184ms    1.7s      9x");

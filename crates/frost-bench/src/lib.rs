@@ -162,10 +162,19 @@ pub fn pct(x: f64) -> String {
 }
 
 /// Formats a duration in the paper's style (`184ms`, `1.7s`, `6min 43s`).
+/// Below one second it keeps three significant digits (`0.382ms`,
+/// `4.25ms`, `24.5ms`), so sub-millisecond sweeps do not print as `0ms`.
 pub fn fmt_duration(d: std::time::Duration) -> String {
     let ms = d.as_millis();
     if ms < 1_000 {
-        format!("{ms}ms")
+        let ms = d.as_secs_f64() * 1e3;
+        let decimals = match ms {
+            m if m < 1.0 => 3,
+            m if m < 10.0 => 2,
+            m if m < 100.0 => 1,
+            _ => 0,
+        };
+        format!("{ms:.decimals$}ms")
     } else if ms < 60_000 {
         format!("{:.1}s", d.as_secs_f64())
     } else {
@@ -182,7 +191,13 @@ mod tests {
     #[test]
     fn duration_formatting() {
         use std::time::Duration;
+        assert_eq!(fmt_duration(Duration::ZERO), "0.000ms");
+        assert_eq!(fmt_duration(Duration::from_nanos(1_600)), "0.002ms");
+        assert_eq!(fmt_duration(Duration::from_micros(382)), "0.382ms");
+        assert_eq!(fmt_duration(Duration::from_micros(4_250)), "4.25ms");
+        assert_eq!(fmt_duration(Duration::from_micros(24_540)), "24.5ms");
         assert_eq!(fmt_duration(Duration::from_millis(184)), "184ms");
+        assert_eq!(fmt_duration(Duration::from_micros(999_400)), "999ms");
         assert_eq!(fmt_duration(Duration::from_millis(1_700)), "1.7s");
         assert_eq!(fmt_duration(Duration::from_secs(403)), "6min 43s");
     }
