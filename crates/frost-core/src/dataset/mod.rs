@@ -7,6 +7,7 @@
 //! [`Experiment`] in Frost terminology.
 
 pub mod chunked;
+mod column;
 mod csv;
 mod experiment;
 pub(crate) mod hash;
@@ -18,6 +19,7 @@ pub mod roaring;
 mod schema;
 
 pub use chunked::ChunkedPairSet;
+pub use column::Column;
 pub use csv::{parse_csv, read_csv, write_csv, CsvError, CsvOptions, CsvRow};
 pub(crate) use experiment::{key_ids, key_pair, SimilarityOrder};
 pub use experiment::{Experiment, PairDedup, PairOrigin, ScoredPair};
@@ -27,6 +29,7 @@ pub use record::{Record, RecordId};
 pub use roaring::RoaringPairSet;
 pub use schema::Schema;
 
+use column::RawColumn;
 use native::NativeIds;
 
 /// Pair-set engine identities, for cost-model-driven selection.
@@ -333,17 +336,20 @@ impl PairAlgebra for RoaringPairSet {
 /// available through [`Dataset::native_id`] and can be resolved back with
 /// [`Dataset::resolve_native`].
 ///
-/// The dataset holds each native id once, outside its [`Record`]s: all
-/// ids sit back to back in one arena addressed by record id, and a
-/// keyed open-addressing table of record ids indexes that arena (see
-/// the `native` module). Resolving an id hashes it once and compares
-/// it against the arena; no per-record string is allocated.
+/// Values are stored by attribute, one [`Column`] each: a UTF-8 arena
+/// of the present values, a `u32` end offset per record and a presence
+/// bitmap. [`Dataset::record`] reads a record back as a borrowed
+/// [`Record`] view, and [`Dataset::column`] hands out a whole attribute.
+/// The native ids sit the same way in one arena addressed by record id,
+/// indexed by a keyed open-addressing table of record ids (see the
+/// `native` module). A dataset therefore holds a fixed number of heap
+/// buffers, however many records and values it has.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dataset {
     name: String,
     schema: Schema,
-    records: Vec<Record>,
     native_ids: NativeIds,
+    columns: Vec<Column>,
 }
 
 impl Dataset {
@@ -354,11 +360,33 @@ impl Dataset {
 
     /// Creates an empty dataset, pre-allocating room for `capacity` records.
     pub fn with_capacity(name: impl Into<String>, schema: Schema, capacity: usize) -> Self {
+        let columns = (0..schema.len())
+            .map(|_| Column::with_capacity(capacity, 0))
+            .collect();
         Self {
             name: name.into(),
             schema,
-            records: Vec::with_capacity(capacity),
             native_ids: NativeIds::with_capacity(capacity),
+            columns,
+        }
+    }
+
+    /// Makes room for `native_id_bytes` more bytes of native ids and,
+    /// per attribute in schema order, `value_bytes[i]` more bytes of
+    /// values, so that records within those totals (and within the
+    /// record capacity) are pushed without allocating.
+    ///
+    /// # Panics
+    /// Panics if `value_bytes` does not have one entry per attribute.
+    pub fn reserve_bytes(&mut self, native_id_bytes: usize, value_bytes: &[usize]) {
+        assert_eq!(
+            value_bytes.len(),
+            self.columns.len(),
+            "one byte count per attribute"
+        );
+        self.native_ids.reserve_bytes(native_id_bytes);
+        for (column, &bytes) in self.columns.iter_mut().zip(value_bytes) {
+            column.reserve_bytes(bytes);
         }
     }
 
@@ -374,17 +402,17 @@ impl Dataset {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.native_ids.len()
     }
 
     /// Whether the dataset holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
     /// Number of record pairs `|[D]²| = n·(n−1)/2`.
     pub fn pair_count(&self) -> u64 {
-        let n = self.records.len() as u64;
+        let n = self.len() as u64;
         n * n.saturating_sub(1) / 2
     }
 
@@ -428,39 +456,65 @@ impl Dataset {
         native_id: &str,
         values: Vec<Option<String>>,
     ) -> Option<RecordId> {
-        assert_eq!(
-            values.len(),
-            self.schema.len(),
-            "record width {} does not match schema width {}",
-            values.len(),
-            self.schema.len()
-        );
+        self.try_push_fields(native_id, values.iter().map(Option::as_deref))
+    }
+
+    /// [`try_push_record_opt`](Self::try_push_record_opt) for borrowed
+    /// values, such as the fields of a CSV row: the values are copied
+    /// into the columns, with no `String` made for any of them.
+    ///
+    /// # Panics
+    /// Panics if the value count does not match the schema width, or if
+    /// an attribute's values would outgrow 4 GiB.
+    pub fn try_push_fields<'v, I>(&mut self, native_id: &str, values: I) -> Option<RecordId>
+    where
+        I: IntoIterator<Item = Option<&'v str>>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut values = values.into_iter();
+        assert_width(values.len(), self.columns.len());
         let id = self.native_ids.try_push(native_id)?;
-        self.records.push(Record::new(values));
+        for column in &mut self.columns {
+            column.push(values.next().expect("an exact-size iterator"));
+        }
         Some(id)
     }
 
-    /// Returns the record with the given id.
-    pub fn record(&self, id: RecordId) -> &Record {
-        &self.records[id.index()]
+    /// The view of the record with the given id.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    pub fn record(&self, id: RecordId) -> Record<'_> {
+        self.get(id)
+            .unwrap_or_else(|| panic!("record {id} out of range for {} records", self.len()))
     }
 
-    /// Returns the record with the given id, or `None` if out of range.
-    pub fn get(&self, id: RecordId) -> Option<&Record> {
-        self.records.get(id.index())
+    /// The view of the record with the given id, or `None` if out of range.
+    pub fn get(&self, id: RecordId) -> Option<Record<'_>> {
+        (id.index() < self.len()).then(|| Record::new(&self.columns, id.index()))
     }
 
     /// All records in id order.
-    pub fn records(&self) -> &[Record] {
-        &self.records
+    pub fn records(&self) -> impl ExactSizeIterator<Item = Record<'_>> {
+        (0..self.len()).map(|i| Record::new(&self.columns, i))
     }
 
-    /// Iterates over `(RecordId, &Record)`.
-    pub fn iter(&self) -> impl Iterator<Item = (RecordId, &Record)> {
-        self.records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (RecordId(i as u32), r))
+    /// Iterates over `(RecordId, Record)`.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (RecordId, Record<'_>)> {
+        (0..self.len()).map(|i| (RecordId(i as u32), Record::new(&self.columns, i)))
+    }
+
+    /// The values of the `col`-th attribute.
+    ///
+    /// # Panics
+    /// Panics if `col` is out of range.
+    pub fn column(&self, col: usize) -> &Column {
+        &self.columns[col]
+    }
+
+    /// Every attribute's values, in schema order.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
     }
 
     /// The native (import-time) identifier of a record.
@@ -478,9 +532,102 @@ impl Dataset {
 
     /// Value of attribute `attr` for record `id` (None when missing or when
     /// the attribute does not exist).
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
     pub fn value(&self, id: RecordId, attr: &str) -> Option<&str> {
         let col = self.schema.index_of(attr)?;
-        self.records[id.index()].value(col)
+        self.columns[col].get(id.index())
+    }
+}
+
+/// Panics unless a record of `found` values fits a schema of `width`.
+fn assert_width(found: usize, width: usize) {
+    assert_eq!(
+        found, width,
+        "record width {found} does not match schema width {width}"
+    );
+}
+
+/// Builds a [`Dataset`] from values given as bytes, for decoders that
+/// check UTF-8 once per column rather than once per value.
+///
+/// Records go in as with [`Dataset::try_push_fields`]; the bytes are
+/// checked when [`finish`](Self::finish) turns each column into text.
+/// Sized up front with the exact record and byte counts, building makes
+/// a fixed number of allocations however many records there are.
+#[derive(Debug)]
+pub struct DatasetBuilder {
+    dataset: Dataset,
+    columns: Vec<RawColumn>,
+}
+
+impl DatasetBuilder {
+    /// A builder with room for `records` records, `native_id_bytes`
+    /// bytes of native ids and, per attribute, `value_bytes[i]` bytes
+    /// of values.
+    ///
+    /// # Panics
+    /// Panics if `value_bytes` does not have one entry per attribute.
+    pub fn new(
+        name: impl Into<String>,
+        schema: Schema,
+        records: usize,
+        native_id_bytes: usize,
+        value_bytes: &[usize],
+    ) -> Self {
+        assert_eq!(
+            value_bytes.len(),
+            schema.len(),
+            "one byte count per attribute"
+        );
+        let mut native_ids = NativeIds::with_capacity(records);
+        native_ids.reserve_bytes(native_id_bytes);
+        let columns = value_bytes
+            .iter()
+            .map(|&bytes| RawColumn::with_capacity(records, bytes))
+            .collect();
+        let dataset = Dataset {
+            name: name.into(),
+            schema,
+            native_ids,
+            columns: Vec::new(),
+        };
+        Self { dataset, columns }
+    }
+
+    /// Appends a record, or returns `None` and changes nothing if the
+    /// native id was already used.
+    ///
+    /// # Panics
+    /// Panics if the value count does not match the schema width, or if
+    /// an attribute's values would outgrow 4 GiB.
+    pub fn try_push<'v, I>(&mut self, native_id: &str, values: I) -> Option<RecordId>
+    where
+        I: IntoIterator<Item = Option<&'v [u8]>>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut values = values.into_iter();
+        assert_width(values.len(), self.columns.len());
+        let id = self.dataset.native_ids.try_push(native_id)?;
+        for column in &mut self.columns {
+            column.push(values.next().expect("an exact-size iterator"));
+        }
+        Some(id)
+    }
+
+    /// The dataset, or the index of the first attribute whose values are
+    /// not UTF-8 (or split a character between two records).
+    pub fn finish(self) -> Result<Dataset, usize> {
+        let DatasetBuilder {
+            mut dataset,
+            columns,
+        } = self;
+        dataset.columns.reserve_exact(columns.len());
+        for (i, column) in columns.into_iter().enumerate() {
+            dataset.columns.push(column.finish().ok_or(i)?);
+        }
+        Ok(dataset)
     }
 }
 

@@ -58,6 +58,16 @@ impl NativeIds {
         }
     }
 
+    /// Number of ids.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Makes room for `bytes` more bytes of ids in the arena.
+    pub(crate) fn reserve_bytes(&mut self, bytes: usize) {
+        self.arena.reserve_exact(bytes);
+    }
+
     /// The native id of record `id`.
     pub(crate) fn get(&self, id: RecordId) -> &str {
         let i = id.index();

@@ -1,5 +1,6 @@
 //! Records and record identifiers.
 
+use super::Column;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -33,48 +34,70 @@ impl From<u32> for RecordId {
     }
 }
 
-/// A single record: one optional value per schema attribute. `None`
-/// models a missing (null) value, which is central to the paper's
-/// sparsity profiling (§3.1.3) and nullRatio analysis (§4.5.2). The
-/// record's native id is kept by its [`Dataset`](super::Dataset)
+/// A borrowed view of one record: one optional value per schema
+/// attribute, read from the dataset's [`Column`]s. `None` models a
+/// missing (null) value, which is central to the paper's sparsity
+/// profiling (§3.1.3) and nullRatio analysis (§4.5.2). The record's
+/// native id is kept by its [`Dataset`](super::Dataset)
 /// ([`Dataset::native_id`](super::Dataset::native_id)).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Record {
-    values: Vec<Option<String>>,
+///
+/// A view is two words and `Copy`; the values it returns borrow from
+/// the dataset, not from the view.
+#[derive(Clone, Copy)]
+pub struct Record<'a> {
+    columns: &'a [Column],
+    index: usize,
 }
 
-impl Record {
-    /// Creates a record from its attribute values.
-    pub fn new(values: Vec<Option<String>>) -> Self {
-        Self { values }
+impl<'a> Record<'a> {
+    /// The view of record `index` over `columns`.
+    pub(crate) fn new(columns: &'a [Column], index: usize) -> Self {
+        Self { columns, index }
     }
 
-    /// Value of the `col`-th attribute, `None` when missing.
-    pub fn value(&self, col: usize) -> Option<&str> {
-        self.values.get(col).and_then(|v| v.as_deref())
+    /// Value of the `col`-th attribute, `None` when missing or when the
+    /// record has no such attribute.
+    #[inline]
+    pub fn value(self, col: usize) -> Option<&'a str> {
+        self.columns.get(col)?.get(self.index)
     }
 
     /// All attribute values in schema order.
-    pub fn values(&self) -> &[Option<String>] {
-        &self.values
+    pub fn values(self) -> impl ExactSizeIterator<Item = Option<&'a str>> {
+        self.columns.iter().map(move |c| c.get(self.index))
     }
 
     /// Number of attributes.
-    pub fn width(&self) -> usize {
-        self.values.len()
+    pub fn width(self) -> usize {
+        self.columns.len()
     }
 
     /// Number of missing (null) attribute values.
-    pub fn null_count(&self) -> usize {
-        self.values.iter().filter(|v| v.is_none()).count()
+    pub fn null_count(self) -> usize {
+        self.columns
+            .iter()
+            .filter(|c| !c.is_present(self.index))
+            .count()
     }
 
     /// Whitespace-tokenizes every present value, yielding each token.
-    pub fn tokens(&self) -> impl Iterator<Item = &str> {
-        self.values
-            .iter()
-            .filter_map(|v| v.as_deref())
-            .flat_map(|v| v.split_whitespace())
+    pub fn tokens(self) -> impl Iterator<Item = &'a str> {
+        self.values().flatten().flat_map(str::split_whitespace)
+    }
+}
+
+/// Equal when the values (and which are missing) are equal.
+impl PartialEq for Record<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.values().eq(other.values())
+    }
+}
+
+impl Eq for Record<'_> {}
+
+impl fmt::Debug for Record<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.values()).finish()
     }
 }
 
@@ -84,7 +107,15 @@ mod tests {
 
     #[test]
     fn record_accessors() {
-        let r = Record::new(vec![Some("a b".into()), None, Some("c".into())]);
+        let columns: Vec<Column> = [Some("a b"), None, Some("c")]
+            .into_iter()
+            .map(|v| {
+                let mut c = Column::default();
+                c.push(v);
+                c
+            })
+            .collect();
+        let r = Record::new(&columns, 0);
         assert_eq!(r.width(), 3);
         assert_eq!(r.null_count(), 1);
         assert_eq!(r.value(0), Some("a b"));
@@ -92,6 +123,7 @@ mod tests {
         assert_eq!(r.value(9), None);
         let toks: Vec<&str> = r.tokens().collect();
         assert_eq!(toks, vec!["a", "b", "c"]);
+        assert_eq!(format!("{r:?}"), r#"[Some("a b"), None, Some("c")]"#);
     }
 
     #[test]

@@ -231,7 +231,7 @@ pub fn hard_pairs<S: PairAlgebra>(
 pub fn enrich(
     pairs: impl IntoIterator<Item = RecordPair>,
     dataset: &Dataset,
-) -> Vec<(RecordPair, &Record, &Record)> {
+) -> Vec<(RecordPair, Record<'_>, Record<'_>)> {
     pairs
         .into_iter()
         .map(|p| (p, dataset.record(p.lo()), dataset.record(p.hi())))

@@ -48,19 +48,19 @@ pub struct ColumnEntropy {
 impl ColumnEntropy {
     /// Scans a dataset once, building the per-column token distributions.
     pub fn from_dataset(ds: &Dataset) -> Self {
-        let width = ds.schema().len();
-        let mut column_counts: Vec<HashMap<String, u64>> = vec![HashMap::new(); width];
-        let mut column_totals = vec![0u64; width];
-        for r in ds.records() {
-            for col in 0..width {
-                if let Some(v) = r.value(col) {
-                    for t in v.split_whitespace() {
-                        *column_counts[col].entry(t.to_string()).or_insert(0) += 1;
-                        column_totals[col] += 1;
-                    }
+        let (column_counts, column_totals) = ds
+            .columns()
+            .iter()
+            .map(|column| {
+                let mut counts: HashMap<String, u64> = HashMap::new();
+                let mut total = 0u64;
+                for t in column.values().flatten().flat_map(str::split_whitespace) {
+                    *counts.entry(t.to_string()).or_insert(0) += 1;
+                    total += 1;
                 }
-            }
-        }
+                (counts, total)
+            })
+            .unzip();
         Self {
             column_counts,
             column_totals,

@@ -15,7 +15,7 @@
 //! * **Vocabulary similarity (VS)** — Jaccard overlap of token sets.
 
 use crate::clustering::Clustering;
-use crate::dataset::Dataset;
+use crate::dataset::{Column, Dataset};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -25,24 +25,18 @@ pub fn sparsity(ds: &Dataset) -> f64 {
     if cells == 0 {
         return 0.0;
     }
-    let nulls: usize = ds.records().iter().map(|r| r.null_count()).sum();
+    let nulls: usize = ds.columns().iter().map(Column::null_count).sum();
     nulls as f64 / cells as f64
 }
 
 /// Fraction of missing values per attribute (Crescenzi et al.'s
 /// *attribute sparsity*), in schema order.
 pub fn attribute_sparsity(ds: &Dataset) -> Vec<f64> {
-    let width = ds.schema().len();
-    let mut nulls = vec![0usize; width];
-    for r in ds.records() {
-        for (col, counter) in nulls.iter_mut().enumerate() {
-            if r.value(col).is_none() {
-                *counter += 1;
-            }
-        }
-    }
     let n = ds.len().max(1) as f64;
-    nulls.into_iter().map(|c| c as f64 / n).collect()
+    ds.columns()
+        .iter()
+        .map(|c| c.null_count() as f64 / n)
+        .collect()
 }
 
 /// Average number of whitespace-separated words per *present* attribute
@@ -50,11 +44,9 @@ pub fn attribute_sparsity(ds: &Dataset) -> Vec<f64> {
 pub fn textuality(ds: &Dataset) -> f64 {
     let mut values = 0u64;
     let mut words = 0u64;
-    for r in ds.records() {
-        for v in r.values().iter().flatten() {
-            values += 1;
-            words += v.split_whitespace().count() as u64;
-        }
+    for v in ds.columns().iter().flat_map(|c| c.values().flatten()) {
+        values += 1;
+        words += v.split_whitespace().count() as u64;
     }
     if values == 0 {
         0.0
@@ -76,8 +68,8 @@ pub fn positive_ratio(ds: &Dataset, truth: &Clustering) -> f64 {
 /// The whitespace-tokenized vocabulary of a dataset.
 pub fn vocabulary(ds: &Dataset) -> HashSet<String> {
     let mut vocab = HashSet::new();
-    for r in ds.records() {
-        for t in r.tokens() {
+    for v in ds.columns().iter().flat_map(|c| c.values().flatten()) {
+        for t in v.split_whitespace() {
             if !vocab.contains(t) {
                 vocab.insert(t.to_string());
             }

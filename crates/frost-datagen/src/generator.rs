@@ -245,7 +245,7 @@ mod tests {
         assert_eq!(a.truth, b.truth);
         // Different seed → different data.
         let c = generate(&GeneratorConfig::small("t", 100, 8));
-        assert_ne!(a.dataset.records(), c.dataset.records());
+        assert_ne!(a.dataset.columns(), c.dataset.columns());
     }
 
     #[test]

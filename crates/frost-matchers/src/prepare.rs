@@ -89,8 +89,7 @@ impl Preparer {
         for (id, r) in ds.iter() {
             let values: Vec<Option<String>> = r
                 .values()
-                .iter()
-                .map(|v| v.as_deref().and_then(|s| self.normalize(s)))
+                .map(|v| v.and_then(|s| self.normalize(s)))
                 .collect();
             out.push_record_opt(ds.native_id(id), values);
         }

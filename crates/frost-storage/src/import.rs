@@ -96,29 +96,53 @@ impl DatasetImporter {
     }
 
     /// Parses CSV text into a dataset.
+    ///
+    /// Two passes over the text: the first maps the header and counts
+    /// the records and the bytes of every column, the second copies
+    /// each row's fields straight into the dataset's columns, which
+    /// were sized exactly, so the import allocates nothing per row or
+    /// per field.
     pub fn import(&self, name: &str, text: &str) -> Result<Dataset, ImportError> {
-        // Set from the header row: the dataset and, per attribute, the
-        // column it is read from.
-        let mut target: Option<(Dataset, usize, Vec<usize>)> = None;
+        let mut layout: Option<Layout> = None;
         read_csv(text, self.csv, |row| {
-            let Some((ds, id_idx, attr_indices)) = target.as_mut() else {
-                let (id_idx, attr_indices, schema) = self.columns(row)?;
-                let ds = Dataset::with_capacity(name, schema, rows_upper_bound(text));
-                target = Some((ds, id_idx, attr_indices));
-                return Ok(());
-            };
-            let values = attr_indices
-                .iter()
-                .map(|&i| Some(&row[i]).filter(|v| !v.is_empty()).map(str::to_owned))
-                .collect();
-            let id = &row[*id_idx];
-            ds.try_push_record_opt(id, values)
-                .ok_or_else(|| ImportError::DuplicateId(id.to_owned()))?;
+            match layout.as_mut() {
+                None => layout = Some(self.layout(row)?),
+                Some(layout) => layout.measure(row),
+            }
             Ok::<(), ImportError>(())
         })?;
-        target
-            .map(|(ds, _, _)| ds)
-            .ok_or(ImportError::MissingHeader)
+        let layout = layout.ok_or(ImportError::MissingHeader)?;
+        let mut ds = Dataset::with_capacity(name, layout.schema, layout.records);
+        ds.reserve_bytes(layout.id_bytes, &layout.value_bytes);
+        let (id_idx, attr_indices) = (layout.id_idx, layout.attr_indices);
+        // The first pass has seen the whole text: the only error left
+        // is a repeated record id.
+        read_csv(text, self.csv, |row| {
+            if row.number() == 1 {
+                return Ok(());
+            }
+            let id = &row[id_idx];
+            let values = attr_indices
+                .iter()
+                .map(|&i| Some(&row[i]).filter(|v| !v.is_empty()));
+            ds.try_push_fields(id, values)
+                .map(drop)
+                .ok_or_else(|| ImportError::DuplicateId(id.to_owned()))
+        })?;
+        Ok(ds)
+    }
+
+    /// The [`Layout`] of a header row, before any record is measured.
+    fn layout(&self, header: CsvRow<'_>) -> Result<Layout, ImportError> {
+        let (id_idx, attr_indices, schema) = self.columns(header)?;
+        Ok(Layout {
+            value_bytes: vec![0; attr_indices.len()],
+            id_idx,
+            attr_indices,
+            schema,
+            records: 0,
+            id_bytes: 0,
+        })
     }
 
     /// Maps the header row: the id column, the attribute columns in
@@ -147,6 +171,30 @@ impl DatasetImporter {
         let schema = Schema::try_new(attrs.into_iter().map(|(_, n)| n))
             .map_err(ImportError::DuplicateAttribute)?;
         Ok((id_idx, indices, schema))
+    }
+}
+
+/// Where a dataset file keeps its ids and attributes, and how much of
+/// each it holds.
+struct Layout {
+    id_idx: usize,
+    /// The column of each attribute, in schema order.
+    attr_indices: Vec<usize>,
+    schema: Schema,
+    records: usize,
+    id_bytes: usize,
+    /// Bytes of the present values of each attribute.
+    value_bytes: Vec<usize>,
+}
+
+impl Layout {
+    /// Counts one record row.
+    fn measure(&mut self, row: CsvRow<'_>) {
+        self.records += 1;
+        self.id_bytes += row[self.id_idx].len();
+        for (bytes, &i) in self.value_bytes.iter_mut().zip(&self.attr_indices) {
+            *bytes += row[i].len();
+        }
     }
 }
 
@@ -358,8 +406,8 @@ mod tests {
         };
         let ds = importer.import("d", DATASET_CSV).unwrap();
         let r1 = ds.resolve_native("r1").unwrap();
-        assert_eq!(ds.record(r1).values()[0].as_deref(), Some("ann"));
-        assert_eq!(ds.record(r1).values()[1].as_deref(), Some("r1"));
+        assert_eq!(ds.record(r1).value(0), Some("ann"));
+        assert_eq!(ds.record(r1).value(1), Some("r1"));
         assert_eq!(ds.native_id(r1), "r1");
     }
 

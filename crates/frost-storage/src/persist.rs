@@ -82,7 +82,7 @@ pub fn dataset_to_csv(ds: &Dataset) -> String {
         .collect::<Vec<String>>();
     let rows = std::iter::once(header).chain(ds.iter().map(|(id, r)| {
         std::iter::once(ds.native_id(id).to_string())
-            .chain(r.values().iter().map(|v| v.clone().unwrap_or_default()))
+            .chain(r.values().map(|v| v.unwrap_or_default().to_owned()))
             .collect()
     }));
     write_csv(rows, CsvOptions::comma())

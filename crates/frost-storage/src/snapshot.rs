@@ -46,7 +46,9 @@ use crate::store::{BenchmarkStore, StoreError, StoredExperiment};
 use frost_core::clustering::Clustering;
 use frost_core::dataset::chunked::ARRAY_MAX;
 use frost_core::dataset::roaring::BITMAP_WORDS;
-use frost_core::dataset::{Dataset, Experiment, PairOrigin, RoaringPairSet, Schema, ScoredPair};
+use frost_core::dataset::{
+    DatasetBuilder, Experiment, PairOrigin, RoaringPairSet, Schema, ScoredPair,
+};
 use frost_core::softkpi::{Effort, ExperimentKpis};
 use std::fmt;
 use std::io::Write;
@@ -318,6 +320,7 @@ impl Writer {
     }
 }
 
+#[derive(Clone)]
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -402,9 +405,14 @@ impl<'a> Reader<'a> {
 
     /// A string borrowed from the buffer.
     pub(crate) fn str(&mut self) -> Result<&'a str, SnapshotError> {
-        let len = self.len_capped("string byte", self.remaining())?;
-        let bytes = self.bytes(len)?;
+        let bytes = self.str_bytes()?;
         std::str::from_utf8(bytes).map_err(|_| self.corrupt("string is not UTF-8"))
+    }
+
+    /// The bytes of a string, not yet checked for UTF-8.
+    pub(crate) fn str_bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
+        let len = self.len_capped("string byte", self.remaining())?;
+        self.bytes(len)
     }
 
     pub(crate) fn f64(&mut self) -> Result<f64, SnapshotError> {
@@ -439,19 +447,21 @@ fn encode_datasets(store: &BenchmarkStore, w: &mut Writer) -> Result<(), Snapsho
             w.string(a);
         }
         w.varint(ds.len() as u64);
-        let width = attrs.len();
-        for (id, r) in ds.iter() {
+        let columns = ds.columns();
+        for (id, _) in ds.iter() {
             w.string(ds.native_id(id));
-            // Null bitmap: bit i set ⇔ attribute i present.
-            let mut mask_bytes = vec![0u8; width.div_ceil(8)];
-            for i in 0..width {
-                if r.value(i).is_some() {
-                    mask_bytes[i / 8] |= 1 << (i % 8);
-                }
+            // Null mask: bit i set ⇔ attribute i present, eight
+            // attributes a byte, read off the columns' bitmaps.
+            for group in columns.chunks(8) {
+                let mask = group
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.is_present(id.index()))
+                    .fold(0u8, |mask, (i, _)| mask | 1 << i);
+                w.u8(mask);
             }
-            w.buf.extend_from_slice(&mask_bytes);
-            for i in 0..width {
-                if let Some(v) = r.value(i) {
+            for column in columns {
+                if let Some(v) = column.get(id.index()) {
                     w.string(v);
                 }
             }
@@ -460,6 +470,33 @@ fn encode_datasets(store: &BenchmarkStore, w: &mut Writer) -> Result<(), Snapsho
     Ok(())
 }
 
+/// Reads one `DSET` record: its native id and, per attribute, the
+/// bytes of its value or `None`, into `values`. Nothing is checked for
+/// UTF-8 here.
+fn read_record<'a>(
+    r: &mut Reader<'a>,
+    width: usize,
+    values: &mut Vec<Option<&'a [u8]>>,
+) -> Result<&'a [u8], SnapshotError> {
+    let native = r.str_bytes()?;
+    let mask = r.bytes(width.div_ceil(8))?;
+    values.clear();
+    for i in 0..width {
+        values.push(if mask[i / 8] & (1 << (i % 8)) != 0 {
+            Some(r.str_bytes()?)
+        } else {
+            None
+        });
+    }
+    Ok(native)
+}
+
+/// Decodes `DSET` straight into columns, in two passes over each
+/// dataset's records: the first counts the bytes of the native ids
+/// and of every attribute, the second copies the values into columns
+/// sized exactly. Each native id is checked for UTF-8 on its own as it
+/// is resolved; each attribute's values are checked once, as a whole,
+/// with every record's offset on a character boundary.
 fn decode_datasets(bytes: &[u8], store: &mut BenchmarkStore) -> Result<(), SnapshotError> {
     let mut r = Reader::new(bytes, "DSET");
     let count = r.len_capped("dataset", r.remaining())?;
@@ -474,22 +511,36 @@ fn decode_datasets(bytes: &[u8], store: &mut BenchmarkStore) -> Result<(), Snaps
         let record_count = r.len_capped("record", r.remaining())?;
         let schema = Schema::try_new(attrs)
             .map_err(|a| r.corrupt(format!("duplicate attribute name {a:?}")))?;
-        let mut ds = Dataset::with_capacity(&name, schema, record_count);
+
+        let mut values = Vec::with_capacity(width);
+        let mut id_bytes = 0usize;
+        let mut value_bytes = vec![0usize; width];
+        let mut sizing = r.clone();
         for _ in 0..record_count {
-            let native = r.str()?;
-            let mask = r.bytes(width.div_ceil(8))?;
-            let mut values = Vec::with_capacity(width);
-            for i in 0..width {
-                if mask[i / 8] & (1 << (i % 8)) != 0 {
-                    values.push(Some(r.string()?));
-                } else {
-                    values.push(None);
-                }
+            id_bytes += read_record(&mut sizing, width, &mut values)?.len();
+            for (total, value) in value_bytes.iter_mut().zip(&values) {
+                *total += value.map_or(0, <[u8]>::len);
             }
-            if ds.try_push_record_opt(native, values).is_none() {
+        }
+        if let Some(i) = value_bytes.iter().position(|&b| b > u32::MAX as usize) {
+            return Err(r.corrupt(format!(
+                "values of attribute {:?} exceed 4 GiB",
+                schema.name(i)
+            )));
+        }
+
+        let mut builder = DatasetBuilder::new(&name, schema, record_count, id_bytes, &value_bytes);
+        for _ in 0..record_count {
+            let native = read_record(&mut r, width, &mut values)?;
+            let native =
+                std::str::from_utf8(native).map_err(|_| r.corrupt("string is not UTF-8"))?;
+            if builder.try_push(native, values.iter().copied()).is_none() {
                 return Err(r.corrupt(format!("duplicate native id {native:?}")));
             }
         }
+        let ds = builder
+            .finish()
+            .map_err(|i| r.corrupt(format!("values of attribute {i} of {name:?} are not UTF-8")))?;
         store.add_dataset(ds)?;
     }
     r.finished()
@@ -911,7 +962,7 @@ pub fn is_snapshot(path: impl AsRef<Path>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frost_core::dataset::RecordPair;
+    use frost_core::dataset::{Dataset, RecordPair};
 
     /// The bytewise CRC-32 the sliced one must agree with.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
