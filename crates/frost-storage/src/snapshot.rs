@@ -1212,6 +1212,32 @@ mod tests {
     }
 
     #[test]
+    fn text_that_is_not_utf8_is_corruption() {
+        let corrupt = |from: &[u8], to: &[u8]| {
+            let mut bytes = to_bytes(&sample_store()).unwrap();
+            let at = bytes.windows(from.len()).position(|w| w == from).unwrap();
+            bytes[at..at + to.len()].copy_from_slice(to);
+            match from_bytes(&reseal(bytes)) {
+                Err(SnapshotError::Corrupted { section, reason }) => (section, reason),
+                other => panic!("expected a corrupted DSET, got {other:?}"),
+            }
+        };
+        // A value: record d's name `Dora` starts with a stray byte.
+        assert_eq!(
+            corrupt(b"\x04Dora", b"\x04\xFF"),
+            (
+                "DSET",
+                "values of attribute 0 of \"people\" are not UTF-8".into()
+            )
+        );
+        // A native id: record d's id `d`.
+        assert_eq!(
+            corrupt(b"\x01d\x03", b"\x01\xFF"),
+            ("DSET", "string is not UTF-8".into())
+        );
+    }
+
+    #[test]
     fn a_repeated_attribute_name_is_corruption_not_a_panic() {
         let mut bytes = to_bytes(&sample_store()).unwrap();
         // Attribute names are length-prefixed strings: `\x04city`
