@@ -247,16 +247,19 @@ pub fn import_gold_cluster_attribute(
     ds: &Dataset,
     attribute: &str,
 ) -> Result<Clustering, ImportError> {
-    if ds.schema().index_of(attribute).is_none() {
-        return Err(ImportError::MissingColumn(attribute.into()));
-    }
+    let col = ds
+        .schema()
+        .index_of(attribute)
+        .ok_or_else(|| ImportError::MissingColumn(attribute.into()))?;
     let labels: Vec<String> = ds
-        .iter()
-        .map(|(id, _)| {
-            ds.value(id, attribute)
+        .column(col)
+        .values()
+        .enumerate()
+        .map(|(i, label)| {
+            label
                 .map(str::to_string)
                 // Unlabelled records become unique singleton labels.
-                .unwrap_or_else(|| format!("\u{0}singleton-{}", id.0))
+                .unwrap_or_else(|| format!("\u{0}singleton-{i}"))
         })
         .collect();
     Ok(Clustering::from_labels(labels))
