@@ -68,8 +68,16 @@ impl Column {
     }
 
     /// Whether record `i` has a value (an empty one included).
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
     #[inline]
     pub fn is_present(&self, i: usize) -> bool {
+        assert!(
+            i < self.len(),
+            "record {i} out of range for {} records",
+            self.len()
+        );
         self.present[i / 64] >> (i % 64) & 1 == 1
     }
 
@@ -178,6 +186,16 @@ mod tests {
         }
         assert_eq!(c.null_count(), (0..200).filter(|i| i % 3 == 0).count());
         assert!(!c.is_present(63) && c.is_present(64) && !c.is_present(66));
+    }
+
+    #[test]
+    #[should_panic(expected = "record 3 out of range for 3 records")]
+    fn presence_past_the_last_record_panics() {
+        let mut c = Column::default();
+        for _ in 0..3 {
+            c.push(None);
+        }
+        c.is_present(3);
     }
 
     #[test]

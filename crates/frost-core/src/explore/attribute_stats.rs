@@ -18,7 +18,7 @@
 //! transfer learning) — see [`MismatchKind`].
 
 use super::JudgedPair;
-use crate::dataset::Dataset;
+use crate::dataset::{Column, Dataset};
 use serde::{Deserialize, Serialize};
 
 /// The per-attribute outcome of a nullRatio/equalRatio analysis.
@@ -53,62 +53,45 @@ impl AttributeRatio {
 
 /// Computes `nullRatio` for every attribute over the judged pairs:
 /// the fraction of misclassified pairs among pairs where at least one
-/// record misses the attribute (§4.5.2).
+/// record misses the attribute (§4.5.2). Reads only the columns'
+/// presence bits.
 pub fn null_ratio(ds: &Dataset, judged: &[JudgedPair]) -> Vec<AttributeRatio> {
-    let width = ds.schema().len();
-    let mut count = vec![0u64; width];
-    let mut false_count = vec![0u64; width];
-    for p in judged {
-        let a = ds.record(p.pair.lo());
-        let b = ds.record(p.pair.hi());
-        for col in 0..width {
-            if a.value(col).is_none() || b.value(col).is_none() {
-                count[col] += 1;
-                if !p.correct() {
-                    false_count[col] += 1;
-                }
-            }
-        }
-    }
-    (0..width)
-        .map(|col| {
-            AttributeRatio::new(
-                ds.schema().name(col).to_string(),
-                count[col],
-                false_count[col],
-            )
-        })
-        .collect()
+    attribute_ratios(ds, judged, |column, lo, hi| {
+        !column.is_present(lo) || !column.is_present(hi)
+    })
 }
 
 /// Computes `equalRatio` for every attribute over the judged pairs:
 /// the fraction of misclassified pairs among pairs whose two records
 /// hold *equal, present* values in the attribute (§4.5.3).
 pub fn equal_ratio(ds: &Dataset, judged: &[JudgedPair]) -> Vec<AttributeRatio> {
-    let width = ds.schema().len();
-    let mut count = vec![0u64; width];
-    let mut false_count = vec![0u64; width];
-    for p in judged {
-        let a = ds.record(p.pair.lo());
-        let b = ds.record(p.pair.hi());
-        for col in 0..width {
-            if let (Some(va), Some(vb)) = (a.value(col), b.value(col)) {
-                if va == vb {
-                    count[col] += 1;
-                    if !p.correct() {
-                        false_count[col] += 1;
-                    }
+    attribute_ratios(
+        ds,
+        judged,
+        |column, lo, hi| matches!((column.get(lo), column.get(hi)), (Some(a), Some(b)) if a == b),
+    )
+}
+
+/// Per attribute, one column at a time: the judged pairs whose two
+/// records (by index) satisfy `counts`, and the misclassified ones
+/// among them.
+fn attribute_ratios(
+    ds: &Dataset,
+    judged: &[JudgedPair],
+    counts: impl Fn(&Column, usize, usize) -> bool,
+) -> Vec<AttributeRatio> {
+    ds.columns()
+        .iter()
+        .enumerate()
+        .map(|(col, column)| {
+            let (mut count, mut false_count) = (0, 0);
+            for p in judged {
+                if counts(column, p.pair.lo().index(), p.pair.hi().index()) {
+                    count += 1;
+                    false_count += u64::from(!p.correct());
                 }
             }
-        }
-    }
-    (0..width)
-        .map(|col| {
-            AttributeRatio::new(
-                ds.schema().name(col).to_string(),
-                count[col],
-                false_count[col],
-            )
+            AttributeRatio::new(ds.schema().name(col).to_string(), count, false_count)
         })
         .collect()
 }

@@ -25,7 +25,15 @@
 //! Sections (all integers varint-encoded LEB128 unless noted):
 //!
 //! * **`DSET`** — datasets: name, schema attributes, records (native
-//!   id, null bitmap, present values).
+//!   id, null bitmap, present values). The records are written row by
+//!   row, but a [`Dataset`](frost_core::dataset::Dataset) keeps one
+//!   column per attribute, and the decoder fills those columns
+//!   directly ([`DatasetBuilder`]): a first pass over a dataset's
+//!   records adds up the bytes of every attribute, a second copies each
+//!   value into its column, sized exactly. Each native id is checked for
+//!   UTF-8 as it is resolved, and each column's values once as a whole,
+//!   with every record's offset on a character boundary. The encoder
+//!   reads the null bitmap off the columns' presence bits.
 //! * **`GOLD`** — gold standards: dataset name, record count, dense
 //!   cluster assignment (one varint per record).
 //! * **`EXPT`** — experiments: name, dataset, optional soft KPIs, the
