@@ -55,7 +55,13 @@ impl ColumnEntropy {
                 let mut counts: HashMap<String, u64> = HashMap::new();
                 let mut total = 0u64;
                 for t in column.values().flatten().flat_map(str::split_whitespace) {
-                    *counts.entry(t.to_string()).or_insert(0) += 1;
+                    // A token's `String` is made once, when first seen.
+                    match counts.get_mut(t) {
+                        Some(n) => *n += 1,
+                        None => {
+                            counts.insert(t.to_string(), 1);
+                        }
+                    }
                     total += 1;
                 }
                 (counts, total)
